@@ -39,6 +39,7 @@ class RiemannSolution:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str  # gradient, decrement, no_progress or max_iters (optimizer)
     trace: tuple[IterationRecord, ...] = field(repr=False)
 
     @property
@@ -62,6 +63,7 @@ def solve_riemann(
         grad_norm = 0.0
         iterations = 0
         converged = True
+        stop_reason = "gradient"  # an empty gradient meets any tolerance
         trace: tuple[IterationRecord, ...] = ()
     else:
         kind = KIND_GENERAL
@@ -71,6 +73,7 @@ def solve_riemann(
         grad_norm = result.grad_norm
         iterations = result.iterations
         converged = result.converged
+        stop_reason = result.stop_reason
         trace = result.trace
     if problem.orientation_flipped:
         profile = profile.mirrored()
@@ -85,5 +88,6 @@ def solve_riemann(
         grad_norm=grad_norm,
         iterations=iterations,
         converged=converged,
+        stop_reason=stop_reason,
         trace=trace,
     )

@@ -173,7 +173,7 @@ def _solve_from_config(config: RunConfig) -> RiemannSolution:
         config.u_minus, config.u_plus, partition, SolveOptions(grad_tol=config.grad_tol)
     )
     if not solution.converged:
-        raise RuntimeError("boundary solve did not converge")
+        raise RuntimeError(f"boundary solve did not converge (stopped on {solution.stop_reason})")
     return solution
 
 

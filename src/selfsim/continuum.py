@@ -305,7 +305,9 @@ def convergence_study(f: DiffusionFunction, cell_counts: Sequence[int]) -> tuple
         layout = build_layout(partition)
         result = minimize(problem, layout)
         if not result.converged:
-            raise RuntimeError(f"boundary solve did not converge at {cells} cells")
+            raise RuntimeError(
+                f"boundary solve did not converge at {cells} cells (stopped on {result.stop_reason})"
+            )
         nominal = layout.expand(result.minimizer.values)
         on_grid = np.interp(grid, partition.breakpoints[1:-1], nominal)
         shifted = entropy_shifted(problem, layout, result.minimizer)

@@ -21,6 +21,7 @@ u is continuous, and the interface balance law where u jumps.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ def _check(layout: BoundaryLayout, xi: FreeBoundaries) -> tuple[float, ...]:
     return xi.values
 
 
-def _full_positions(layout: BoundaryLayout, values: tuple[float, ...]) -> tuple[float, ...]:
+def _full_positions(layout: BoundaryLayout, values: Sequence[float]) -> tuple[float, ...]:
     # xi_0 .. xi_{n+1} with the infinite sentinels attached
     return (-_INF,) + layout.expand(values) + (_INF,)
 
@@ -77,95 +78,85 @@ def _anchor(k: int, n: int) -> int:
     return k
 
 
-def entropy_value(problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries) -> float:
-    values = _check(layout, xi)
-    full = _full_positions(layout, values)
+def entropy_pass(problem: RiemannProblem, layout: BoundaryLayout, values, derivatives: bool = True):
+    """The objective at ``values`` in one pass over the intervals.
+
+    Returns the value alone when ``derivatives`` is false; otherwise
+    ``(value, gradient, hess_diag, hess_off)`` with the symmetric tridiagonal
+    Hessian as its diagonal and first off-diagonal.  ``values`` are the m
+    free positions and must already be feasible (``feasible_values``): this
+    kernel does not check them.  Each interval takes ``log_heat_step_diff``
+    once and shares it between all three pieces.
+    """
+    full = _full_positions(layout, np.asarray(values, dtype=float).tolist())
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
     n = layout.n
+    slots = layout.slots
     total = 0.0
+    if derivatives:
+        m = layout.m
+        g = [0.0] * m
+        hd = [0.0] * m
+        ho = [0.0] * max(m - 1, 0)
     for k in range(n + 1):
         du = u[k + 1] - u[k]
         a = cs[k]
         if a > 0.0:
-            total -= a * a * du * log_heat_step_diff(full[k + 1] / a, full[k] / a)
+            logdf = log_heat_step_diff(full[k + 1] / a, full[k] / a)
+            total -= a * a * du * logdf
+            if not derivatives:
+                continue
+            # With R(t) = H'(t)/dH (ratios as exp of log differences: stable
+            # far into the tails) and H'' = -(t/2) H', the term of interval k
+            # contributes, in the scaled ends x = xi_{k+1}/a, y = xi_k/a:
+            #   d/d(xi_k)        : +a du R(y)
+            #   d/d(xi_{k+1})    : -a du R(x)
+            #   d2/d(xi_{k+1})^2 : du * (R(x)^2 + (x/2) R(x))
+            #   d2/d(xi_k)^2     : du * (R(y)^2 - (y/2) R(y))
+            #   cross            : -du * R(x) R(y)
+            # (the a^2 prefactor cancels the chain rule in the second order)
+            if k >= 1:
+                ys = full[k] / a
+                ry = math.exp(log_heat_step_deriv(ys) - logdf)
+                g[slots[k - 1]] += a * du * ry
+                hd[slots[k - 1]] += du * (ry * ry - 0.5 * ys * ry)
+            if k <= n - 1:
+                xs = full[k + 1] / a
+                rx = math.exp(log_heat_step_deriv(xs) - logdf)
+                g[slots[k]] -= a * du * rx
+                hd[slots[k]] += du * (rx * rx + 0.5 * xs * rx)
+            if 1 <= k <= n - 1:
+                # endpoints live in adjacent distinct slots by construction
+                ho[slots[k - 1]] -= du * rx * ry
         else:
-            s = full[_anchor(k, n)]
+            # du s^2/4 at the one finite boundary s the interval keeps
+            b = _anchor(k, n)
+            s = full[b]
             total += 0.25 * du * s * s
-    return total
+            if derivatives:
+                g[slots[b - 1]] += 0.5 * du * s
+                hd[slots[b - 1]] += 0.5 * du
+    if not derivatives:
+        return total
+    return total, np.array(g), np.array(hd), np.array(ho)
+
+
+def entropy_value(problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries) -> float:
+    return entropy_pass(problem, layout, _check(layout, xi), derivatives=False)
 
 
 def entropy_gradient(
     problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries
 ) -> np.ndarray:
-    values = _check(layout, xi)
-    full = _full_positions(layout, values)
-    u = problem.partition.breakpoints
-    cs = problem.partition.coefficients
-    n = layout.n
-    slots = layout.slots
-    g = np.zeros(layout.m)
-    for k in range(n + 1):
-        du = u[k + 1] - u[k]
-        a = cs[k]
-        if a > 0.0:
-            # d/d(xi_k)      [-a^2 du ln dH] = +a du H'(xi_k/a) / dH
-            # d/d(xi_{k+1})  [-a^2 du ln dH] = -a du H'(xi_{k+1}/a) / dH
-            # (ratios as exp of log differences: stable far into the tails)
-            logdf = log_heat_step_diff(full[k + 1] / a, full[k] / a)
-            if k >= 1:
-                g[slots[k - 1]] += a * du * math.exp(
-                    log_heat_step_deriv(full[k] / a) - logdf
-                )
-            if k <= n - 1:
-                g[slots[k]] -= a * du * math.exp(
-                    log_heat_step_deriv(full[k + 1] / a) - logdf
-                )
-        else:
-            # d/ds [du s^2/4] = du s / 2 at the surviving finite boundary
-            b = _anchor(k, n)
-            g[slots[b - 1]] += 0.5 * du * full[b]
-    return g
+    return entropy_pass(problem, layout, _check(layout, xi))[1]
 
 
 def entropy_hessian(
     problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric tridiagonal Hessian as (diagonal, first off-diagonal)."""
-    values = _check(layout, xi)
-    full = _full_positions(layout, values)
-    u = problem.partition.breakpoints
-    cs = problem.partition.coefficients
-    n = layout.n
-    slots = layout.slots
-    hd = np.zeros(layout.m)
-    ho = np.zeros(max(layout.m - 1, 0))
-    for k in range(n + 1):
-        du = u[k + 1] - u[k]
-        a = cs[k]
-        if a > 0.0:
-            # With R(t) = H'(t)/dH and H'' = -(t/2) H', the log term of one
-            # interval contributes, in the scaled arguments x = xi_{k+1}/a,
-            # y = xi_k/a (the a^2 prefactor cancels the chain rule):
-            #   d2/d(xi_{k+1})^2 : du * (R(x)^2 + (x/2) R(x))
-            #   d2/d(xi_k)^2     : du * (R(y)^2 - (y/2) R(y))
-            #   cross            : -du * R(x) R(y)
-            logdf = log_heat_step_diff(full[k + 1] / a, full[k] / a)
-            if k <= n - 1:
-                xs = full[k + 1] / a
-                rx = math.exp(log_heat_step_deriv(xs) - logdf)
-                hd[slots[k]] += du * (rx * rx + 0.5 * xs * rx)
-            if k >= 1:
-                ys = full[k] / a
-                ry = math.exp(log_heat_step_deriv(ys) - logdf)
-                hd[slots[k - 1]] += du * (ry * ry - 0.5 * ys * ry)
-            if 1 <= k <= n - 1:
-                # endpoints live in adjacent distinct slots by construction
-                ho[slots[k - 1]] -= du * rx * ry
-        else:
-            b = _anchor(k, n)
-            hd[slots[b - 1]] += 0.5 * du
-    return hd, ho
+    return entropy_pass(problem, layout, _check(layout, xi))[2:]
 
 
 @dataclass(frozen=True)
@@ -186,13 +177,7 @@ class EntropyReport:
 def entropy_report(
     problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries
 ) -> EntropyReport:
-    hd, ho = entropy_hessian(problem, layout, xi)
-    return EntropyReport(
-        value=entropy_value(problem, layout, xi),
-        gradient=entropy_gradient(problem, layout, xi),
-        hess_diag=hd,
-        hess_off=ho,
-    )
+    return EntropyReport(*entropy_pass(problem, layout, _check(layout, xi)))
 
 
 def shift_constant(problem: RiemannProblem) -> float:

@@ -2,9 +2,23 @@
 
 The Hessian is symmetric tridiagonal and positive definite on the feasible
 set, so each Newton direction costs one LDL^T sweep.  Steps are backtracked
-both to stay strictly feasible (boundaries strictly increasing) and to
-satisfy an Armijo decrease, which makes the iteration globally convergent
-from any feasible start.
+first to stay strictly feasible (boundaries strictly increasing; the set is
+convex, so one feasible trial point makes every shorter step feasible) and
+then to satisfy an Armijo decrease, which makes the iteration globally
+convergent from any feasible start.
+
+Three tests end the iteration as converged or not:
+
+* gradient: |g|_inf <= grad_tol * max(1, |g at start|_inf);
+* decrement: the Newton decrement lambda^2 = g^T H^-1 g (Boyd & Vandenberghe,
+  Convex Optimization 9.5.1) predicts a decrease lambda^2/2 of the objective
+  no larger than its rounding floor, DECREMENT_ULPS * eps * (1 + |E|).  Armijo
+  cannot certify such a step, but the Newton step is then exact to rounding,
+  so the full step (backtracked only for feasibility) is taken and the
+  solve stops converged;
+* no progress: the Armijo search fails above that floor (not converged).
+
+Otherwise the solve stops at ``max_iters`` (not converged).
 """
 
 from __future__ import annotations
@@ -15,13 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import (
-    FreeBoundaries,
-    entropy_gradient,
-    entropy_hessian,
-    entropy_value,
-    feasible_values,
-)
+from .entropy import FreeBoundaries, entropy_pass, feasible_values
 from .problem import BoundaryLayout, RiemannProblem
 from .special import heat_step_inverse
 
@@ -62,7 +70,10 @@ def solve_spd_tridiagonal(diag, off, rhs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    grad_tol: float = 1e-12  # threshold = grad_tol * max(1, |grad at start|_inf)
+    # stop once |grad|_inf <= grad_tol * max(1, |grad at start|_inf); the
+    # Newton-decrement stop (module docstring) ends solves whose rounding
+    # floor lies above that threshold
+    grad_tol: float = 1e-12
     max_iters: int = 200
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
@@ -92,18 +103,27 @@ class NewtonOutcome:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
     records: tuple[IterationRecord, ...]
 
 
-def _direction(hd, ho, grad) -> np.ndarray:
+# The decrement stop fires once lambda^2/2 <= DECREMENT_ULPS * eps * (1 + |E|):
+# a thousand units of rounding of the objective, which sums positive terms.
+DECREMENT_ULPS = 1e3
+_EPS = float(np.finfo(float).eps)
+_MIN_STEP = 1e-18
+
+
+def _direction(hd, ho, grad) -> tuple[np.ndarray, bool]:
+    """Search direction, and whether it is the exact Newton direction."""
     try:
-        return -solve_spd_tridiagonal(hd, ho, grad)
+        return -solve_spd_tridiagonal(hd, ho, grad), True
     except TridiagonalFactorizationError:
         ridge = float(np.max(np.abs(hd))) * 1e-12 + 1e-300
         try:
-            return -solve_spd_tridiagonal(hd + ridge, ho, grad)
+            return -solve_spd_tridiagonal(hd + ridge, ho, grad), False
         except TridiagonalFactorizationError:
-            return -np.asarray(grad, dtype=float)
+            return -np.asarray(grad, dtype=float), False
 
 
 def damped_newton(
@@ -113,6 +133,11 @@ def damped_newton(
     feasible: Callable[[np.ndarray], bool],
     options: SolveOptions,
 ) -> NewtonOutcome:
+    """Minimize from ``x0``; see the module docstring for the stop tests.
+
+    ``value_fn`` and ``full_fn`` are only called at points ``feasible``
+    accepts, so they need not check feasibility themselves.
+    """
     x = np.asarray(x0, dtype=float).copy()
     if not feasible(x):
         raise ValueError(f"start point is not feasible: {x!r}")
@@ -120,61 +145,48 @@ def damped_newton(
     gnorm = float(np.max(np.abs(grad)))
     tol = options.grad_tol * max(1.0, gnorm)
     records = [IterationRecord(value, gnorm, 0.0)]
-    converged = gnorm <= tol
+    stop_reason = "gradient" if gnorm <= tol else None
     iterations = 0
-    while not converged and iterations < options.max_iters:
-        d = _direction(hd, ho, grad)
-        slope = float(grad @ d)
+    while stop_reason is None:
+        if iterations >= options.max_iters:
+            stop_reason = "max_iters"
+            break
+        d, newton = _direction(hd, ho, grad)
+        slope = float(grad @ d)  # -lambda^2 for a Newton direction
         if not slope < 0.0:
             d = -grad
             slope = -float(grad @ grad)
+            newton = False
         t = 1.0
-        accepted = False
-        while t >= 1e-18:
-            trial = x + t * d
-            if feasible(trial):
-                tv = value_fn(trial)
-                if tv < value and tv <= value + options.armijo_c * t * slope:
-                    accepted = True
-                    break
+        while not feasible(x + t * d):
             t *= options.backtrack_factor
-        if not accepted:
-            # Near the minimum the Newton decrement can fall below the
-            # floating-point resolution of the objective, so Armijo cannot
-            # certify a strict decrease even though the step is sound.  Accept
-            # a feasibility-backtracked step that moves the value by at most
-            # rounding noise and at least halves the gradient norm; otherwise
-            # we are done moving.
-            t = 1.0
-            while t >= 1e-18 and not feasible(x + t * d):
+            if t < _MIN_STEP:
+                break
+        at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * (1.0 + abs(value))
+        if not at_floor:  # Armijo; every shorter step stays feasible
+            while t >= _MIN_STEP:
+                if value_fn(x + t * d) <= value + options.armijo_c * t * slope:
+                    break
                 t *= options.backtrack_factor
-            if t >= 1e-18:
-                trial = x + t * d
-                tv = value_fn(trial)
-                tval, tgrad, thd, tho = full_fn(trial)
-                tgnorm = float(np.max(np.abs(tgrad)))
-                noise = 4.0 * np.finfo(float).eps * (1.0 + abs(value))
-                if tv <= value + noise and tgnorm <= 0.5 * gnorm:
-                    x = trial
-                    value, grad, hd, ho = tval, tgrad, thd, tho
-                    gnorm = tgnorm
-                    records.append(IterationRecord(value, gnorm, t))
-                    iterations += 1
-                    converged = gnorm <= tol
-                    continue
-            break  # no representable progress in value or gradient
+        if t < _MIN_STEP:
+            stop_reason = "no_progress"
+            break
         x = x + t * d
         value, grad, hd, ho = full_fn(x)
         gnorm = float(np.max(np.abs(grad)))
         records.append(IterationRecord(value, gnorm, t))
         iterations += 1
-        converged = gnorm <= tol
+        if at_floor:
+            stop_reason = "decrement"
+        elif gnorm <= tol:
+            stop_reason = "gradient"
     return NewtonOutcome(
         x=x,
         value=value,
         grad_norm=gnorm,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason in ("gradient", "decrement"),
+        stop_reason=stop_reason,
         records=tuple(records),
     )
 
@@ -186,6 +198,7 @@ class SolveResult:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str  # one of gradient, decrement, no_progress, max_iters
     trace: tuple[IterationRecord, ...] = field(repr=False)
 
 
@@ -222,12 +235,10 @@ def minimize(
     x0 = (start or initial_guess(problem, layout)).as_array()
 
     def value_fn(x: np.ndarray) -> float:
-        return entropy_value(problem, layout, FreeBoundaries(tuple(x), layout))
+        return entropy_pass(problem, layout, x, derivatives=False)
 
     def full_fn(x: np.ndarray):
-        xi = FreeBoundaries(tuple(x), layout)
-        hd, ho = entropy_hessian(problem, layout, xi)
-        return entropy_value(problem, layout, xi), entropy_gradient(problem, layout, xi), hd, ho
+        return entropy_pass(problem, layout, x)
 
     outcome = damped_newton(x0, value_fn, full_fn, feasible_values, opts)
     return SolveResult(
@@ -236,5 +247,6 @@ def minimize(
         grad_norm=outcome.grad_norm,
         iterations=outcome.iterations,
         converged=outcome.converged,
+        stop_reason=outcome.stop_reason,
         trace=outcome.records,
     )

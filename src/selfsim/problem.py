@@ -76,9 +76,6 @@ def validate(partition: PhasePartition) -> Violation | None:
     for k in range(1, len(cs)):
         if cs[k] == cs[k - 1]:
             return Violation(f"adjacent equal at k={k - 1}", k - 1)
-    if len(cs) > 0 and max(cs) == 0.0 and len(cs) > 1:
-        # unreachable given the adjacent-distinct rule, kept as a guard
-        return Violation("all coefficients vanish", 0)
     return None
 
 

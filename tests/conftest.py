@@ -51,6 +51,26 @@ def make_problem(rng: np.random.Generator, phases: int, degenerate: str = "maybe
     return problem, layout
 
 
+def part(n: int, seed: int, lo: float = 0.2, hi: float = 2.0):
+    """The shared random-partition recipe ``part(n, seed)`` of ROADMAP.md.
+
+    n + 1 coefficients uniform in [lo, hi], each zeroed with probability
+    0.2, then any coefficient equal to its left neighbour set to 0.5 (in
+    order, so runs of zeros alternate with 0.5); breakpoints evenly spaced
+    on [0, 1].  Returns the problem for states 0 -> 1 and its layout.
+    """
+    rng = np.random.default_rng(seed)
+    cs = rng.uniform(lo, hi, n + 1)
+    cs[rng.random(n + 1) < 0.2] = 0.0
+    for k in range(1, n + 1):
+        if cs[k] == cs[k - 1]:
+            cs[k] = 0.5
+    partition = ss.PhasePartition(
+        tuple(np.linspace(0.0, 1.0, n + 2).tolist()), tuple(cs.tolist())
+    )
+    return ss.normalize_orientation(0.0, 1.0, partition), ss.build_layout(partition)
+
+
 def feasible_point(rng: np.random.Generator, layout, scale: float = 1.0):
     """Random strictly increasing boundary values."""
     steps = rng.uniform(0.05, 0.8, size=layout.m) * scale

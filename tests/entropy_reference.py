@@ -1,0 +1,105 @@
+"""Reference objective: one scalar loop per quantity.
+
+These are the three loops the fused ``selfsim.entropy.entropy_pass``
+replaced.  Each recomputes ``log_heat_step_diff`` per interval on its own,
+so it is slow, but it is the plain transcription of the objective's terms
+and serves as the oracle the fused pass must reproduce bit for bit.
+Points must be feasible; nothing is checked here.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from selfsim.special import log_heat_step_deriv, log_heat_step_diff
+
+
+def _full(layout, values):
+    # xi_0 .. xi_{n+1} with the infinite sentinels attached
+    return (-math.inf,) + layout.expand(tuple(values)) + (math.inf,)
+
+
+def _anchor(k, n):
+    # the finite boundary whose position enters a degenerate interval's term
+    if k == 0:
+        return 1
+    if k == n:
+        return n
+    return k
+
+
+def reference_value(problem, layout, values) -> float:
+    full = _full(layout, values)
+    u = problem.partition.breakpoints
+    cs = problem.partition.coefficients
+    n = layout.n
+    total = 0.0
+    for k in range(n + 1):
+        du = u[k + 1] - u[k]
+        a = cs[k]
+        if a > 0.0:
+            total -= a * a * du * log_heat_step_diff(full[k + 1] / a, full[k] / a)
+        else:
+            s = full[_anchor(k, n)]
+            total += 0.25 * du * s * s
+    return total
+
+
+def reference_gradient(problem, layout, values) -> np.ndarray:
+    full = _full(layout, values)
+    u = problem.partition.breakpoints
+    cs = problem.partition.coefficients
+    n = layout.n
+    slots = layout.slots
+    g = np.zeros(layout.m)
+    for k in range(n + 1):
+        du = u[k + 1] - u[k]
+        a = cs[k]
+        if a > 0.0:
+            # d/d(xi_k)      [-a^2 du ln dH] = +a du H'(xi_k/a) / dH
+            # d/d(xi_{k+1})  [-a^2 du ln dH] = -a du H'(xi_{k+1}/a) / dH
+            logdf = log_heat_step_diff(full[k + 1] / a, full[k] / a)
+            if k >= 1:
+                g[slots[k - 1]] += a * du * math.exp(log_heat_step_deriv(full[k] / a) - logdf)
+            if k <= n - 1:
+                g[slots[k]] -= a * du * math.exp(log_heat_step_deriv(full[k + 1] / a) - logdf)
+        else:
+            # d/ds [du s^2/4] = du s / 2 at the surviving finite boundary
+            b = _anchor(k, n)
+            g[slots[b - 1]] += 0.5 * du * full[b]
+    return g
+
+
+def reference_hessian(problem, layout, values) -> tuple[np.ndarray, np.ndarray]:
+    full = _full(layout, values)
+    u = problem.partition.breakpoints
+    cs = problem.partition.coefficients
+    n = layout.n
+    slots = layout.slots
+    hd = np.zeros(layout.m)
+    ho = np.zeros(max(layout.m - 1, 0))
+    for k in range(n + 1):
+        du = u[k + 1] - u[k]
+        a = cs[k]
+        if a > 0.0:
+            # with R(t) = H'(t)/dH and H'' = -(t/2) H', in x = xi_{k+1}/a, y = xi_k/a:
+            #   d2/d(xi_{k+1})^2 : du * (R(x)^2 + (x/2) R(x))
+            #   d2/d(xi_k)^2     : du * (R(y)^2 - (y/2) R(y))
+            #   cross            : -du * R(x) R(y)
+            logdf = log_heat_step_diff(full[k + 1] / a, full[k] / a)
+            if k <= n - 1:
+                xs = full[k + 1] / a
+                rx = math.exp(log_heat_step_deriv(xs) - logdf)
+                hd[slots[k]] += du * (rx * rx + 0.5 * xs * rx)
+            if k >= 1:
+                ys = full[k] / a
+                ry = math.exp(log_heat_step_deriv(ys) - logdf)
+                hd[slots[k - 1]] += du * (ry * ry - 0.5 * ys * ry)
+            if 1 <= k <= n - 1:
+                ho[slots[k - 1]] -= du * rx * ry
+        else:
+            b = _anchor(k, n)
+            hd[slots[b - 1]] += 0.5 * du
+    return hd, ho

@@ -1,12 +1,15 @@
 """Config parsing, command execution, and CSV determinism."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selfsim
 from selfsim import PhasePartition, heat_step, solve_riemann
 from selfsim.cli import ConfigError, main, parse_config, run
 
@@ -304,6 +307,7 @@ def test_continuum_rerun_byte_identical(tmp_path):
 def test_console_script_runs(tmp_path):
     config_path = tmp_path / "heat.cfg"
     config_path.write_text(SOLVE_HEAT, encoding="utf-8")
+    src = str(Path(selfsim.__file__).resolve().parents[1])  # the child imports this checkout
     proc = subprocess.run(
         [
             sys.executable,
@@ -317,6 +321,7 @@ def test_console_script_runs(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
     )
     assert proc.returncode == 0
     listed = [line for line in proc.stdout.splitlines() if line]

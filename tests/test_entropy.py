@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import selfsim as ss
@@ -15,6 +15,7 @@ from selfsim import heat_step, heat_step_deriv, heat_step_inverse
 from selfsim.entropy import (
     entropy_gradient,
     entropy_hessian,
+    entropy_pass,
     entropy_report,
     entropy_shifted,
     entropy_value,
@@ -24,6 +25,7 @@ from selfsim.entropy import (
 from selfsim.continuum import DiffusionFunction, discretize
 
 from conftest import dense_hessian, fd_gradient, fd_hessian, feasible_point, make_problem
+from entropy_reference import reference_gradient, reference_hessian, reference_value
 
 
 TWO_PHASE = ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
@@ -227,6 +229,41 @@ def test_not_translation_invariant():
     a = entropy_value(prob, lay, ss.FreeBoundaries((0.3,), lay))
     b = entropy_value(prob, lay, ss.FreeBoundaries((0.4,), lay))
     assert a != b
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from(["never", "maybe", "left edge", "right edge", "inner"]),
+    center=st.floats(-30.0, 30.0),
+    spread=st.floats(1e-6, 30.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_fused_pass_bit_identical_to_reference(seed, zeros, center, spread):
+    rng = np.random.default_rng(seed)
+    phases = int(rng.integers(2, 9))
+    degenerate = {
+        "left edge": (0,),
+        "right edge": (phases - 1,),
+        "inner": (int(rng.integers(1, phases - 1)),) if phases > 2 else (0,),
+    }.get(zeros, zeros)
+    prob, lay = make_problem(rng, phases, degenerate)
+    # positions in [center - spread, center + spread] clipped to [-30, 30],
+    # in units of the smallest live coefficient: |xi / a| reaches 30
+    a_min = min(a for a in prob.partition.coefficients if a > 0.0)
+    lo = max(center - spread, -30.0)
+    hi = min(center + spread, 30.0)
+    values = a_min * np.sort(rng.uniform(lo, hi, lay.m))
+    assume(ss.feasible_values(values))
+    point = tuple(values.tolist())
+
+    value, grad, hd, ho = entropy_pass(prob, lay, values)
+    ref_hd, ref_ho = reference_hessian(prob, lay, point)
+    bits = np.float64(value).tobytes()
+    assert bits == np.float64(reference_value(prob, lay, point)).tobytes()
+    assert bits == np.float64(entropy_pass(prob, lay, values, derivatives=False)).tobytes()
+    assert grad.tobytes() == reference_gradient(prob, lay, point).tobytes()
+    assert hd.tobytes() == ref_hd.tobytes()
+    assert ho.tobytes() == ref_ho.tobytes()
 
 
 def test_report_bundles_all_pieces():

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import selfsim as ss
+from selfsim.entropy import entropy_pass
 from selfsim.optimizer import (
     SolveOptions,
     TridiagonalFactorizationError,
+    damped_newton,
     solve_spd_tridiagonal,
 )
 
-from conftest import dense_hessian, feasible_point, make_problem
+from conftest import dense_hessian, feasible_point, make_problem, part
 
 TWO_PHASE = ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
 # frozen regression value from this solver, cross-checked against the
@@ -123,8 +125,80 @@ def test_non_convergence_reported():
     prob, lay = problem_of(TWO_PHASE)
     res = ss.minimize(prob, lay, options=SolveOptions(max_iters=1))
     assert not res.converged
+    assert res.stop_reason == "max_iters"
     assert res.iterations == 1
     assert len(res.trace) == 2
+
+
+def test_stop_reason_gradient():
+    prob, lay = problem_of(TWO_PHASE)
+    res = ss.minimize(prob, lay, options=SolveOptions(grad_tol=1e-3))
+    assert res.converged
+    assert res.stop_reason == "gradient"
+    assert res.grad_norm <= 1e-3 * max(1.0, res.trace[0].grad_norm)
+    # no free boundaries: the empty gradient meets the test at once
+    single = ss.solve_riemann(0.0, 1.0, ss.PhasePartition((0.0, 1.0), (1.0,)))
+    assert single.converged and single.stop_reason == "gradient"
+
+
+def test_stop_reason_decrement():
+    partition = ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
+    sol = ss.solve_riemann(0.0, 3.0, partition)
+    assert sol.converged
+    assert sol.stop_reason == "decrement"
+    assert sol.grad_norm <= 1e-12
+
+
+def test_stop_reason_no_progress():
+    # the solver's objective is convex, so its line search cannot fail above
+    # the rounding floor; a value function that never decreases makes it fail
+    def full_fn(x):
+        return float(x @ x), 2.0 * x, np.full(x.size, 2.0), np.zeros(x.size - 1)
+
+    out = damped_newton(
+        np.array([1.0, 2.0]), lambda x: 10.0, full_fn, ss.feasible_values, SolveOptions()
+    )
+    assert not out.converged
+    assert out.stop_reason == "no_progress"
+    assert out.iterations == 0
+    assert np.array_equal(out.x, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("n, seed", [(64, 0), (64, 1), (256, 7)])
+def test_converges_at_the_rounding_floor(n, seed):
+    # rounding keeps |g| of these near 1e-11..1e-13, above the default
+    # gradient threshold, so only the decrement stop can certify them
+    prob, lay = part(n, seed)
+    res = ss.minimize(prob, lay)
+    assert res.converged, (res.stop_reason, res.grad_norm)
+    g = ss.entropy_gradient(prob, lay, res.minimizer)
+    assert np.max(np.abs(g)) <= 1e-9
+
+
+def test_value_evaluations_bounded_by_iterations():
+    # near the minimum every iteration should cost one full evaluation and at
+    # most a couple of line-search values, not a backtrack to the step floor
+    over = []
+    for n in range(1, 9):
+        for seed in range(32):
+            prob, lay = part(n, seed, 0.5, 2.0)
+            counts = {"value": 0, "full": 0}
+
+            def value_fn(x):
+                counts["value"] += 1
+                return entropy_pass(prob, lay, x, derivatives=False)
+
+            def full_fn(x):
+                counts["full"] += 1
+                return entropy_pass(prob, lay, x)
+
+            start = ss.initial_guess(prob, lay).as_array()
+            out = damped_newton(start, value_fn, full_fn, ss.feasible_values, SolveOptions())
+            assert out.converged, (n, seed, out.stop_reason)
+            assert counts["full"] == out.iterations + 1
+            if counts["value"] > 2 * out.iterations + 1:
+                over.append((n, seed, out.iterations, counts["value"]))
+    assert not over
 
 
 def test_options_validated():
