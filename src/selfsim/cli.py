@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,12 +28,11 @@ from .oracle import compare_profiles, fd_solve
 from .problem import PhasePartition
 
 _COMMANDS = ("solve", "evaluate", "validate", "continuum")
-_THREADS_VAR = "SELFSIM_ORACLE_THREADS"
 _PROFILE_POINTS = 2001
 
 
 class ConfigError(ValueError):
-    """Unusable configuration text, argument, or environment value."""
+    """Unusable configuration text or argument."""
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,12 @@ def parse_config(text: str, command: str, out_prefix: str = "") -> RunConfig:
             raise ConfigError(f"line {line_no}: duplicate key '{key}'")
         if key in ("u_minus", "u_plus", "grad_tol", "t"):
             value: object = _parse_scalar(raw, line_no, key)
-            if key in ("grad_tol", "t") and not value > 0.0:
-                raise ConfigError(f"line {line_no}: key '{key}' must be positive")
+            if key in ("grad_tol", "t") and not 0.0 < value < math.inf:
+                raise ConfigError(f"line {line_no}: key '{key}' must be positive and finite")
         elif key in ("breakpoints", "coefficients", "dx"):
             value = _parse_list(raw, line_no, key, float)
-            if key == "dx" and (not value or any(not d > 0.0 for d in value)):
-                raise ConfigError(f"line {line_no}: key 'dx' needs positive entries")
+            if key == "dx" and (not value or any(not 0.0 < d < math.inf for d in value)):
+                raise ConfigError(f"line {line_no}: key 'dx' needs positive entries, all finite")
         elif key == "cells":
             value = _parse_list(raw, line_no, key, int)
             if not value or any(c < 1 for c in value) or any(
@@ -232,17 +230,6 @@ def _cmd_evaluate(config: RunConfig, out: str, written: list[Path]) -> None:
     )
 
 
-def _oracle_threads() -> int:
-    raw = os.environ.get(_THREADS_VAR, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"{_THREADS_VAR} must be an integer, got '{raw}'") from None
-    if threads < 1:
-        raise ConfigError(f"{_THREADS_VAR} must be at least 1, got {threads}")
-    return threads
-
-
 def _cmd_validate(config: RunConfig, out: str, written: list[Path]) -> None:
     solution = _solve_from_config(config)
     # the integrator runs in the solver frame (increasing states)
@@ -251,10 +238,9 @@ def _cmd_validate(config: RunConfig, out: str, written: list[Path]) -> None:
         if solution.problem.orientation_flipped
         else solution.profile
     )
-    threads = _oracle_threads()
     rows = []
     for dx in config.dx_values:
-        fd = fd_solve(solution.problem, config.t_final, dx, threads=threads)
+        fd = fd_solve(solution.problem, config.t_final, dx)
         dist = compare_profiles(fd, profile)
         rows.append((dx, fd.steps, dist.l1, dist.l1_relative, dist.linf_away_from_jumps))
     _write_csv(

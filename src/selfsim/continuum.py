@@ -33,6 +33,7 @@ from .special import heat_step_inverse, log_heat_step_deriv
 _JITTER = 1e-12
 _GRID_TRIM = 0.05  # study grids keep off the ends, where xi(u) -> -+inf
 _GRID_POINTS = 101
+_CALLABLE_SAMPLES = 1025  # table points DiffusionFunction.from_callable takes
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,9 @@ class DiffusionFunction:
 
     @classmethod
     def from_callable(
-        cls, fn: Callable[[float], float], lo: float, hi: float, samples: int = 1025
+        cls, fn: Callable[[float], float], lo: float, hi: float
     ) -> "DiffusionFunction":
-        s = np.linspace(lo, hi, samples)
+        s = np.linspace(lo, hi, _CALLABLE_SAMPLES)
         return cls(states=tuple(float(u) for u in s), values=tuple(float(fn(u)) for u in s))
 
     @property

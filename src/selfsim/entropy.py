@@ -166,13 +166,6 @@ class EntropyReport:
     hess_diag: np.ndarray
     hess_off: np.ndarray
 
-    def hessian_dense(self) -> np.ndarray:
-        m = self.hess_diag.size
-        h = np.diag(self.hess_diag)
-        for j in range(m - 1):
-            h[j, j + 1] = h[j + 1, j] = self.hess_off[j]
-        return h
-
 
 def entropy_report(
     problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries

@@ -75,18 +75,12 @@ class SolveOptions:
     # floor lies above that threshold
     grad_tol: float = 1e-12
     max_iters: int = 200
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.armijo_c < 0.5:
-            raise ValueError("armijo_c must lie in (0, 0.5)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -110,6 +104,9 @@ class NewtonOutcome:
 # The decrement stop fires once lambda^2/2 <= DECREMENT_ULPS * eps * (1 + |E|):
 # a thousand units of rounding of the objective, which sums positive terms.
 DECREMENT_ULPS = 1e3
+# Armijo sufficient-decrease constant and the step shrink per backtrack
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
 _EPS = float(np.finfo(float).eps)
 _MIN_STEP = 1e-18
 
@@ -159,15 +156,15 @@ def damped_newton(
             newton = False
         t = 1.0
         while not feasible(x + t * d):
-            t *= options.backtrack_factor
+            t *= BACKTRACK_FACTOR
             if t < _MIN_STEP:
                 break
         at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * (1.0 + abs(value))
         if not at_floor:  # Armijo; every shorter step stays feasible
             while t >= _MIN_STEP:
-                if value_fn(x + t * d) <= value + options.armijo_c * t * slope:
+                if value_fn(x + t * d) <= value + ARMIJO_C * t * slope:
                     break
-                t *= options.backtrack_factor
+                t *= BACKTRACK_FACTOR
         if t < _MIN_STEP:
             stop_reason = "no_progress"
             break

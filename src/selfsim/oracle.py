@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,15 @@ from .profile import SelfSimilarProfile
 from .special import log_heat_step_deriv, log_heat_step_diff
 
 _INF = math.inf
+
+# fd_solve's domain and time step, grid_search_min's lattice (see their docstrings)
+HALFWIDTH_FACTOR = 10.0
+SAFETY = 0.9
+COARSE_CELLS = 100
+REFINE_ROUNDS = 3
+REFINE_FACTOR = 10
+# stefan_bisection stops once its bracket is at most this wide
+BISECTION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -52,64 +60,35 @@ class FDGrid:
         return np.arange(self.cells.size) * self.dx - self.half_width
 
 
-def fd_solve(
-    problem: RiemannProblem,
-    t_final: float,
-    dx: float,
-    *,
-    halfwidth_factor: float = 10.0,
-    safety: float = 0.9,
-    threads: int = 1,
-) -> FDGrid:
+def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     """Integrate u_t = A(u)_xx from step data up to t_final.
 
     Second differences of the piecewise-linear antiderivative A need no
     face-averaged coefficients and stay well defined where the diffusivity
     jumps or vanishes.  Ends are pinned to the far-field states; the domain
-    half-width of at least ``halfwidth_factor * a_max * sqrt(t_final)`` puts
+    half-width of at least ``HALFWIDTH_FACTOR * a_max * sqrt(t_final)`` puts
     the boundary error far below the scheme's own truncation error.  The
-    time step is ``safety`` times the explicit stability bound
+    time step is ``SAFETY`` times the explicit stability bound
     dx^2 / (2 max A'), which also makes the update monotone (order
     preserving), so comparison arguments apply to the discrete solution.
-
-    ``threads`` > 1 splits the A(u) table lookups across a thread pool in
-    fixed disjoint slices; each entry is a pure function of the previous
-    time level, so the result is bit-identical to the sequential run.
     """
-    if not (t_final > 0.0 and dx > 0.0):
-        raise ValueError("t_final and dx must be positive")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    if not (0.0 < t_final < _INF and 0.0 < dx < _INF):
+        raise ValueError("t_final and dx must be positive and finite")
     nodes, avals = diffusion_antiderivative(problem.partition)
     a_max = max(problem.partition.coefficients)
-    half_cells = int(math.ceil(halfwidth_factor * max(a_max, 1.0) * math.sqrt(t_final) / dx)) + 1
+    half_cells = int(math.ceil(HALFWIDTH_FACTOR * max(a_max, 1.0) * math.sqrt(t_final) / dx)) + 1
     x = (np.arange(2 * half_cells) - half_cells + 0.5) * dx
     u = np.where(x < 0.0, problem.u_minus, problem.u_plus).astype(float)
     half_width = (half_cells - 0.5) * dx
     if a_max == 0.0:
         return FDGrid(half_width=half_width, dx=dx, dt=0.0, t_final=t_final, cells=u, steps=0)
-    dt_bound = safety * dx * dx / (2.0 * a_max * a_max)
+    dt_bound = SAFETY * dx * dx / (2.0 * a_max * a_max)
     steps = int(math.ceil(t_final / dt_bound))
     dt = t_final / steps
     lam = dt / (dx * dx)
-    if threads == 1 or u.size < 4 * threads:
-        for _ in range(steps):
-            av = np.interp(u, nodes, avals)
-            u[1:-1] += lam * (av[2:] - 2.0 * av[1:-1] + av[:-2])
-    else:
-        av = np.empty_like(u)
-        slices = [
-            slice(b, e)
-            for b, e in itertools.pairwise(np.linspace(0, u.size, threads + 1).astype(int))
-        ]
-
-        def lookup(s: slice) -> None:
-            av[s] = np.interp(u[s], nodes, avals)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in range(steps):
-                list(pool.map(lookup, slices))
-                u[1:-1] += lam * (av[2:] - 2.0 * av[1:-1] + av[:-2])
+    for _ in range(steps):
+        av = np.interp(u, nodes, avals)
+        u[1:-1] += lam * (av[2:] - 2.0 * av[1:-1] + av[:-2])
     return FDGrid(half_width=half_width, dx=dx, dt=dt, t_final=t_final, cells=u, steps=steps)
 
 
@@ -120,14 +99,12 @@ class ProfileDistance:
     linf_away_from_jumps: float
 
 
-def compare_profiles(
-    fd: FDGrid, profile: SelfSimilarProfile, collar: float | None = None
-) -> ProfileDistance:
+def compare_profiles(fd: FDGrid, profile: SelfSimilarProfile) -> ProfileDistance:
     """Distances between a direct integration and the assembled profile.
 
     L1 by the trapezoid rule on the grid; the sup-norm column excludes cells
-    within ``collar`` (default: one cell) of each discontinuity, where any
-    fixed grid pays an O(1) penalty for resolving a genuine jump.
+    within one cell width of each discontinuity, where any fixed grid pays
+    an O(1) penalty for resolving a genuine jump.
     """
     scale = math.sqrt(fd.t_final)
     x = fd.positions
@@ -137,9 +114,8 @@ def compare_profiles(
     step0 = np.where(x < 0.0, profile.left_state, profile.right_state)
     mass = float(np.trapezoid(np.abs(exact - step0), dx=fd.dx))
     keep = np.ones(diff.shape, dtype=bool)
-    width = fd.dx if collar is None else collar
     for jump in profile.jumps():
-        keep &= np.abs(x - jump.location * scale) > width
+        keep &= np.abs(x - jump.location * scale) > fd.dx
     linf = float(np.max(diff[keep])) if np.any(keep) else 0.0
     return ProfileDistance(
         l1=l1,
@@ -155,22 +131,15 @@ class GridSearchResult:
     round_values: tuple[float, ...]  # best objective after each round
 
 
-def grid_search_min(
-    problem: RiemannProblem,
-    layout: BoundaryLayout,
-    box_radius: float | None = None,
-    coarse_step: float | None = None,
-    *,
-    refine_rounds: int = 3,
-    refine_factor: int = 10,
-) -> GridSearchResult:
+def grid_search_min(problem: RiemannProblem, layout: BoundaryLayout) -> GridSearchResult:
     """Derivative-free minimizer: scan a certified lattice, then refine.
 
     The first round enumerates every increasing tuple of lattice points
-    h*Z within the box (default: the sublevel box of the starting guess,
-    which the true minimizer cannot leave).  Each refinement round re-grids
-    the incumbent's neighborhood with a ``refine_factor`` finer step; the
-    incumbent is always a candidate, so round bests never increase.
+    h*Z within the sublevel box of the starting guess, which the true
+    minimizer cannot leave, with h the box radius over ``COARSE_CELLS``.
+    Each of ``REFINE_ROUNDS`` refinement rounds re-grids the incumbent's
+    neighborhood with a ``REFINE_FACTOR`` times finer step; the incumbent
+    is always a candidate, so round bests never increase.
     Intended as an oracle for m <= 3; the cost is exponential in m.
     """
     m = layout.m
@@ -185,12 +154,8 @@ def grid_search_min(
     start = initial_guess(problem, layout)
     best_x = tuple(float(v) for v in start.values)
     best_v = ev(best_x)
-    radius = box_radius if box_radius is not None else max(
-        sublevel_bounds(problem, layout, best_v).radius, 1e-6
-    )
-    step = coarse_step if coarse_step is not None else radius / 100.0
-    if not (radius > 0.0 and step > 0.0):
-        raise ValueError("box radius and step must be positive")
+    radius = max(sublevel_bounds(problem, layout, best_v).radius, 1e-6)
+    step = radius / COARSE_CELLS
     k = int(math.ceil(radius / step))
     axis = step * np.arange(-k, k + 1)
     for combo in itertools.combinations(axis, m):
@@ -198,9 +163,9 @@ def grid_search_min(
         if v < best_v:
             best_v, best_x = v, tuple(float(c) for c in combo)
     round_values = [best_v]
-    for _ in range(refine_rounds):
-        fine = step / refine_factor
-        offsets = fine * np.arange(-refine_factor, refine_factor + 1)
+    for _ in range(REFINE_ROUNDS):
+        fine = step / REFINE_FACTOR
+        offsets = fine * np.arange(-REFINE_FACTOR, REFINE_FACTOR + 1)
         axes = [b + offsets for b in best_x]
         for combo in itertools.product(*axes):
             if any(combo[j + 1] <= combo[j] for j in range(m - 1)):
@@ -245,7 +210,7 @@ def _interface_residual(problem: RiemannProblem, xi: float) -> float:
     return 0.5 * (right - left) * xi + flux_right - flux_left
 
 
-def stefan_bisection(problem: RiemannProblem, *, tol: float = 1e-13) -> float:
+def stefan_bisection(problem: RiemannProblem) -> float:
     """Boundary position of a degenerate-edge n = 1 problem by bisection.
 
     Exactly one of the two phases must carry zero diffusion, so the single
@@ -266,7 +231,7 @@ def stefan_bisection(problem: RiemannProblem, *, tol: float = 1e-13) -> float:
             break
         lo, hi = 2.0 * lo, 2.0 * hi
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
         if _interface_residual(problem, mid) < 0.0:

@@ -39,9 +39,6 @@ class PhasePartition:
         """Number of interior breakpoints (= number of nominal boundaries)."""
         return len(self.breakpoints) - 2
 
-    def state_jumps(self) -> np.ndarray:
-        return np.diff(np.asarray(self.breakpoints, dtype=float))
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -71,7 +68,9 @@ def validate(partition: PhasePartition) -> Violation | None:
         if not bps[i] > bps[i - 1]:
             return Violation(f"breakpoints not increasing at index {i}", i)
     for k, c in enumerate(cs):
-        if not math.isfinite(c) or c < 0.0:
+        if not math.isfinite(c):
+            return Violation(f"coefficient not finite at k={k}", k)
+        if c < 0.0:
             return Violation(f"negative coefficient at k={k}", k)
     for k in range(1, len(cs)):
         if cs[k] == cs[k - 1]:
@@ -157,27 +156,12 @@ class BoundaryLayout:
     n: int
     m: int
     slots: tuple[int, ...]
-    edge_left_degenerate: bool
-    edge_right_degenerate: bool
-    inner_degenerate: frozenset[int]
 
     def expand(self, values: tuple[float, ...]) -> tuple[float, ...]:
         """Nominal boundary positions xi_1..xi_n from the m free values."""
         if len(values) != self.m:
             raise ValueError(f"expected {self.m} free values, got {len(values)}")
         return tuple(values[j] for j in self.slots)
-
-    def contract(self, nominal: tuple[float, ...]) -> tuple[float, ...]:
-        """Free values from nominal positions (first entry of each slot)."""
-        if len(nominal) != self.n:
-            raise ValueError(f"expected {self.n} nominal positions, got {len(nominal)}")
-        out: list[float] = []
-        seen = -1
-        for k, j in enumerate(self.slots):
-            if j != seen:
-                out.append(nominal[k])
-                seen = j
-        return tuple(out)
 
 
 def build_layout(partition: PhasePartition) -> BoundaryLayout:
@@ -194,12 +178,4 @@ def build_layout(partition: PhasePartition) -> BoundaryLayout:
         else:
             slots.append(slots[-1] + 1)
     m = (slots[-1] + 1) if slots else 0
-    inner = frozenset(k for k in range(1, n) if cs[k] == 0.0)
-    return BoundaryLayout(
-        n=n,
-        m=m,
-        slots=tuple(slots),
-        edge_left_degenerate=(cs[0] == 0.0),
-        edge_right_degenerate=(cs[-1] == 0.0),
-        inner_degenerate=inner,
-    )
+    return BoundaryLayout(n=n, m=m, slots=tuple(slots))

@@ -178,27 +178,6 @@ def test_validate_reports_small_errors(tmp_path):
     assert float(rows[0][2]) > float(rows[1][2])  # l1 shrinks with dx
 
 
-def test_validate_thread_count_from_environment(tmp_path, monkeypatch):
-    config_path = tmp_path / "val.cfg"
-    config_path.write_text(SOLVE_TWO_PHASE + "dx = [0.04]\n", encoding="utf-8")
-    main(["validate", "--config", str(config_path), "--out", str(tmp_path / "a_")])
-    monkeypatch.setenv("SELFSIM_ORACLE_THREADS", "2")
-    main(["validate", "--config", str(config_path), "--out", str(tmp_path / "b_")])
-    assert (tmp_path / "a_validate.csv").read_bytes() == (
-        tmp_path / "b_validate.csv"
-    ).read_bytes()
-
-
-def test_validate_rejects_bad_thread_env(tmp_path, monkeypatch, capsys):
-    config_path = tmp_path / "val.cfg"
-    config_path.write_text(SOLVE_TWO_PHASE + "dx = [0.08]\n", encoding="utf-8")
-    monkeypatch.setenv("SELFSIM_ORACLE_THREADS", "zero")
-    code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "x_")])
-    assert code == 1
-    assert "SELFSIM_ORACLE_THREADS must be an integer" in capsys.readouterr().err
-    assert not (tmp_path / "x_validate.csv").exists()
-
-
 def test_continuum_emits_refinement_table(tmp_path):
     table = tmp_path / "ramp.csv"
     table.write_text(
@@ -240,6 +219,26 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
     bad.write_text("u_minus = 0\n", encoding="utf-8")
     assert main(["solve", "--config", str(bad)]) == 2
     assert "missing required key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, raw",
+    [
+        ("validate", "dx", "[inf]"),
+        ("validate", "dx", "[0.04, nan]"),
+        ("validate", "t", "inf"),
+        ("evaluate", "t", "inf"),
+        ("evaluate", "t", "nan"),
+        ("solve", "grad_tol", "inf"),
+    ],
+)
+def test_exit_2_on_non_finite_run_parameters(tmp_path, capsys, command, key, raw):
+    config_path = tmp_path / "cfg"
+    config_path.write_text(SOLVE_TWO_PHASE + f"{key} = {raw}\n", encoding="utf-8")
+    code = main([command, "--config", str(config_path), "--out", str(tmp_path / "n_")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.glob("n_*")) == []
 
 
 def test_exit_1_on_invalid_problem(tmp_path, capsys):

@@ -154,8 +154,9 @@ def test_fd_rejects_bad_parameters():
         fd_solve(prob, 0.0, 0.05)
     with pytest.raises(ValueError):
         fd_solve(prob, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        fd_solve(prob, 1.0, 0.05, threads=0)
+    for t_final, dx in ((math.inf, 0.05), (math.nan, 0.05), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            fd_solve(prob, t_final, dx)
 
 
 def test_fd_conserves_mass():
@@ -193,14 +194,6 @@ def test_fd_degenerate_sup_error_off_the_front():
     fd = fd_solve(prob, 1.0, 0.005)
     dist = compare_profiles(fd, sol.profile)
     assert dist.linf_away_from_jumps <= 0.03
-
-
-def test_fd_threads_bit_identical():
-    prob = _oriented((0.0, 1.0, 2.0), (0.0, 1.0))
-    sequential = fd_solve(prob, 1.0, 0.02, threads=1)
-    threaded = fd_solve(prob, 1.0, 0.02, threads=2)
-    np.testing.assert_array_equal(sequential.cells, threaded.cells)
-    assert sequential.dt == threaded.dt and sequential.steps == threaded.steps
 
 
 def test_fd_preserves_monotonicity():
@@ -257,11 +250,14 @@ def test_compare_profiles_self_distance_is_zero():
 
 
 def test_compare_profiles_collar_width_is_respected():
-    # widening the collar can only shrink the reported sup error
+    # the sup-norm column skips exactly the cells within one cell of a jump,
+    # where the grid's O(1) error sits
     prob = _oriented((0.0, 1.0, 2.0), (0.0, 1.0))
     sol = solve_riemann(0.0, 2.0, prob.partition)
     fd = fd_solve(prob, 1.0, 0.04)
-    narrow = compare_profiles(fd, sol.profile, collar=0.04)
-    wide = compare_profiles(fd, sol.profile, collar=0.2)
-    assert wide.linf_away_from_jumps <= narrow.linf_away_from_jumps
-    assert narrow.l1 == wide.l1
+    dist = compare_profiles(fd, sol.profile)
+    diff = np.abs(fd.cells - sol.profile.sample(fd.positions))
+    near = np.abs(fd.positions - sol.boundaries[0]) <= fd.dx
+    assert np.any(near)
+    assert dist.linf_away_from_jumps == np.max(diff[~near])
+    assert dist.linf_away_from_jumps < np.max(diff)

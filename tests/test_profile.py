@@ -237,7 +237,7 @@ def test_jump_records_fused_slots():
         assert abs(r.rh_residual) <= 1e-9
 
 
-def test_classification_strong_iff_state_jumps(rng):
+def test_classification_strong_iff_profile_jumps(rng):
     for _ in range(25):
         problem, layout = make_problem(rng, phases=int(rng.integers(1, 6)))
         sol = solve_riemann(

@@ -1,0 +1,49 @@
+"""The README's Quick start block runs and shows what the code returns."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# expression -> its value as the README's comment on that line shows it
+SHOWN_VALUES = {
+    "sol.kind": "'general'",
+    "sol.boundaries": "(-0.492883594210621, -0.492883594210621)",
+    "sol.stop_reason": "'decrement'",
+    "eval_solution(sol.profile, t=4.0, x=0.0)": "2.1215273678128828",
+    "eval_solution(sol.profile, t=4.0, x=2.0 * sol.boundaries[0])": "(1.0, 2.0)",
+}
+
+
+def _quick_start_lines() -> list[str]:
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1).splitlines()
+
+
+def test_readme_quick_start_runs_as_shown():
+    lines = _quick_start_lines()
+    namespace: dict = {}
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec("\n".join(lines), namespace)
+
+    # the comment lines right after the print loop are its output
+    after = next(i for i, line in enumerate(lines) if line.lstrip().startswith("print(")) + 1
+    shown = []
+    for line in lines[after:]:
+        if not line.startswith("# "):
+            break
+        shown.append(line[2:])
+    assert shown and printed.getvalue().splitlines() == shown
+
+    for expr, value in SHOWN_VALUES.items():
+        assert any(
+            line.startswith(expr + " ") and f"# {value}" in line for line in lines
+        ), f"README no longer shows {expr} -> {value}"
+        assert repr(eval(expr, namespace)) == value
+
+    sol = namespace["sol"]
+    steps = re.search(r"sol\.converged\s+# True, after (\d+) Newton steps", "\n".join(lines))
+    assert steps and sol.converged and sol.iterations == int(steps.group(1))
