@@ -3,10 +3,11 @@
 The diffusion coefficient is piecewise constant in u and may vanish on whole
 intervals.  The solver places the free phase boundaries by minimizing a
 strictly convex objective whose stationarity conditions are exactly the
-weak-solution matching conditions, then reconstructs the profile v(x/sqrt(t))
-piece by piece.  Independent checks (direct PDE integration, lattice search,
-bisection) live in :mod:`selfsim.oracle`; the continuum-limit machinery for
-tabulated diffusion functions lives in :mod:`selfsim.continuum`.
+weak-solution matching conditions, then derives the profile v(x/sqrt(t))
+from the boundary positions, states and coefficients.  Independent checks
+(direct PDE integration, lattice search, bisection) live in
+:mod:`selfsim.oracle`; the continuum-limit machinery for tabulated diffusion
+functions lives in :mod:`selfsim.continuum`.
 """
 
 from .api import (
@@ -44,8 +45,6 @@ from .problem import (
     validate,
 )
 from .profile import (
-    ArcPiece,
-    ConstantPiece,
     JumpPoint,
     JumpRecord,
     SelfSimilarProfile,
@@ -67,9 +66,7 @@ from .special import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcPiece",
     "BoundaryLayout",
-    "ConstantPiece",
     "ConstantStatesError",
     "EntropyReport",
     "FreeBoundaries",

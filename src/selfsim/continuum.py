@@ -144,14 +144,20 @@ def _cell_data(f: DiffusionFunction, profile: InverseProfile):
     return w, xi, du, gap, a
 
 
-def variational_cost(f: DiffusionFunction, profile: InverseProfile) -> float:
-    """J by composite midpoint rule, slopes by forward differences."""
-    _, xi, du, gap, a = _cell_data(f, profile)
+def _cost(xi: np.ndarray, du: np.ndarray, a: np.ndarray) -> float:
+    # J at node positions xi: composite midpoint rule, forward-difference slopes
+    gap = np.diff(xi)
     mid = 0.5 * (xi[:-1] + xi[1:])
-    total = float(np.sum(0.25 * mid * mid * du))
     pos = a > 0.0
+    total = float(np.sum(0.25 * mid * mid * du))
     total -= float(np.sum(a[pos] ** 2 * np.log(gap[pos] / du[pos]) * du[pos]))
     return total
+
+
+def variational_cost(f: DiffusionFunction, profile: InverseProfile) -> float:
+    """J by composite midpoint rule, slopes by forward differences."""
+    _, xi, du, _, a = _cell_data(f, profile)
+    return _cost(xi, du, a)
 
 
 def variational_cost_kernel_form(f: DiffusionFunction, profile: InverseProfile) -> float:
@@ -228,19 +234,12 @@ def minimize_variational_cost(
         gap = np.diff(x)
         return bool(np.all(gap >= 0.0) and np.all(gap[pos] > 0.0))
 
-    def split(x: np.ndarray):
-        gap = np.diff(x)
-        mid = 0.5 * (x[:-1] + x[1:])
-        return gap, mid
-
     def value_fn(x: np.ndarray) -> float:
-        gap, mid = split(x)
-        v = float(np.sum(0.25 * mid * mid * du))
-        v -= float(np.sum(a[pos] ** 2 * np.log(gap[pos] / du[pos]) * du[pos]))
-        return v
+        return _cost(x, du, a)
 
     def full_fn(x: np.ndarray):
-        gap, mid = split(x)
+        gap = np.diff(x)
+        mid = 0.5 * (x[:-1] + x[1:])
         s = np.zeros(du.size)
         s[pos] = a[pos] ** 2 * du[pos] / gap[pos]
         quad = 0.25 * mid * du

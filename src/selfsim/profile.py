@@ -1,64 +1,47 @@
-"""Piecewise self-similar profiles and their jump diagnostics.
+"""Self-similar profiles and their jump diagnostics.
 
-A solved problem yields v(xi), xi = x / sqrt(t), as an ordered tiling of the
-line by error-function arcs and constant segments, with zero-width jump
-markers where the state is discontinuous (only degenerate intervals produce
-those).  Arcs are stored as v(xi) = u_ref + slope * (H(xi/a) - f_ref) with
-H = heat_step, which covers increasing and mirrored (decreasing) profiles in
-one form and evaluates exactly to the breakpoint state at the anchored end.
+A solved problem yields v(xi), xi = x / sqrt(t), and a profile stores only
+what determines it: the nominal boundary positions xi_1 <= ... <= xi_n
+(fused pairs repeated), the states u_0..u_{n+1} and the coefficients
+a_0..a_n.  Phase k spans [xi_k, xi_{k+1}] with xi_0 = -inf, xi_{n+1} = +inf.
+A live phase (a_k > 0) is the error-function arc
+
+    v(xi) = u_k + (u_{k+1} - u_k) * (H(xi/a_k) - H(xi_k/a_k)) / D_k,
+    D_k = H(xi_{k+1}/a_k) - H(xi_k/a_k),    H = heat_step,
+
+and a dead phase (a_k = 0) is a jump from u_k to u_{k+1}: at xi_1 on the
+left edge, at xi_n on the right edge, at its fused position inside, and at 0
+when it is the only phase.  Values, one-sided limits, fluxes, jumps and the
+mirror image are all derived from those three tuples.
+
+Arcs follow the sign split of ``special.log_heat_step_diff``, which also
+gives ln D_k.  An arc with both scaled ends >= 0 is anchored at its right
+end in complement form, (1 - H(t)) / D_k = erfcx(t/2) exp(-t^2/4 - ln D_k)/2,
+and one with both ends <= 0 is its mirror image anchored at the left end, so
+neither cancels nor underflows however far into a Gaussian tail it lies.
+The one arc that may straddle 0 keeps plain heat_step differences, which
+cannot cancel there.  Each arc is clipped to its own state interval.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx
 
 from .entropy import FreeBoundaries
 from .problem import BoundaryLayout, RiemannProblem, diffusion_antiderivative
-from .special import heat_step, heat_step_deriv, heat_step_vec
+from .special import heat_step, heat_step_vec, log_heat_step_deriv, log_heat_step_diff
 
 _INF = math.inf
 
 
-@dataclass(frozen=True)
-class ArcPiece:
-    lo: float
-    hi: float
-    coefficient: float
-    u_ref: float  # state at the left endpoint
-    f_ref: float  # heat_step(lo / coefficient)
-    slope: float  # state change per unit of heat_step
-
-    def value_at(self, xi: float) -> float:
-        return self.u_ref + self.slope * (heat_step(xi / self.coefficient) - self.f_ref)
-
-    def value_vec(self, xi: np.ndarray) -> np.ndarray:
-        return self.u_ref + self.slope * (heat_step_vec(xi / self.coefficient) - self.f_ref)
-
-    def flux_at(self, xi: float) -> float:
-        # a^2 dv/dxi = a * slope * H'(xi / a)
-        if math.isinf(xi):
-            return 0.0
-        return self.coefficient * self.slope * heat_step_deriv(xi / self.coefficient)
-
-
-@dataclass(frozen=True)
-class ConstantPiece:
-    lo: float
-    hi: float
-    value: float
-
-    def value_at(self, xi: float) -> float:
-        return self.value
-
-    def value_vec(self, xi: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(xi), self.value)
-
-    def flux_at(self, xi: float) -> float:
-        return 0.0
+def _tail_ratio(t, log_norm):
+    # (1 - H(t)) / D for t >= 0, with D = exp(log_norm)
+    return 0.5 * erfcx(0.5 * t) * np.exp(-0.25 * t * t - log_norm)
 
 
 @dataclass(frozen=True)
@@ -68,152 +51,127 @@ class JumpPoint:
     right: float
 
 
-Piece = ArcPiece | ConstantPiece | JumpPoint
-
-
 @dataclass(frozen=True)
 class SelfSimilarProfile:
-    """Ordered pieces tiling (-inf, inf); segments are half-open [lo, hi)."""
+    """v(xi) as boundaries, states and coefficients; phase k is [xi_k, xi_{k+1})."""
 
-    pieces: tuple[Piece, ...]
-    boundaries: tuple[float, ...]  # nominal positions, fused pairs repeated
+    boundaries: tuple[float, ...]  # nominal xi_1..xi_n, fused pairs repeated
+    states: tuple[float, ...]  # u_0..u_{n+1}, in the caller's order
+    coefficients: tuple[float, ...]  # a_0..a_n
 
-    def segments(self) -> tuple[Piece, ...]:
-        return tuple(p for p in self.pieces if not isinstance(p, JumpPoint))
+    def _ends(self, k: int) -> tuple[float, float]:
+        b = self.boundaries
+        return (b[k - 1] if k > 0 else -_INF), (b[k] if k < len(b) else _INF)
+
+    def _jump_location(self, k: int) -> float:
+        # of dead phase k: xi_1 on the left edge, else xi_k
+        return self.boundaries[max(k - 1, 0)] if self.boundaries else 0.0
+
+    def _log_norm(self, k: int) -> float:
+        lo, hi = self._ends(k)
+        a = self.coefficients[k]
+        return log_heat_step_diff(hi / a, lo / a)
+
+    def _sides(self, i: int, j: int) -> tuple[float, float]:
+        # the states on either side of a line where phase i ends and phase j begins
+        u, cs = self.states, self.coefficients
+        return (u[i + 1] if cs[i] > 0.0 else u[i]), (u[j] if cs[j] > 0.0 else u[j + 1])
+
+    def _values(self, k: int, xi: np.ndarray) -> np.ndarray:
+        """v at points of phase k; a dead phase takes its right limit at the jump."""
+        u0, u1 = self.states[k], self.states[k + 1]
+        a = self.coefficients[k]
+        if a == 0.0:
+            return np.where(xi < self._jump_location(k), u0, u1)
+        lo, hi = self._ends(k)
+        x, y, t = hi / a, lo / a, xi / a
+        du = u1 - u0
+        if y < 0.0 < x:
+            f_lo = heat_step(y)
+            v = u0 + du / (heat_step(x) - f_lo) * (heat_step_vec(t) - f_lo)
+        else:
+            log_norm = self._log_norm(k)
+            if y >= 0.0:  # right tail: anchored at hi
+                v = u1 - du * (_tail_ratio(t, log_norm) - _tail_ratio(x, log_norm))
+            else:  # left tail: the mirror image, anchored at lo
+                v = u0 + du * (_tail_ratio(-t, log_norm) - _tail_ratio(-y, log_norm))
+        return np.clip(v, min(u0, u1), max(u0, u1))
+
+    def _flux(self, k: int, xi: float) -> float:
+        # a^2 v' = a du H'(xi/a) / D in phase k; zero where a vanishes
+        a = self.coefficients[k]
+        if a == 0.0:
+            return 0.0
+        du = self.states[k + 1] - self.states[k]
+        return a * du * math.exp(log_heat_step_deriv(xi / a) - self._log_norm(k))
 
     def jumps(self) -> tuple[JumpPoint, ...]:
-        return tuple(p for p in self.pieces if isinstance(p, JumpPoint))
-
-    def _segment_index(self, segs, xi: float) -> int:
-        los = [s.lo for s in segs]
-        return max(bisect_right(los, xi) - 1, 0)
+        u = self.states
+        return tuple(
+            JumpPoint(self._jump_location(k), u[k], u[k + 1])
+            for k, a in enumerate(self.coefficients)
+            if a == 0.0
+        )
 
     def limits(self, xi: float) -> tuple[float, float]:
         """One-sided values (left limit, right limit) at xi.
 
-        At discontinuities the exact one-sided states come from the jump
-        marker; everywhere else the value is continuous, so the two limits
-        coincide (arc evaluation from the neighbour piece may be a rounding
-        error off the shared state, which must not read as a jump).
+        On a boundary line both are the exact states there, so a continuous
+        boundary never reads as a jump; inside a phase they coincide.
         """
-        for p in self.pieces:
-            if isinstance(p, JumpPoint) and p.location == xi:
-                return p.left, p.right
-        segs = self.segments()
-        i = self._segment_index(segs, xi)
-        v = segs[i].value_at(xi)
+        i = bisect_left(self.boundaries, xi)
+        j = bisect_right(self.boundaries, xi)
+        if i < j:
+            return self._sides(i, j)
+        if self.coefficients[i] == 0.0:  # a constant tail, or the frozen step
+            u, loc = self.states, self._jump_location(i)
+            return (u[i] if xi <= loc else u[i + 1]), (u[i] if xi < loc else u[i + 1])
+        v = float(self._values(i, np.array([xi]))[0])
         return v, v
 
     def flux_limits(self, xi: float) -> tuple[float, float]:
         """One-sided values of a^2(v) v'(xi)."""
-        segs = self.segments()
-        i = self._segment_index(segs, xi)
-        right = segs[i].flux_at(xi)
-        if i > 0 and segs[i].lo == xi:
-            return segs[i - 1].flux_at(xi), right
-        return right, right
+        i = bisect_left(self.boundaries, xi)
+        j = bisect_right(self.boundaries, xi)
+        right = self._flux(j, xi)
+        return (self._flux(i, xi) if i < j else right), right
 
     def sample(self, xs) -> np.ndarray:
         """Values on a grid; exact junction points take the right limit."""
         xs = np.asarray(xs, dtype=float)
+        phase = np.searchsorted(self.boundaries, xs, side="right")
         out = np.empty(xs.shape)
-        segs = self.segments()
-        los = np.array([s.lo for s in segs])
-        idx = np.clip(np.searchsorted(los, xs, side="right") - 1, 0, len(segs) - 1)
-        for i, seg in enumerate(segs):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = seg.value_vec(xs[mask])
+        for k in np.unique(phase):
+            mask = phase == k
+            out[mask] = self._values(int(k), xs[mask])
         return out
 
     @property
     def left_state(self) -> float:
-        return self.segments()[0].value_at(-_INF)
+        return self.states[0]
 
     @property
     def right_state(self) -> float:
-        return self.segments()[-1].value_at(_INF)
+        return self.states[-1]
 
     def mirrored(self) -> "SelfSimilarProfile":
         """The profile of the space-reflected solution, v(-xi)."""
-        new_pieces: list[Piece] = []
-        for p in reversed(self.pieces):
-            if isinstance(p, ArcPiece):
-                new_pieces.append(
-                    ArcPiece(
-                        lo=-p.hi,
-                        hi=-p.lo,
-                        coefficient=p.coefficient,
-                        u_ref=p.value_at(p.hi),
-                        f_ref=heat_step(-p.hi / p.coefficient),
-                        slope=-p.slope,
-                    )
-                )
-            elif isinstance(p, ConstantPiece):
-                new_pieces.append(ConstantPiece(lo=-p.hi, hi=-p.lo, value=p.value))
-            else:
-                new_pieces.append(JumpPoint(location=-p.location, left=p.right, right=p.left))
-        bounds = tuple(-b for b in reversed(self.boundaries))
-        return SelfSimilarProfile(pieces=tuple(new_pieces), boundaries=bounds)
+        return SelfSimilarProfile(
+            boundaries=tuple(-b for b in reversed(self.boundaries)),
+            states=self.states[::-1],
+            coefficients=self.coefficients[::-1],
+        )
 
 
 def build_profile(
     problem: RiemannProblem, layout: BoundaryLayout, minimizer: FreeBoundaries
 ) -> SelfSimilarProfile:
-    """Assemble the piecewise profile from solved boundary positions."""
-    u = problem.partition.breakpoints
-    cs = problem.partition.coefficients
-    n = layout.n
-    if n == 0:
-        a = cs[0]
-        if a > 0.0:
-            seg = ArcPiece(
-                lo=-_INF, hi=_INF, coefficient=a, u_ref=u[0], f_ref=0.0, slope=u[1] - u[0]
-            )
-            return SelfSimilarProfile(pieces=(seg,), boundaries=())
-        # zero diffusion everywhere: the step never moves
-        return SelfSimilarProfile(
-            pieces=(
-                ConstantPiece(-_INF, 0.0, u[0]),
-                JumpPoint(0.0, u[0], u[1]),
-                ConstantPiece(0.0, _INF, u[1]),
-            ),
-            boundaries=(),
-        )
-    nominal = layout.expand(minimizer.values)
-    full = (-_INF,) + nominal + (_INF,)
-    segments: list[Piece] = []
-    jumps: dict[float, JumpPoint] = {}
-    for k in range(n + 1):
-        lo, hi = full[k], full[k + 1]
-        a = cs[k]
-        if a > 0.0:
-            f_lo = heat_step(lo / a)
-            f_hi = heat_step(hi / a)
-            segments.append(
-                ArcPiece(
-                    lo=lo,
-                    hi=hi,
-                    coefficient=a,
-                    u_ref=u[k],
-                    f_ref=f_lo,
-                    slope=(u[k + 1] - u[k]) / (f_hi - f_lo),
-                )
-            )
-        elif k == 0:
-            segments.append(ConstantPiece(-_INF, hi, u[0]))
-            jumps[hi] = JumpPoint(hi, u[0], u[1])
-        elif k == n:
-            segments.append(ConstantPiece(lo, _INF, u[n + 1]))
-            jumps[lo] = JumpPoint(lo, u[n], u[n + 1])
-        else:
-            jumps[lo] = JumpPoint(lo, u[k], u[k + 1])  # fused pair, zero width
-    pieces: list[Piece] = []
-    for seg in segments:
-        if seg.lo in jumps:
-            pieces.append(jumps.pop(seg.lo))
-        pieces.append(seg)
-    return SelfSimilarProfile(pieces=tuple(pieces), boundaries=nominal)
+    """The profile of solved boundary positions, in the solver frame."""
+    return SelfSimilarProfile(
+        boundaries=layout.expand(minimizer.values),
+        states=problem.partition.breakpoints,
+        coefficients=problem.partition.coefficients,
+    )
 
 
 def eval_selfsimilar(profile: SelfSimilarProfile, xi: float):
@@ -257,28 +215,45 @@ def jump_residuals(problem: RiemannProblem, profile: SelfSimilarProfile) -> tupl
     The residual is the self-similar form of the moving-interface balance:
     (right - left) * xi / 2 plus the jump of the diffusive flux.  It vanishes
     at the minimizer and is reported, not thrown, so perturbed profiles can
-    be inspected.
+    be inspected.  Each live phase's end fluxes a du H'(end/a) / D are taken
+    once, as the ratios the objective's gradient sums, so the residual is
+    finite wherever the objective is.
     """
+    b, u, cs = profile.boundaries, profile.states, profile.coefficients
+    n = len(b)
+    at_lo = [0.0] * (n + 1)
+    at_hi = [0.0] * (n + 1)
+    for k, a in enumerate(cs):
+        if a > 0.0:
+            lo, hi = profile._ends(k)
+            log_norm = profile._log_norm(k)
+            scale = a * (u[k + 1] - u[k])
+            at_lo[k] = scale * math.exp(log_heat_step_deriv(lo / a) - log_norm)
+            at_hi[k] = scale * math.exp(log_heat_step_deriv(hi / a) - log_norm)
+    sides = [profile._sides(k - 1, k) for k in range(1, n + 1)]
     nodes, avals = diffusion_antiderivative(problem.partition)
+    a_jumps = np.interp([s[1] for s in sides], nodes, avals) - np.interp(
+        [s[0] for s in sides], nodes, avals
+    )
     records: list[JumpRecord] = []
     slot = -1
-    prev_loc = None
-    for i, loc in enumerate(profile.boundaries):
-        if prev_loc is None or loc != prev_loc:
+    for k in range(1, n + 1):
+        loc = b[k - 1]
+        if k == 1 or loc != b[k - 2]:
             slot += 1
-            prev_loc = loc
-        left, right = profile.limits(loc)
-        flux_left, flux_right = profile.flux_limits(loc)
-        a_jump = float(np.interp(right, nodes, avals) - np.interp(left, nodes, avals))
-        residual = (right - left) * loc / 2.0 + (flux_right - flux_left)
+        left, right = sides[k - 1]
+        # the flux across a fused pair comes from the live phases beyond it
+        p = k - 2 if k > 1 and cs[k - 1] == 0.0 else k - 1
+        q = k + 1 if k < n and cs[k] == 0.0 else k
+        residual = (right - left) * loc / 2.0 + (at_lo[q] - at_hi[p])
         records.append(
             JumpRecord(
-                boundary=i + 1,
+                boundary=k,
                 slot=slot,
                 location=loc,
                 left=left,
                 right=right,
-                a_jump=a_jump,
+                a_jump=float(a_jumps[k - 1]),
                 rh_residual=residual,
                 classification="strong" if left != right else "weak",
             )

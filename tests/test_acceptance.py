@@ -35,7 +35,6 @@ from selfsim.continuum import (
     minimize_variational_cost,
 )
 from selfsim.oracle import compare_profiles, fd_solve, grid_search_min, stefan_bisection
-from selfsim.profile import ConstantPiece, JumpPoint
 
 from conftest import dense_hessian, fd_gradient, fd_hessian, feasible_point, make_problem
 
@@ -232,7 +231,10 @@ def test_criterion_09_degenerate_structure(record_property):
         "discontinuity; a degenerate inner interval gives exactly one jump",
     )
     edge = solve_riemann(0.0, 2.0, PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0)))
-    assert isinstance(edge.profile.pieces[0], ConstantPiece)
+    front = edge.boundaries[0]
+    behind = np.linspace(front - 5.0, front, 25, endpoint=False)
+    assert np.all(edge.profile.sample(behind) == 0.0)
+    assert all(edge.profile.flux_limits(xi) == (0.0, 0.0) for xi in behind)
     assert len(edge.profile.jumps()) == 1
     assert all(rec.classification == "strong" for rec in edge.jumps)
     assert (edge.profile.jumps()[0].left, edge.profile.jumps()[0].right) == (0.0, 1.0)

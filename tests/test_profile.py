@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from selfsim import (
@@ -16,12 +18,14 @@ from selfsim import (
     heat_step_deriv,
     jump_residuals,
     solve_riemann,
+    validate,
 )
 from selfsim.api import KIND_FROZEN_STEP, KIND_GENERAL, KIND_SINGLE_ARC
+from selfsim.cli import main
 from selfsim.entropy import FreeBoundaries
-from selfsim.profile import ArcPiece, ConstantPiece, JumpPoint
+from selfsim.profile import JumpPoint, SelfSimilarProfile
 
-from conftest import make_problem
+from conftest import make_problem, part
 
 
 def _solve(breakpoints, coefficients):
@@ -30,7 +34,7 @@ def _solve(breakpoints, coefficients):
 
 
 # ---------------------------------------------------------------------------
-# structure of the reconstructed piece list
+# what the profile is made of: boundaries, states, coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -38,8 +42,7 @@ def test_single_arc_closed_form():
     sol = _solve((0.0, 2.0), (1.5,))
     assert sol.kind == KIND_SINGLE_ARC
     assert sol.boundaries == ()
-    assert len(sol.profile.pieces) == 1
-    assert isinstance(sol.profile.pieces[0], ArcPiece)
+    assert sol.profile.jumps() == ()
     # the profile is exactly u_- + (u_+ - u_-) * F(xi / a)
     for xi in np.linspace(-8.0, 8.0, 81):
         assert eval_selfsimilar(sol.profile, xi) == 2.0 * heat_step(xi / 1.5)
@@ -49,8 +52,10 @@ def test_single_arc_closed_form():
 def test_frozen_step_structure():
     sol = _solve((1.0, 3.0), (0.0,))
     assert sol.kind == KIND_FROZEN_STEP
-    kinds = [type(p) for p in sol.profile.pieces]
-    assert kinds == [ConstantPiece, JumpPoint, ConstantPiece]
+    assert sol.profile.jumps() == (JumpPoint(0.0, 1.0, 3.0),)
+    xs = np.linspace(-5.0, 5.0, 101)
+    np.testing.assert_array_equal(sol.profile.sample(xs), np.where(xs < 0.0, 1.0, 3.0))
+    assert all(flux(sol.profile, xi) == 0.0 for xi in xs)
     # the step never moves: a genuine jump fixed at xi = 0
     assert eval_selfsimilar(sol.profile, 0.0) == (1.0, 3.0)
     assert eval_selfsimilar(sol.profile, -1.0) == 1.0
@@ -59,13 +64,16 @@ def test_frozen_step_structure():
 
 def test_left_degenerate_structure():
     sol = _solve((0.0, 1.0, 2.0), (0.0, 1.0))
-    kinds = [type(p) for p in sol.profile.pieces]
-    assert kinds == [ConstantPiece, JumpPoint, ArcPiece]
     front = sol.boundaries[0]
     assert front < 0.0
-    jump = sol.profile.jumps()[0]
-    assert jump.location == front
-    assert (jump.left, jump.right) == (0.0, 1.0)
+    assert sol.profile.jumps() == (JumpPoint(front, 0.0, 1.0),)
+    # left of the dead edge phase: exactly u_0, no flux
+    behind = np.linspace(front - 5.0, front, 50, endpoint=False)
+    np.testing.assert_array_equal(sol.profile.sample(behind), 0.0)
+    assert all(flux(sol.profile, xi) == 0.0 for xi in behind)
+    # right of it: one arc rising from u_1 towards u_2
+    ahead = sol.profile.sample(np.linspace(front + 1e-3, 6.0, 50))
+    assert np.all((ahead > 1.0) & (ahead < 2.0)) and np.all(np.diff(ahead) > 0.0)
     # one-sided fluxes at the front: zero from the frozen side, -xi/2 from
     # the moving side (the interface balance with a unit state jump)
     left_flux, right_flux = flux(sol.profile, front)
@@ -76,20 +84,23 @@ def test_left_degenerate_structure():
 def test_merged_interval_structure():
     sol = _solve((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
     assert sol.kind == KIND_GENERAL
-    kinds = [type(p) for p in sol.profile.pieces]
-    assert kinds == [ArcPiece, JumpPoint, ArcPiece]
     # the degenerate inner interval collapses: both nominal boundaries sit
     # on the same line and the full inner increment jumps there
-    assert sol.boundaries[0] == sol.boundaries[1]
-    jump = sol.profile.jumps()[0]
-    assert (jump.left, jump.right) == (1.0, 2.0)
+    line = sol.boundaries[0]
+    assert sol.boundaries == (line, line)
+    assert sol.profile.jumps() == (JumpPoint(line, 1.0, 2.0),)
+    left = sol.profile.sample(np.linspace(line - 6.0, line, 50, endpoint=False))
+    right = sol.profile.sample(np.linspace(line + 1e-3, line + 8.0, 50))
+    assert np.all((left > 0.0) & (left < 1.0)) and np.all(np.diff(left) > 0.0)
+    assert np.all((right > 2.0) & (right < 3.0)) and np.all(np.diff(right) > 0.0)
 
 
-def test_segments_and_jumps_split_pieces():
+def test_profile_is_its_three_tuples():
     sol = _solve((0.0, 1.0, 2.0), (0.0, 1.0))
     prof = sol.profile
-    assert len(prof.segments()) + len(prof.jumps()) == len(prof.pieces)
-    assert all(not isinstance(p, JumpPoint) for p in prof.segments())
+    assert prof == SelfSimilarProfile(
+        boundaries=sol.boundaries, states=(0.0, 1.0, 2.0), coefficients=(0.0, 1.0)
+    )
     assert prof.left_state == 0.0
     assert prof.right_state == 2.0
 
@@ -154,13 +165,9 @@ def test_profile_is_nondecreasing(rng):
 
 def test_arcs_strictly_increasing_inside():
     sol = _solve((0.0, 1.0, 2.0), (1.0, 2.0))
-    for seg in sol.profile.segments():
-        if not isinstance(seg, ArcPiece):
-            continue
-        lo = seg.lo if math.isfinite(seg.lo) else -8.0
-        hi = seg.hi if math.isfinite(seg.hi) else 8.0
-        xs = np.linspace(lo + 1e-6, hi - 1e-6, 200)
-        v = seg.value_vec(xs)
+    ends = (-8.0,) + sol.boundaries + (8.0,)
+    for lo, hi in zip(ends, ends[1:]):
+        v = sol.profile.sample(np.linspace(lo + 1e-6, hi - 1e-6, 200))
         assert np.all(np.diff(v) > 0.0)
 
 
@@ -334,6 +341,7 @@ def test_conservation_between_times(breakpoints, coefficients):
 def test_mirrored_is_an_involution():
     sol = _solve((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
     twice = sol.profile.mirrored().mirrored()
+    assert twice == sol.profile
     xs = np.linspace(-7.0, 7.0, 501)
     np.testing.assert_array_equal(sol.profile.sample(xs), twice.sample(xs))
     assert twice.boundaries == sol.profile.boundaries
@@ -361,3 +369,102 @@ def test_mirrored_profile_still_balances():
     assert mirrored.left_state == 2.0 and mirrored.right_state == 0.0
     jump = mirrored.jumps()[0]
     assert (jump.left, jump.right) == (1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# tail-safe arcs: finite and flux-balanced wherever the objective is finite
+# ---------------------------------------------------------------------------
+
+
+def _assert_finite_profile(sol, residual_tol=None):
+    """Finite boundaries, samples and residuals; samples monotone within the states."""
+    prof = sol.profile
+    lo, hi = sorted((prof.left_state, prof.right_state))
+    assert all(math.isfinite(b) for b in sol.boundaries)
+    reach = 8.0 * max(prof.coefficients)
+    xs = np.sort(np.concatenate([np.linspace(-reach, reach, 801), sol.boundaries, [-math.inf, math.inf]]))
+    v = prof.sample(xs)
+    assert np.all(np.isfinite(v))
+    assert lo <= v.min() and v.max() <= hi
+    assert np.all(np.diff(v) * math.copysign(1.0, prof.right_state - prof.left_state) >= 0.0)
+    residuals = [rec.rh_residual for rec in sol.jumps]
+    assert all(math.isfinite(r) for r in residuals)
+    if residual_tol is not None:
+        scale = max(prof.coefficients) * (hi - lo)
+        assert sol.converged
+        assert max(map(abs, residuals), default=0.0) <= residual_tol * scale
+
+
+def test_two_phase_right_tail_arc_is_finite():
+    # the boundary sits at xi/a ~ 13 in the slow phase, where heat_step rounds
+    # to 1 at both ends of the arc
+    sol = solve_riemann(0.0, 1.0, PhasePartition((0.0, 0.98, 1.0), (1.0, 0.2)))
+    _assert_finite_profile(sol, residual_tol=1e-9)
+
+
+def test_two_phase_right_tail_arc_through_the_cli(tmp_path):
+    config = tmp_path / "tail.cfg"
+    config.write_text(
+        "u_minus = 0\nu_plus = 1\nbreakpoints = [0.98]\ncoefficients = [1, 0.2]\n",
+        encoding="utf-8",
+    )
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "tail_")]) == 0
+    for name, columns in (("boundaries", ("xi", "residual")), ("profile", ("xi", "v"))):
+        lines = (tmp_path / f"tail_{name}.csv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        assert rows
+        for col in columns:
+            assert all(math.isfinite(float(row[header.index(col)])) for row in rows)
+
+
+@pytest.mark.parametrize("n, seed", [(64, 2), (256, 1), (1024, 0), (256, 9)])
+def test_random_partition_profile_balances(n, seed):
+    problem, _ = part(n, seed)
+    sol = solve_riemann(0.0, 1.0, problem.partition)
+    _assert_finite_profile(sol, residual_tol=1e-9)
+
+
+def _admissible(coefficients):
+    # adjacent coefficients must differ: replace a repeat as the part() recipe does
+    cs = list(coefficients)
+    for k in range(1, len(cs)):
+        if cs[k] == cs[k - 1]:
+            cs[k] = 0.5 if cs[k - 1] != 0.5 else 2.0
+    return tuple(cs)
+
+
+def _partitions(lo, hi):
+    """Admissible partitions with n <= 16, coefficients log-uniform in [lo, hi]
+    or zero, and a random orientation."""
+    coefficient = st.one_of(
+        st.just(0.0), st.floats(math.log(lo), math.log(hi)).map(math.exp)
+    )
+    return st.integers(0, 16).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(0.01, 1.0), min_size=n + 1, max_size=n + 1),
+            st.lists(coefficient, min_size=n + 1, max_size=n + 1),
+            st.booleans(),
+        )
+    )
+
+
+def _solve_drawn(drawn):
+    gaps, coefficients, flip = drawn
+    breakpoints = tuple(np.concatenate([[0.0], np.cumsum(gaps)]).tolist())
+    partition = PhasePartition(breakpoints, _admissible(coefficients))
+    assert validate(partition) is None
+    ends = (breakpoints[-1], breakpoints[0]) if flip else (breakpoints[0], breakpoints[-1])
+    return solve_riemann(*ends, partition)
+
+
+@given(_partitions(0.05, 5.0))
+@settings(max_examples=150, deadline=None)
+def test_profile_finite_and_monotone_for_admissible_partitions(drawn):
+    _assert_finite_profile(_solve_drawn(drawn))
+
+
+@given(_partitions(0.2, 2.0))
+@settings(max_examples=150, deadline=None)
+def test_profile_balances_for_moderate_coefficients(drawn):
+    _assert_finite_profile(_solve_drawn(drawn), residual_tol=1e-9)
