@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from selfsim import PhasePartition, normalize_orientation, solve_riemann
+from selfsim import PhasePartition, solve_riemann
 from selfsim.oracle import compare_profiles, fd_solve
+from selfsim.problem import normalize_orientation
 
 
 def front_error(fd, profile, t_final):

@@ -10,105 +10,21 @@ from the boundary positions, states and coefficients.  Independent checks
 functions lives in :mod:`selfsim.continuum`.
 """
 
-from .api import (
-    KIND_FROZEN_STEP,
-    KIND_GENERAL,
-    KIND_SINGLE_ARC,
-    RiemannSolution,
-    solve_riemann,
-)
-from .entropy import (
-    EntropyReport,
-    FreeBoundaries,
-    InfeasibleBoundariesError,
-    SublevelBox,
-    entropy_gradient,
-    entropy_hessian,
-    entropy_report,
-    entropy_shifted,
-    entropy_value,
-    feasible_values,
-    shift_constant,
-    sublevel_bounds,
-)
-from .optimizer import SolveOptions, SolveResult, initial_guess, minimize
-from .problem import (
-    BoundaryLayout,
-    ConstantStatesError,
-    InvalidPartitionError,
-    PhasePartition,
-    RiemannProblem,
-    build_layout,
-    diffusion_antiderivative,
-    normalize_orientation,
-    require_valid,
-    validate,
-)
-from .profile import (
-    JumpPoint,
-    JumpRecord,
-    SelfSimilarProfile,
-    build_profile,
-    eval_selfsimilar,
-    eval_solution,
-    flux,
-    jump_residuals,
-)
-from .special import (
-    heat_step,
-    heat_step_deriv,
-    heat_step_inverse,
-    heat_step_vec,
-    log_heat_step_deriv,
-    log_heat_step_diff,
-)
+from .api import RiemannSolution, solve_riemann
+from .optimizer import SolveOptions
+from .problem import ConstantStatesError, InvalidPartitionError, PhasePartition
+from .profile import JumpRecord, eval_selfsimilar, eval_solution
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryLayout",
     "ConstantStatesError",
-    "EntropyReport",
-    "FreeBoundaries",
-    "InfeasibleBoundariesError",
     "InvalidPartitionError",
-    "JumpPoint",
     "JumpRecord",
-    "KIND_FROZEN_STEP",
-    "KIND_GENERAL",
-    "KIND_SINGLE_ARC",
     "PhasePartition",
-    "RiemannProblem",
     "RiemannSolution",
-    "SelfSimilarProfile",
     "SolveOptions",
-    "SolveResult",
-    "SublevelBox",
-    "build_layout",
-    "build_profile",
-    "diffusion_antiderivative",
-    "entropy_gradient",
-    "entropy_hessian",
-    "entropy_report",
-    "entropy_shifted",
-    "entropy_value",
-    "feasible_values",
     "eval_selfsimilar",
     "eval_solution",
-    "flux",
-    "heat_step",
-    "heat_step_deriv",
-    "heat_step_inverse",
-    "heat_step_vec",
-    "log_heat_step_deriv",
-    "log_heat_step_diff",
-    "initial_guess",
-    "jump_residuals",
-    "minimize",
-    "normalize_orientation",
-    "require_valid",
-    "shift_constant",
     "solve_riemann",
-    "sublevel_bounds",
-    "validate",
 ]

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .entropy import FreeBoundaries, shift_constant
-from .optimizer import IterationRecord, SolveOptions, minimize
+import numpy as np
+
+from .entropy import shift_constant
+from .optimizer import IterationRecord, NewtonOutcome, SolveOptions, minimize
 from .problem import (
     BoundaryLayout,
     PhasePartition,
@@ -56,25 +58,17 @@ def solve_riemann(
     problem = normalize_orientation(u_minus, u_plus, partition)
     layout = build_layout(partition)
     if layout.m == 0:
-        # no free boundaries: a single arc, or a step that never moves
+        # no free boundaries: a single arc, or a step that never moves; an
+        # empty gradient meets any tolerance
         kind = KIND_SINGLE_ARC if partition.coefficients[0] > 0.0 else KIND_FROZEN_STEP
-        profile = build_profile(problem, layout, FreeBoundaries(values=(), layout=layout))
-        entropy = 0.0
-        grad_norm = 0.0
-        iterations = 0
-        converged = True
-        stop_reason = "gradient"  # an empty gradient meets any tolerance
-        trace: tuple[IterationRecord, ...] = ()
+        outcome = NewtonOutcome(
+            x=np.empty(0), value=0.0, grad_norm=0.0, iterations=0,
+            converged=True, stop_reason="gradient", records=(),
+        )
     else:
         kind = KIND_GENERAL
-        result = minimize(problem, layout, options)
-        profile = build_profile(problem, layout, result.minimizer)
-        entropy = result.entropy
-        grad_norm = result.grad_norm
-        iterations = result.iterations
-        converged = result.converged
-        stop_reason = result.stop_reason
-        trace = result.trace
+        outcome = minimize(problem, layout, options)
+    profile = build_profile(problem, layout, outcome.x)
     if problem.orientation_flipped:
         profile = profile.mirrored()
     return RiemannSolution(
@@ -83,11 +77,11 @@ def solve_riemann(
         kind=kind,
         profile=profile,
         jumps=jump_residuals(problem, profile),
-        entropy=entropy,
-        shifted_entropy=entropy + shift_constant(problem),
-        grad_norm=grad_norm,
-        iterations=iterations,
-        converged=converged,
-        stop_reason=stop_reason,
-        trace=trace,
+        entropy=outcome.value,
+        shifted_entropy=outcome.value + shift_constant(problem),
+        grad_norm=outcome.grad_norm,
+        iterations=outcome.iterations,
+        converged=outcome.converged,
+        stop_reason=outcome.stop_reason,
+        trace=outcome.records,
     )

@@ -27,7 +27,6 @@ from .optimizer import SolveOptions, initial_guess
 from .oracle import compare_profiles, fd_solve
 from .problem import PhasePartition
 
-_COMMANDS = ("solve", "evaluate", "validate", "continuum")
 _PROFILE_POINTS = 2001
 
 
@@ -43,13 +42,21 @@ class RunConfig:
     u_plus: float | None = None
     interior_breakpoints: tuple[float, ...] | None = None
     coefficients: tuple[float, ...] | None = None
-    grad_tol: float = 1e-12
+    grad_tol: float = SolveOptions.grad_tol
     t_final: float = 1.0
     dx_values: tuple[float, ...] = (0.02, 0.01)
     cell_counts: tuple[int, ...] = (2, 4, 8, 16, 32)
     diffusion_path: str | None = None
 
 
+# the RunConfig field of each config key whose name differs from it
+_FIELDS = {
+    "breakpoints": "interior_breakpoints",
+    "t": "t_final",
+    "dx": "dx_values",
+    "cells": "cell_counts",
+    "diffusion": "diffusion_path",
+}
 _PROBLEM_KEYS = ("u_minus", "u_plus", "breakpoints", "coefficients")
 _ALLOWED_KEYS = {
     "solve": _PROBLEM_KEYS + ("grad_tol",),
@@ -135,15 +142,7 @@ def parse_config(text: str, command: str, out_prefix: str = "") -> RunConfig:
     return RunConfig(
         command=command,
         out_prefix=out_prefix,
-        u_minus=seen.get("u_minus"),
-        u_plus=seen.get("u_plus"),
-        interior_breakpoints=seen.get("breakpoints"),
-        coefficients=seen.get("coefficients"),
-        grad_tol=seen.get("grad_tol", 1e-12),
-        t_final=seen.get("t", 1.0),
-        dx_values=seen.get("dx", (0.02, 0.01)),
-        cell_counts=seen.get("cells", (2, 4, 8, 16, 32)),
-        diffusion_path=seen.get("diffusion"),
+        **{_FIELDS.get(key, key): value for key, value in seen.items()},
     )
 
 
@@ -291,18 +290,21 @@ def _cmd_continuum(config: RunConfig, out: str, written: list[Path]) -> None:
     )
 
 
+# each command: its help line and the function that runs it
+_COMMANDS = {
+    "solve": ("minimize the boundary objective and emit the profile", _cmd_solve),
+    "evaluate": ("sample u(t, x) of the solved problem", _cmd_evaluate),
+    "validate": ("cross-check the profile against direct integration", _cmd_validate),
+    "continuum": ("refinement study for a tabulated diffusion function", _cmd_continuum),
+}
+
+
 def run(config: RunConfig) -> tuple[Path, ...]:
     """Execute one command; returns the written files, or removes them on failure."""
     out = config.out_prefix
     written: list[Path] = []
-    dispatch = {
-        "solve": _cmd_solve,
-        "evaluate": _cmd_evaluate,
-        "validate": _cmd_validate,
-        "continuum": _cmd_continuum,
-    }
     try:
-        dispatch[config.command](config, out, written)
+        _COMMANDS[config.command][1](config, out, written)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -316,14 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Self-similar step-data solver for piecewise-constant diffusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "solve": "minimize the boundary objective and emit the profile",
-        "evaluate": "sample u(t, x) of the solved problem",
-        "validate": "cross-check the profile against direct integration",
-        "continuum": "refinement study for a tabulated diffusion function",
-    }
-    for command in _COMMANDS:
-        sp = sub.add_parser(command, help=help_lines[command])
+    for command, (help_line, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
         sp.add_argument("--config", required=True, help="path to a key = value config file")
         sp.add_argument("--out", default="", help="output path prefix (default: working directory)")
     args = parser.parse_args(argv)

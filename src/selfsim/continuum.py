@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import entropy_shifted
+from .entropy import shift_constant
 from .optimizer import SolveOptions, damped_newton, minimize
 from .problem import PhasePartition, build_layout, normalize_orientation, require_valid
 from .special import heat_step_inverse, log_heat_step_deriv
@@ -308,9 +308,9 @@ def convergence_study(f: DiffusionFunction, cell_counts: Sequence[int]) -> tuple
             raise RuntimeError(
                 f"boundary solve did not converge at {cells} cells (stopped on {result.stop_reason})"
             )
-        nominal = layout.expand(result.minimizer.values)
+        nominal = layout.expand(result.x.tolist())
         on_grid = np.interp(grid, partition.breakpoints[1:-1], nominal)
-        shifted = entropy_shifted(problem, layout, result.minimizer)
+        shifted = result.value + shift_constant(problem)
         partial.append((cells, partition, nominal, on_grid, shifted))
     finest = partial[-1][3]
     rows = []

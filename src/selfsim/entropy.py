@@ -36,32 +36,11 @@ class InfeasibleBoundariesError(ValueError):
     """Raised when boundary values are not strictly increasing and finite."""
 
 
-@dataclass(frozen=True)
-class FreeBoundaries:
-    """The m free boundary positions, strictly increasing."""
-
-    values: tuple[float, ...]
-    layout: BoundaryLayout
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
 def feasible_values(values) -> bool:
     v = np.asarray(values, dtype=float)
     if v.size == 0 or not np.all(np.isfinite(v)):
         return False
     return bool(np.all(np.diff(v) > 0.0)) if v.size > 1 else True
-
-
-def _check(layout: BoundaryLayout, xi: FreeBoundaries) -> tuple[float, ...]:
-    if len(xi.values) != layout.m:
-        raise ValueError(f"expected {layout.m} free boundaries, got {len(xi.values)}")
-    if layout.m == 0:
-        raise ValueError("problem has no free boundaries (n = 0)")
-    if not feasible_values(xi.values):
-        raise InfeasibleBoundariesError(f"boundaries must be strictly increasing and finite, got {xi.values!r}")
-    return xi.values
 
 
 def _full_positions(layout: BoundaryLayout, values: Sequence[float]) -> tuple[float, ...]:
@@ -142,35 +121,17 @@ def entropy_pass(problem: RiemannProblem, layout: BoundaryLayout, values, deriva
     return total, np.array(g), np.array(hd), np.array(ho)
 
 
-def entropy_value(problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries) -> float:
-    return entropy_pass(problem, layout, _check(layout, xi), derivatives=False)
-
-
-def entropy_gradient(
-    problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries
-) -> np.ndarray:
-    return entropy_pass(problem, layout, _check(layout, xi))[1]
-
-
-def entropy_hessian(
-    problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal Hessian as (diagonal, first off-diagonal)."""
-    return entropy_pass(problem, layout, _check(layout, xi))[2:]
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    value: float
-    gradient: np.ndarray
-    hess_diag: np.ndarray
-    hess_off: np.ndarray
-
-
-def entropy_report(
-    problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries
-) -> EntropyReport:
-    return EntropyReport(*entropy_pass(problem, layout, _check(layout, xi)))
+def entropy_value(
+    problem: RiemannProblem, layout: BoundaryLayout, values: Sequence[float]
+) -> float:
+    """The objective at the m free positions ``values``, checked for feasibility."""
+    if len(values) != layout.m:
+        raise ValueError(f"expected {layout.m} free boundaries, got {len(values)}")
+    if layout.m == 0:
+        raise ValueError("problem has no free boundaries (n = 0)")
+    if not feasible_values(values):
+        raise InfeasibleBoundariesError(f"boundaries must be strictly increasing and finite, got {values!r}")
+    return entropy_pass(problem, layout, values, derivatives=False)
 
 
 def shift_constant(problem: RiemannProblem) -> float:
@@ -187,12 +148,6 @@ def shift_constant(problem: RiemannProblem) -> float:
             du = u[k + 1] - u[k]
             total += a * a * du * math.log(du / a)
     return total
-
-
-def entropy_shifted(
-    problem: RiemannProblem, layout: BoundaryLayout, xi: FreeBoundaries
-) -> float:
-    return entropy_value(problem, layout, xi) + shift_constant(problem)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,11 @@ Three tests end the iteration as converged or not:
   Convex Optimization 9.5.1) predicts a decrease lambda^2/2 of the objective
   no larger than its rounding floor, DECREMENT_ULPS * eps * (1 + |E|).  Armijo
   cannot certify such a step, but the Newton step is then exact to rounding,
-  so the full step (backtracked only for feasibility) is taken and the
-  solve stops converged;
+  so the full step (backtracked only for feasibility) is taken.  Where the
+  Hessian is large, lambda^2 reaches the floor while |g| still falls by
+  orders per step, so the solve stops on the decrement only after two such
+  floor steps in a row; the gradient test above is checked first after every
+  step;
 * no progress: the Armijo search fails above that floor (not converged).
 
 Otherwise the solve stops at ``max_iters`` (not converged).
@@ -24,12 +27,12 @@ Otherwise the solve stops at ``max_iters`` (not converged).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .entropy import FreeBoundaries, entropy_pass, feasible_values
+from .entropy import entropy_pass, feasible_values
 from .problem import BoundaryLayout, RiemannProblem
 from .special import heat_step_inverse
 
@@ -92,12 +95,12 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class NewtonOutcome:
-    x: np.ndarray
+    x: np.ndarray  # the m free positions at the stop
     value: float
     grad_norm: float
     iterations: int
     converged: bool
-    stop_reason: str
+    stop_reason: str  # one of gradient, decrement, no_progress, max_iters
     records: tuple[IterationRecord, ...]
 
 
@@ -144,6 +147,7 @@ def damped_newton(
     records = [IterationRecord(value, gnorm, 0.0)]
     stop_reason = "gradient" if gnorm <= tol else None
     iterations = 0
+    prev_floor = False
     while stop_reason is None:
         if iterations >= options.max_iters:
             stop_reason = "max_iters"
@@ -173,10 +177,11 @@ def damped_newton(
         gnorm = float(np.max(np.abs(grad)))
         records.append(IterationRecord(value, gnorm, t))
         iterations += 1
-        if at_floor:
-            stop_reason = "decrement"
-        elif gnorm <= tol:
+        if gnorm <= tol:
             stop_reason = "gradient"
+        elif at_floor and prev_floor:
+            stop_reason = "decrement"
+        prev_floor = at_floor
     return NewtonOutcome(
         x=x,
         value=value,
@@ -188,18 +193,7 @@ def damped_newton(
     )
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    minimizer: FreeBoundaries
-    entropy: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    stop_reason: str  # one of gradient, decrement, no_progress, max_iters
-    trace: tuple[IterationRecord, ...] = field(repr=False)
-
-
-def initial_guess(problem: RiemannProblem, layout: BoundaryLayout) -> FreeBoundaries:
+def initial_guess(problem: RiemannProblem, layout: BoundaryLayout) -> np.ndarray:
     """Quantile start: slot j sits where the widest phase's profile would put
     the cumulative state fraction reached at that boundary."""
     if layout.m < 1:
@@ -219,17 +213,17 @@ def initial_guess(problem: RiemannProblem, layout: BoundaryLayout) -> FreeBounda
         if vals and guess < vals[-1] + min_gap:
             guess = vals[-1] + min_gap
         vals.append(guess)
-    return FreeBoundaries(values=tuple(vals), layout=layout)
+    return np.array(vals)
 
 
 def minimize(
     problem: RiemannProblem,
     layout: BoundaryLayout,
     options: SolveOptions | None = None,
-    start: FreeBoundaries | None = None,
-) -> SolveResult:
-    opts = options or SolveOptions()
-    x0 = (start or initial_guess(problem, layout)).as_array()
+    start: np.ndarray | None = None,
+) -> NewtonOutcome:
+    """Damped Newton on the objective from ``start`` (default ``initial_guess``)."""
+    x0 = initial_guess(problem, layout) if start is None else start
 
     def value_fn(x: np.ndarray) -> float:
         return entropy_pass(problem, layout, x, derivatives=False)
@@ -237,13 +231,4 @@ def minimize(
     def full_fn(x: np.ndarray):
         return entropy_pass(problem, layout, x)
 
-    outcome = damped_newton(x0, value_fn, full_fn, feasible_values, opts)
-    return SolveResult(
-        minimizer=FreeBoundaries(tuple(float(v) for v in outcome.x), layout),
-        entropy=outcome.value,
-        grad_norm=outcome.grad_norm,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        stop_reason=outcome.stop_reason,
-        trace=outcome.records,
-    )
+    return damped_newton(x0, value_fn, full_fn, feasible_values, options or SolveOptions())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import FreeBoundaries, entropy_value, sublevel_bounds
+from .entropy import entropy_value, sublevel_bounds
 from .optimizer import initial_guess
 from .problem import BoundaryLayout, RiemannProblem, diffusion_antiderivative
 from .profile import SelfSimilarProfile
@@ -126,7 +126,7 @@ def compare_profiles(fd: FDGrid, profile: SelfSimilarProfile) -> ProfileDistance
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    minimizer: FreeBoundaries
+    minimizer: tuple[float, ...]
     value: float
     round_values: tuple[float, ...]  # best objective after each round
 
@@ -148,18 +148,14 @@ def grid_search_min(problem: RiemannProblem, layout: BoundaryLayout) -> GridSear
     if m > 3:
         raise ValueError(f"lattice search is limited to m <= 3, got m={m}")
 
-    def ev(vals: tuple[float, ...]) -> float:
-        return entropy_value(problem, layout, FreeBoundaries(vals, layout))
-
-    start = initial_guess(problem, layout)
-    best_x = tuple(float(v) for v in start.values)
-    best_v = ev(best_x)
+    best_x = tuple(initial_guess(problem, layout).tolist())
+    best_v = entropy_value(problem, layout, best_x)
     radius = max(sublevel_bounds(problem, layout, best_v).radius, 1e-6)
     step = radius / COARSE_CELLS
     k = int(math.ceil(radius / step))
     axis = step * np.arange(-k, k + 1)
     for combo in itertools.combinations(axis, m):
-        v = ev(tuple(float(c) for c in combo))
+        v = entropy_value(problem, layout, tuple(float(c) for c in combo))
         if v < best_v:
             best_v, best_x = v, tuple(float(c) for c in combo)
     round_values = [best_v]
@@ -170,13 +166,13 @@ def grid_search_min(problem: RiemannProblem, layout: BoundaryLayout) -> GridSear
         for combo in itertools.product(*axes):
             if any(combo[j + 1] <= combo[j] for j in range(m - 1)):
                 continue
-            v = ev(tuple(float(c) for c in combo))
+            v = entropy_value(problem, layout, tuple(float(c) for c in combo))
             if v < best_v:
                 best_v, best_x = v, tuple(float(c) for c in combo)
         round_values.append(best_v)
         step = fine
     return GridSearchResult(
-        minimizer=FreeBoundaries(values=best_x, layout=layout),
+        minimizer=best_x,
         value=best_v,
         round_values=tuple(round_values),
     )

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
-from .entropy import FreeBoundaries
 from .problem import BoundaryLayout, RiemannProblem, diffusion_antiderivative
 from .special import heat_step, heat_step_vec, log_heat_step_deriv, log_heat_step_diff
 
@@ -164,11 +163,11 @@ class SelfSimilarProfile:
 
 
 def build_profile(
-    problem: RiemannProblem, layout: BoundaryLayout, minimizer: FreeBoundaries
+    problem: RiemannProblem, layout: BoundaryLayout, x: np.ndarray
 ) -> SelfSimilarProfile:
-    """The profile of solved boundary positions, in the solver frame."""
+    """The profile of the m solved free positions ``x``, in the solver frame."""
     return SelfSimilarProfile(
-        boundaries=layout.expand(minimizer.values),
+        boundaries=layout.expand(x.tolist()),
         states=problem.partition.breakpoints,
         coefficients=problem.partition.coefficients,
     )

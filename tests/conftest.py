@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import selfsim as ss
+from selfsim.problem import PhasePartition, build_layout, normalize_orientation
 
 
 def make_breakpoints(rng: np.random.Generator, phases: int, lo=-2.0, hi=3.0):
@@ -45,9 +45,9 @@ def make_coefficients(rng: np.random.Generator, phases: int, degenerate: str = "
 def make_problem(rng: np.random.Generator, phases: int, degenerate: str = "maybe"):
     bps = make_breakpoints(rng, phases)
     cs = make_coefficients(rng, phases, degenerate)
-    part = ss.PhasePartition(bps, cs)
-    problem = ss.normalize_orientation(bps[0], bps[-1], part)
-    layout = ss.build_layout(problem.partition)
+    part = PhasePartition(bps, cs)
+    problem = normalize_orientation(bps[0], bps[-1], part)
+    layout = build_layout(problem.partition)
     return problem, layout
 
 
@@ -65,18 +65,15 @@ def part(n: int, seed: int, lo: float = 0.2, hi: float = 2.0):
     for k in range(1, n + 1):
         if cs[k] == cs[k - 1]:
             cs[k] = 0.5
-    partition = ss.PhasePartition(
-        tuple(np.linspace(0.0, 1.0, n + 2).tolist()), tuple(cs.tolist())
-    )
-    return ss.normalize_orientation(0.0, 1.0, partition), ss.build_layout(partition)
+    partition = PhasePartition(tuple(np.linspace(0.0, 1.0, n + 2).tolist()), tuple(cs.tolist()))
+    return normalize_orientation(0.0, 1.0, partition), build_layout(partition)
 
 
 def feasible_point(rng: np.random.Generator, layout, scale: float = 1.0):
-    """Random strictly increasing boundary values."""
+    """Random strictly increasing boundary values, as an array of m floats."""
     steps = rng.uniform(0.05, 0.8, size=layout.m) * scale
     start = rng.uniform(-1.5, 0.5) * scale
-    vals = start + np.concatenate([[0.0], np.cumsum(steps[:-1])]) if layout.m > 1 else np.array([start])
-    return ss.FreeBoundaries(tuple(float(v) for v in vals), layout)
+    return start + np.concatenate([[0.0], np.cumsum(steps[:-1])]) if layout.m > 1 else np.array([start])
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -47,6 +47,24 @@ def reference_value(problem, layout, values) -> float:
     return total
 
 
+def reference_shifted_value(problem, layout, values) -> float:
+    """The shifted objective, each live term written as -a^2 du ln(D a / du)."""
+    full = _full(layout, values)
+    u = problem.partition.breakpoints
+    cs = problem.partition.coefficients
+    n = layout.n
+    total = 0.0
+    for k in range(n + 1):
+        du = u[k + 1] - u[k]
+        a = cs[k]
+        if a > 0.0:
+            total -= a * a * du * (log_heat_step_diff(full[k + 1] / a, full[k] / a) + math.log(a / du))
+        else:
+            s = full[_anchor(k, n)]
+            total += 0.25 * du * s * s
+    return total
+
+
 def reference_gradient(problem, layout, values) -> np.ndarray:
     full = _full(layout, values)
     u = problem.partition.breakpoints

@@ -11,32 +11,22 @@ import time
 import numpy as np
 import pytest
 
-from selfsim import (
-    FreeBoundaries,
-    PhasePartition,
-    build_layout,
-    build_profile,
-    entropy_report,
-    entropy_shifted,
-    entropy_value,
-    heat_step,
-    heat_step_inverse,
-    initial_guess,
-    jump_residuals,
-    minimize,
-    normalize_orientation,
-    solve_riemann,
-    sublevel_bounds,
-)
+from selfsim import PhasePartition, solve_riemann
 from selfsim.continuum import (
     DiffusionFunction,
     convergence_study,
     euler_lagrange_residual,
     minimize_variational_cost,
 )
+from selfsim.entropy import entropy_pass, entropy_value, shift_constant, sublevel_bounds
+from selfsim.optimizer import initial_guess, minimize
 from selfsim.oracle import compare_profiles, fd_solve, grid_search_min, stefan_bisection
+from selfsim.problem import build_layout, normalize_orientation
+from selfsim.profile import build_profile, jump_residuals
+from selfsim.special import heat_step, heat_step_inverse
 
 from conftest import dense_hessian, fd_gradient, fd_hessian, feasible_point, make_problem
+from entropy_reference import reference_shifted_value
 
 SEED = 20260817
 
@@ -87,14 +77,10 @@ def test_criterion_02_gradient_matches_finite_differences(record_property):
     )
     rng = np.random.default_rng(SEED)
     for problem, layout, point in _sample_points(rng, 100):
-
-        def value_of(vals):
-            return entropy_value(problem, layout, FreeBoundaries(tuple(vals), layout))
-
-        report = entropy_report(problem, layout, point)
-        fd = fd_gradient(value_of, np.array(point.values))
-        scale = max(1.0, float(np.max(np.abs(report.gradient))))
-        assert np.max(np.abs(fd - report.gradient)) <= 1e-6 * scale
+        gradient = entropy_pass(problem, layout, point)[1]
+        fd = fd_gradient(lambda vals: entropy_value(problem, layout, vals), point)
+        scale = max(1.0, float(np.max(np.abs(gradient))))
+        assert np.max(np.abs(fd - gradient)) <= 1e-6 * scale
 
 
 def test_criterion_03_hessian_positive_definite(record_property):
@@ -105,15 +91,10 @@ def test_criterion_03_hessian_positive_definite(record_property):
     )
     rng = np.random.default_rng(SEED + 1)
     for problem, layout, point in _sample_points(rng, 100):
-
-        def value_of(vals):
-            return entropy_value(problem, layout, FreeBoundaries(tuple(vals), layout))
-
-        report = entropy_report(problem, layout, point)
-        dense = dense_hessian(report.hess_diag, report.hess_off)
+        dense = dense_hessian(*entropy_pass(problem, layout, point)[2:])
         assert np.array_equal(dense, dense.T)
         assert float(np.min(np.linalg.eigvalsh(dense))) > 0.0
-        fd = fd_hessian(value_of, np.array(point.values))
+        fd = fd_hessian(lambda vals: entropy_value(problem, layout, vals), point)
         scale = max(1.0, float(np.max(np.abs(dense))))
         assert np.max(np.abs(fd - dense)) <= 1e-5 * scale
 
@@ -134,13 +115,11 @@ def test_criterion_04_stationarity_equals_jump_conditions(record_property):
         sol = solve_riemann(bps[0], bps[-1], PhasePartition(bps, cs))
         assert sol.converged
         assert all(abs(rec.rh_residual) <= 1e-9 for rec in sol.jumps)
-        values = list(minimize(sol.problem, sol.layout).minimizer.values)
+        values = minimize(sol.problem, sol.layout).x
         for slot in range(sol.layout.m):
-            bumped = list(values)
+            bumped = values.copy()
             bumped[slot] += 1e-2
-            profile = build_profile(
-                sol.problem, sol.layout, FreeBoundaries(tuple(bumped), sol.layout)
-            )
+            profile = build_profile(sol.problem, sol.layout, bumped)
             records = jump_residuals(sol.problem, profile)
             hit = [rec for rec in records if rec.slot == slot]
             assert hit and all(abs(rec.rh_residual) > 1e-4 for rec in hit)
@@ -156,13 +135,13 @@ def test_criterion_05_oracle_equivalence(record_property):
         prob, layout = _problem(bps, cs)
         lattice = grid_search_min(prob, layout)
         newton = minimize(prob, layout)
-        for a, b in zip(lattice.minimizer.values, newton.minimizer.values):
+        for a, b in zip(lattice.minimizer, newton.x):
             assert abs(a - b) <= 1e-4
     for cs in [(0.0, 1.0), (1.0, 0.0)]:
         prob, layout = _problem((0.0, 1.0, 2.0), cs)
         front = stefan_bisection(prob)
         newton = minimize(prob, layout)
-        assert abs(front - newton.minimizer.values[0]) <= 1e-9
+        assert abs(front - newton.x[0]) <= 1e-9
 
 
 def test_criterion_06_restarts_agree(record_property):
@@ -182,7 +161,7 @@ def test_criterion_06_restarts_agree(record_property):
             start = feasible_point(rng, layout)
             result = minimize(prob, layout, start=start)
             assert result.converged
-            solutions.append(np.array(result.minimizer.values))
+            solutions.append(result.x)
         stacked = np.vstack(solutions)
         assert np.max(stacked.max(axis=0) - stacked.min(axis=0)) <= 1e-9
 
@@ -202,7 +181,7 @@ def test_criterion_07_sublevel_box_contains_sublevel_set(record_property):
         for combo in itertools.combinations(axis, layout.m):
             if all(abs(v) <= box.radius for v in combo):
                 continue  # inside the box: no claim to check
-            value = entropy_value(prob, layout, FreeBoundaries(tuple(combo), layout))
+            value = entropy_value(prob, layout, combo)
             assert value > level - 1e-12
 
 
@@ -282,18 +261,15 @@ def test_criterion_11_shifted_objective(record_property):
         for _ in range(10):
             point = feasible_point(rng, layout)
             raw = entropy_value(prob, layout, point)
-            shifted = entropy_shifted(prob, layout, point)
+            shifted = reference_shifted_value(prob, layout, point)
             offsets.append(shifted - raw)
         spread = max(offsets) - min(offsets)
         assert spread <= 1e-12 * max(1.0, abs(offsets[0]))
+        assert offsets[0] == pytest.approx(shift_constant(prob), rel=1e-12, abs=1e-12)
         # a constant offset cannot move the minimizer: the shifted objective
         # is stationary exactly where the raw one is
         result = minimize(prob, layout)
-
-        def shifted_of(vals):
-            return entropy_shifted(prob, layout, FreeBoundaries(tuple(vals), layout))
-
-        fd = fd_gradient(shifted_of, np.array(result.minimizer.values))
+        fd = fd_gradient(lambda vals: reference_shifted_value(prob, layout, vals), result.x)
         assert np.max(np.abs(fd)) <= 1e-6
 
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import selfsim
-from selfsim import PhasePartition, heat_step, solve_riemann
+from selfsim import PhasePartition, solve_riemann
 from selfsim.cli import ConfigError, main, parse_config, run
+from selfsim.special import heat_step
 
 SOLVE_TWO_PHASE = """\
 # two diffusion phases, one free boundary

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from selfsim import heat_step_inverse, solve_riemann, validate
+from selfsim import solve_riemann
 from selfsim.continuum import (
     DiffusionFunction,
     InverseProfile,
@@ -16,6 +16,8 @@ from selfsim.continuum import (
     variational_cost,
     variational_cost_kernel_form,
 )
+from selfsim.problem import validate
+from selfsim.special import heat_step_inverse
 
 from conftest import fd_hessian
 

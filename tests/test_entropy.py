@@ -10,54 +10,58 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import selfsim as ss
-from selfsim import heat_step, heat_step_deriv, heat_step_inverse
+from selfsim.continuum import DiffusionFunction, discretize
 from selfsim.entropy import (
-    entropy_gradient,
-    entropy_hessian,
+    InfeasibleBoundariesError,
     entropy_pass,
-    entropy_report,
-    entropy_shifted,
     entropy_value,
+    feasible_values,
     shift_constant,
     sublevel_bounds,
 )
-from selfsim.continuum import DiffusionFunction, discretize
+from selfsim.optimizer import initial_guess, minimize
+from selfsim.problem import PhasePartition, build_layout, normalize_orientation
+from selfsim.special import heat_step, heat_step_deriv, heat_step_inverse
 
 from conftest import dense_hessian, fd_gradient, fd_hessian, feasible_point, make_problem
-from entropy_reference import reference_gradient, reference_hessian, reference_value
+from entropy_reference import (
+    reference_gradient,
+    reference_hessian,
+    reference_shifted_value,
+    reference_value,
+)
 
 
-TWO_PHASE = ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
-LEFT_DEGENERATE = ss.PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
+TWO_PHASE = PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
+LEFT_DEGENERATE = PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
 
 
 def problem_of(part):
-    prob = ss.normalize_orientation(part.breakpoints[0], part.breakpoints[-1], part)
-    return prob, ss.build_layout(part)
+    prob = normalize_orientation(part.breakpoints[0], part.breakpoints[-1], part)
+    return prob, build_layout(part)
 
 
 def test_two_phase_hand_value():
     prob, lay = problem_of(TWO_PHASE)
-    xi = ss.FreeBoundaries((0.0,), lay)
+    xi = (0.0,)
     # -1*1*ln(1-F(0)) - 4*1*ln(F(0)-0) = ln 2 + 4 ln 2
     assert entropy_value(prob, lay, xi) == pytest.approx(5.0 * math.log(2.0), rel=1e-15)
 
 
 def test_degenerate_edge_hand_value():
     prob, lay = problem_of(LEFT_DEGENERATE)
-    xi = ss.FreeBoundaries((1.0,), lay)
+    xi = (1.0,)
     expected = 0.25 - math.log(1.0 - heat_step(1.0))
     assert entropy_value(prob, lay, xi) == pytest.approx(expected, rel=1e-14)
 
 
 def test_rejects_infeasible_points():
-    part = ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
+    part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
     prob, lay = problem_of(part)
-    with pytest.raises(ss.InfeasibleBoundariesError):
-        entropy_value(prob, lay, ss.FreeBoundaries((0.5, 0.5), lay))
-    with pytest.raises(ss.InfeasibleBoundariesError):
-        entropy_value(prob, lay, ss.FreeBoundaries((1.0, -1.0), lay))
+    with pytest.raises(InfeasibleBoundariesError):
+        entropy_value(prob, lay, (0.5, 0.5))
+    with pytest.raises(InfeasibleBoundariesError):
+        entropy_value(prob, lay, (1.0, -1.0))
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -66,11 +70,8 @@ def test_gradient_matches_finite_differences(rng):
         phases = int(rng.integers(2, 8))
         prob, lay = make_problem(rng, phases)
         xi = feasible_point(rng, lay)
-        g = entropy_gradient(prob, lay, xi)
-        fd = fd_gradient(
-            lambda v: entropy_value(prob, lay, ss.FreeBoundaries(tuple(v), lay)),
-            np.array(xi.values),
-        )
+        g = entropy_pass(prob, lay, xi)[1]
+        fd = fd_gradient(lambda v: entropy_value(prob, lay, v), xi)
         scale = np.maximum(np.abs(g), 1.0)
         assert np.max(np.abs((np.asarray(g) - fd) / scale)) <= 1e-6
         checked += 1
@@ -82,14 +83,11 @@ def test_hessian_matches_finite_differences(rng):
         phases = int(rng.integers(2, 8))
         prob, lay = make_problem(rng, phases)
         xi = feasible_point(rng, lay)
-        hd, ho = entropy_hessian(prob, lay, xi)
+        hd, ho = entropy_pass(prob, lay, xi)[2:]
         H = dense_hessian(hd, ho)
         assert np.allclose(H, H.T)
         assert np.min(np.linalg.eigvalsh(H)) > 0.0
-        fd = fd_hessian(
-            lambda v: entropy_value(prob, lay, ss.FreeBoundaries(tuple(v), lay)),
-            np.array(xi.values),
-        )
+        fd = fd_hessian(lambda v: entropy_value(prob, lay, v), xi)
         scale = max(1.0, float(np.max(np.abs(H))))
         assert np.max(np.abs(H - fd)) / scale <= 1e-5
         checked += 1
@@ -99,7 +97,7 @@ def test_gradient_is_flux_mismatch_nondegenerate():
     # direct transcription of the interior matching condition for n=1
     prob, lay = problem_of(TWO_PHASE)
     for x in (-1.3, -0.4, 0.0, 0.9):
-        g = entropy_gradient(prob, lay, ss.FreeBoundaries((x,), lay))
+        g = entropy_pass(prob, lay, (x,))[1]
         # phase left of the boundary spans the kernel mass F(x/a0) - 0,
         # phase right of it spans 1 - F(x/a1)
         left = 1.0 * 1.0 * heat_step_deriv(x / 1.0) / heat_step(x / 1.0)
@@ -108,10 +106,10 @@ def test_gradient_is_flux_mismatch_nondegenerate():
 
 
 def test_gradient_is_flux_mismatch_two_boundaries():
-    part = ss.PhasePartition((0.0, 1.0, 3.0, 4.0), (1.0, 0.5, 2.0))
+    part = PhasePartition((0.0, 1.0, 3.0, 4.0), (1.0, 0.5, 2.0))
     prob, lay = problem_of(part)
     x1, x2 = -0.7, 0.6
-    g = entropy_gradient(prob, lay, ss.FreeBoundaries((x1, x2), lay))
+    g = entropy_pass(prob, lay, (x1, x2))[1]
     du = (1.0, 2.0, 1.0)
     a = (1.0, 0.5, 2.0)
     f0 = heat_step(x1 / a[0]) - 0.0
@@ -126,18 +124,18 @@ def test_gradient_is_flux_mismatch_two_boundaries():
 def test_gradient_is_stefan_relation_at_degenerate_edge():
     prob, lay = problem_of(LEFT_DEGENERATE)
     for x in (-1.0, 0.2, 1.4):
-        g = entropy_gradient(prob, lay, ss.FreeBoundaries((x,), lay))
+        g = entropy_pass(prob, lay, (x,))[1]
         # quadratic edge term plus the one-sided flux of the live phase
         direct = 1.0 * x / 2.0 + 1.0 * 1.0 * heat_step_deriv(x) / (1.0 - heat_step(x))
         assert g[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_gradient_is_merged_relation_at_inner_interval():
-    part = ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
+    part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
     prob, lay = problem_of(part)
     assert lay.m == 1
     for x in (-0.9, 0.1, 0.8):
-        g = entropy_gradient(prob, lay, ss.FreeBoundaries((x,), lay))
+        g = entropy_pass(prob, lay, (x,))[1]
         left = 1.0 * 1.0 * heat_step_deriv(x / 1.0) / heat_step(x / 1.0)
         right = 2.0 * 1.0 * heat_step_deriv(x / 2.0) / (1.0 - heat_step(x / 2.0))
         direct = right - left + 1.0 * x / 2.0
@@ -147,7 +145,7 @@ def test_gradient_is_merged_relation_at_inner_interval():
 def test_degenerate_scalar_hessian_formula():
     prob, lay = problem_of(LEFT_DEGENERATE)
     x = 0.7
-    hd, ho = entropy_hessian(prob, lay, ss.FreeBoundaries((x,), lay))
+    hd, ho = entropy_pass(prob, lay, (x,))[2:]
     assert ho.size == 0
     r = heat_step_deriv(x) / (1.0 - heat_step(x))
     # scalar objective x^2/4 - ln(1 - F(x)); second derivative is
@@ -165,18 +163,17 @@ def test_shifted_entropy_differs_by_constant(rng):
         diffs = []
         for _ in range(10):
             xi = feasible_point(rng, lay)
-            diffs.append(entropy_shifted(prob, lay, xi) - entropy_value(prob, lay, xi))
+            diffs.append(reference_shifted_value(prob, lay, xi) - entropy_value(prob, lay, xi))
         assert np.max(np.abs(np.asarray(diffs) - const)) <= 1e-12 * max(1.0, abs(const))
 
 
 def test_shifted_entropy_same_argmin():
     prob, lay = problem_of(TWO_PHASE)
-    res = ss.minimize(prob, lay)
+    res = minimize(prob, lay)
     # stationarity of E at the E1 argmin and vice versa is the same condition
-    xi = res.minimizer
-    assert np.max(np.abs(entropy_gradient(prob, lay, xi))) <= 1e-9
-    assert entropy_shifted(prob, lay, xi) == pytest.approx(
-        res.entropy + shift_constant(prob), rel=1e-14
+    assert np.max(np.abs(entropy_pass(prob, lay, res.x)[1])) <= 1e-9
+    assert reference_shifted_value(prob, lay, res.x) == pytest.approx(
+        res.value + shift_constant(prob), rel=1e-14
     )
 
 
@@ -188,10 +185,9 @@ def test_shifted_entropy_bounded_under_refinement():
     for N in (2, 4, 8, 16):
         part = discretize(f, N)
         prob, lay = problem_of(part)
-        vals = tuple(heat_step_inverse((k + 1.0) / N) for k in range(lay.m))
-        xi = ss.FreeBoundaries(vals, lay)
+        xi = tuple(heat_step_inverse((k + 1.0) / N) for k in range(lay.m))
         raw.append(entropy_value(prob, lay, xi))
-        shifted.append(entropy_shifted(prob, lay, xi))
+        shifted.append(raw[-1] + shift_constant(prob))
     assert raw[-1] > raw[0] + 1.5  # ~ log 16 - log 2
     assert all(b > a for a, b in zip(raw, raw[1:]))
     assert max(abs(v) for v in shifted) < 0.1
@@ -211,23 +207,23 @@ def test_convex_along_segments(seed, t):
     rng = np.random.default_rng(seed)
     phases = int(rng.integers(2, 7))
     prob, lay = make_problem(rng, phases)
-    x = np.asarray(feasible_point(rng, lay).values)
-    y = np.asarray(feasible_point(rng, lay).values)
+    x = feasible_point(rng, lay)
+    y = feasible_point(rng, lay)
     if np.allclose(x, y):
         y = y + 0.3
     mid = t * x + (1.0 - t) * y
-    if not ss.feasible_values(mid):
+    if not feasible_values(mid):
         return
-    e_mid = entropy_value(prob, lay, ss.FreeBoundaries(tuple(mid), lay))
-    e_x = entropy_value(prob, lay, ss.FreeBoundaries(tuple(x), lay))
-    e_y = entropy_value(prob, lay, ss.FreeBoundaries(tuple(y), lay))
+    e_mid = entropy_value(prob, lay, mid)
+    e_x = entropy_value(prob, lay, x)
+    e_y = entropy_value(prob, lay, y)
     assert e_mid <= t * e_x + (1.0 - t) * e_y + 1e-12
 
 
 def test_not_translation_invariant():
     prob, lay = problem_of(TWO_PHASE)
-    a = entropy_value(prob, lay, ss.FreeBoundaries((0.3,), lay))
-    b = entropy_value(prob, lay, ss.FreeBoundaries((0.4,), lay))
+    a = entropy_value(prob, lay, (0.3,))
+    b = entropy_value(prob, lay, (0.4,))
     assert a != b
 
 
@@ -253,7 +249,7 @@ def test_fused_pass_bit_identical_to_reference(seed, zeros, center, spread):
     lo = max(center - spread, -30.0)
     hi = min(center + spread, 30.0)
     values = a_min * np.sort(rng.uniform(lo, hi, lay.m))
-    assume(ss.feasible_values(values))
+    assume(feasible_values(values))
     point = tuple(values.tolist())
 
     value, grad, hd, ho = entropy_pass(prob, lay, values)
@@ -266,28 +262,17 @@ def test_fused_pass_bit_identical_to_reference(seed, zeros, center, spread):
     assert ho.tobytes() == ref_ho.tobytes()
 
 
-def test_report_bundles_all_pieces():
-    prob, lay = problem_of(TWO_PHASE)
-    xi = ss.FreeBoundaries((0.0,), lay)
-    rep = entropy_report(prob, lay, xi)
-    assert rep.value == entropy_value(prob, lay, xi)
-    assert np.allclose(rep.gradient, entropy_gradient(prob, lay, xi))
-    hd, ho = entropy_hessian(prob, lay, xi)
-    assert np.allclose(rep.hess_diag, hd)
-    assert np.allclose(rep.hess_off, ho)
-
-
 def test_sublevel_box_contains_sublevel_points(rng):
     for _ in range(20):
         phases = int(rng.integers(2, 6))
         prob, lay = make_problem(rng, phases)
-        start = ss.initial_guess(prob, lay)
+        start = initial_guess(prob, lay)
         c = entropy_value(prob, lay, start)
         box = sublevel_bounds(prob, lay, c)
         for _ in range(25):
             xi = feasible_point(rng, lay, scale=rng.uniform(0.5, 4.0))
             if entropy_value(prob, lay, xi) <= c:
-                v = np.asarray(xi.values)
+                v = np.asarray(xi)
                 assert np.max(np.abs(v)) <= box.radius + 1e-12
                 if v.size > 1:
                     assert np.min(np.diff(v)) >= box.gap - 1e-12
@@ -295,7 +280,7 @@ def test_sublevel_box_contains_sublevel_points(rng):
 
 def test_sublevel_radius_monotone_in_level():
     prob, lay = problem_of(TWO_PHASE)
-    start = ss.initial_guess(prob, lay)
+    start = initial_guess(prob, lay)
     c = entropy_value(prob, lay, start)
     r_small = sublevel_bounds(prob, lay, 0.5 * c).radius
     r_big = sublevel_bounds(prob, lay, c).radius
@@ -305,13 +290,13 @@ def test_sublevel_radius_monotone_in_level():
 @pytest.mark.parametrize(
     "part",
     [
-        ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0)),
-        ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 0.5)),
+        PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0)),
+        PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 0.5)),
     ],
 )
 def test_sublevel_scan_finds_nothing_outside_box(part):
     prob, lay = problem_of(part)
-    start = ss.initial_guess(prob, lay)
+    start = initial_guess(prob, lay)
     c = entropy_value(prob, lay, start)
     box = sublevel_bounds(prob, lay, c)
     r = box.radius
@@ -325,6 +310,6 @@ def test_sublevel_scan_finds_nothing_outside_box(part):
         if np.max(np.abs(p)) <= r:
             continue
         outside += 1
-        if ss.feasible_values(p):
-            assert entropy_value(prob, lay, ss.FreeBoundaries(p, lay)) > c
+        if feasible_values(p):
+            assert entropy_value(prob, lay, p) > c
     assert outside > 0

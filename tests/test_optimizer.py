@@ -8,68 +8,72 @@ import math
 import numpy as np
 import pytest
 
-import selfsim as ss
-from selfsim.entropy import entropy_pass
+from selfsim import PhasePartition, solve_riemann
+from selfsim.entropy import entropy_pass, entropy_value, feasible_values
 from selfsim.optimizer import (
     SolveOptions,
     TridiagonalFactorizationError,
     damped_newton,
+    initial_guess,
+    minimize,
     solve_spd_tridiagonal,
 )
+from selfsim.oracle import stefan_bisection
+from selfsim.problem import build_layout, normalize_orientation
 
 from conftest import dense_hessian, feasible_point, make_problem, part
 
-TWO_PHASE = ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
+TWO_PHASE = PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
 # frozen regression value from this solver, cross-checked against the
 # brute-force grid oracle (agreement to ~7e-6) and finite differences
 TWO_PHASE_XI = -0.8694313298425024
 
 
 def problem_of(part):
-    prob = ss.normalize_orientation(part.breakpoints[0], part.breakpoints[-1], part)
-    return prob, ss.build_layout(part)
+    prob = normalize_orientation(part.breakpoints[0], part.breakpoints[-1], part)
+    return prob, build_layout(part)
 
 
 def test_initial_guess_centered_two_phase():
     prob, lay = problem_of(TWO_PHASE)
-    assert ss.initial_guess(prob, lay).values == (0.0,)
+    assert initial_guess(prob, lay).tolist() == [0.0]
 
 
 def test_initial_guess_always_feasible(rng):
     for _ in range(1000):
         phases = int(rng.integers(2, 10))
         prob, lay = make_problem(rng, phases)
-        guess = ss.initial_guess(prob, lay)
-        assert ss.feasible_values(guess.values)
-        assert len(guess.values) == lay.m
+        guess = initial_guess(prob, lay)
+        assert feasible_values(guess)
+        assert len(guess) == lay.m
 
 
 def test_two_phase_minimizer_regression():
     prob, lay = problem_of(TWO_PHASE)
-    res = ss.minimize(prob, lay)
+    res = minimize(prob, lay)
     assert res.converged
-    assert res.minimizer.values[0] == pytest.approx(TWO_PHASE_XI, abs=1e-12)
+    assert res.x[0] == pytest.approx(TWO_PHASE_XI, abs=1e-12)
     assert res.grad_norm <= 1e-12
     assert res.iterations >= 1
 
 
 def test_trace_descends():
     prob, lay = problem_of(TWO_PHASE)
-    res = ss.minimize(prob, lay)
-    vals = [r.value for r in res.trace]
+    res = minimize(prob, lay)
+    vals = [r.value for r in res.records]
     noise = 4.0 * np.finfo(float).eps * (1.0 + abs(vals[-1]))
     for a, b in zip(vals, vals[1:]):
         assert b <= a + noise
     # strict decrease while the gradient is still meaningfully nonzero
-    for rec, nxt in zip(res.trace, res.trace[1:]):
+    for rec, nxt in zip(res.records, res.records[1:]):
         if rec.grad_norm > 1e-8:
             assert nxt.value < rec.value
 
 
 def test_fast_tail_convergence():
     prob, lay = problem_of(TWO_PHASE)
-    res = ss.minimize(prob, lay)
-    gnorms = [r.grad_norm for r in res.trace]
+    res = minimize(prob, lay)
+    gnorms = [r.grad_norm for r in res.records]
     assert any(
         prev > 1e-9 and nxt <= prev / 1e3 for prev, nxt in zip(gnorms, gnorms[1:])
     )
@@ -77,78 +81,147 @@ def test_fast_tail_convergence():
 
 def test_reflection_pair():
     prob, lay = problem_of(TWO_PHASE)
-    xi = ss.minimize(prob, lay).minimizer.values
-    mirrored = ss.PhasePartition((0.0, 1.0, 2.0), (2.0, 1.0))
+    xi = minimize(prob, lay).x
+    mirrored = PhasePartition((0.0, 1.0, 2.0), (2.0, 1.0))
     prob_m, lay_m = problem_of(mirrored)
-    xi_m = ss.minimize(prob_m, lay_m).minimizer.values
+    xi_m = minimize(prob_m, lay_m).x
     assert xi_m[0] == pytest.approx(-xi[0], abs=1e-10)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
 def test_scale_covariance(lam):
-    part = ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
+    part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
     prob, lay = problem_of(part)
-    base = np.asarray(ss.minimize(prob, lay).minimizer.values)
-    scaled_part = ss.PhasePartition(part.breakpoints, tuple(lam * a for a in part.coefficients))
+    base = minimize(prob, lay).x
+    scaled_part = PhasePartition(part.breakpoints, tuple(lam * a for a in part.coefficients))
     prob_s, lay_s = problem_of(scaled_part)
-    scaled = np.asarray(ss.minimize(prob_s, lay_s).minimizer.values)
+    scaled = minimize(prob_s, lay_s).x
     assert np.max(np.abs(scaled - lam * base)) <= 1e-8 * max(1.0, lam)
 
 
 @pytest.mark.parametrize(
     "part",
     [
-        ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0)),
-        ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0)),
-        ss.PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0)),
-        ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0)),
+        PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0)),
+        PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0)),
+        PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0)),
+        PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0)),
     ],
 )
 def test_restarts_agree(part, rng):
     prob, lay = problem_of(part)
-    reference = np.asarray(ss.minimize(prob, lay).minimizer.values)
+    reference = minimize(prob, lay).x
     for _ in range(10):
         start = feasible_point(rng, lay)
-        res = ss.minimize(prob, lay, start=start)
+        res = minimize(prob, lay, start=start)
         assert res.converged
-        assert np.max(np.abs(np.asarray(res.minimizer.values) - reference)) <= 1e-9
+        assert np.max(np.abs(res.x - reference)) <= 1e-9
 
 
 def test_degenerate_edge_matches_scalar_bisection():
-    part = ss.PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
+    part = PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
     prob, lay = problem_of(part)
-    newton = ss.minimize(prob, lay).minimizer.values[0]
-    from selfsim.oracle import stefan_bisection
-
+    newton = minimize(prob, lay).x[0]
     assert newton == pytest.approx(stefan_bisection(prob), abs=1e-10)
 
 
 def test_non_convergence_reported():
     prob, lay = problem_of(TWO_PHASE)
-    res = ss.minimize(prob, lay, options=SolveOptions(max_iters=1))
+    res = minimize(prob, lay, options=SolveOptions(max_iters=1))
     assert not res.converged
     assert res.stop_reason == "max_iters"
     assert res.iterations == 1
-    assert len(res.trace) == 2
+    assert len(res.records) == 2
 
 
 def test_stop_reason_gradient():
     prob, lay = problem_of(TWO_PHASE)
-    res = ss.minimize(prob, lay, options=SolveOptions(grad_tol=1e-3))
+    res = minimize(prob, lay, options=SolveOptions(grad_tol=1e-3))
     assert res.converged
     assert res.stop_reason == "gradient"
-    assert res.grad_norm <= 1e-3 * max(1.0, res.trace[0].grad_norm)
+    assert res.grad_norm <= 1e-3 * max(1.0, res.records[0].grad_norm)
     # no free boundaries: the empty gradient meets the test at once
-    single = ss.solve_riemann(0.0, 1.0, ss.PhasePartition((0.0, 1.0), (1.0,)))
+    single = solve_riemann(0.0, 1.0, PhasePartition((0.0, 1.0), (1.0,)))
     assert single.converged and single.stop_reason == "gradient"
 
 
 def test_stop_reason_decrement():
-    partition = ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
-    sol = ss.solve_riemann(0.0, 3.0, partition)
+    # rounding holds |g| of this 16-phase problem just above the gradient
+    # threshold, so two full floor steps in a row end the solve
+    partition = PhasePartition(
+        (0.0, 0.1982154390913794, 0.23209615675097917, 0.26729411826782634,
+         0.3028487968804203, 0.3333739433450873, 0.35373506705566393,
+         0.41543122209798766, 0.44056665502111036, 0.6056578551454658,
+         0.616238256398321, 0.616902456930241, 0.7195524889389822,
+         0.7903032895182788, 0.9156427242278199, 0.9495837490239311, 1.0),
+        (1.047998797218799, 0.0993851513379583, 0.0, 0.44430120459480404,
+         0.10799699813057796, 0.11289144002808572, 2.6803180305686056,
+         0.8011787003100059, 0.13835732277431048, 0.3156971581991054,
+         0.0656915709264476, 0.5535022281236067, 2.1591966556999886,
+         0.7788074865262313, 1.0085050876847146, 0.0),
+    )
+    sol = solve_riemann(1.0, 0.0, partition)
     assert sol.converged
     assert sol.stop_reason == "decrement"
-    assert sol.grad_norm <= 1e-12
+    assert sol.grad_norm > SolveOptions().grad_tol * max(1.0, sol.trace[0].grad_norm)
+    assert [rec.step_length for rec in sol.trace[-2:]] == [1.0, 1.0]
+    scale = max(partition.coefficients)
+    assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * scale
+
+
+def test_floor_step_before_the_quadratic_phase_ends():
+    # the decrement of this problem reaches its rounding floor at |g| ~ 5e-5
+    # while full Newton steps still square |g|; stopping after that one step
+    # left |g| at 4.4e-8 and the flux residual above 1e-9 * a_max * |u+ - u-|
+    partition = PhasePartition(
+        (0.0, 0.16486108382772713, 0.16501772640978274, 0.7222409130730245, 1.0),
+        (0.2512174261134367, 0.06037828050611302, 0.1320171724087787, 1.2577763012313046),
+    )
+    sol = solve_riemann(1.0, 0.0, partition)
+    assert sol.converged
+    scale = max(partition.coefficients)
+    assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * scale
+
+
+def _finite(x):
+    return bool(np.all(np.isfinite(x)))
+
+
+def test_zero_pivot_takes_the_ridge_direction():
+    # f = x0^4/4 - x0 + x1^2/2 has a zero curvature in x0 at the start, so
+    # the first direction solves with a ridge-shifted diagonal
+    def value_fn(x):
+        return 0.25 * x[0] ** 4 - x[0] + 0.5 * x[1] ** 2
+
+    def full_fn(x):
+        grad = np.array([x[0] ** 3 - 1.0, x[1]])
+        return value_fn(x), grad, np.array([3.0 * x[0] ** 2, 1.0]), np.zeros(1)
+
+    start = np.array([0.0, 1.0])
+    _, grad, hd, ho = full_fn(start)
+    with pytest.raises(TridiagonalFactorizationError):
+        solve_spd_tridiagonal(hd, ho, grad)
+    out = damped_newton(start, value_fn, full_fn, _finite, SolveOptions())
+    assert out.converged and out.stop_reason == "gradient"
+    assert all(rec.value <= out.records[0].value for rec in out.records)
+    assert np.allclose(out.x, [1.0, 0.0], atol=1e-12)
+
+
+def test_negative_pivot_takes_steepest_descent():
+    # f = x0^4/4 - x0^2/2 + x1^2/2 is concave in x0 near 0, so no ridge makes
+    # the pivot positive and the first steps go down the gradient
+    def value_fn(x):
+        return 0.25 * x[0] ** 4 - 0.5 * x[0] ** 2 + 0.5 * x[1] ** 2
+
+    def full_fn(x):
+        grad = np.array([x[0] ** 3 - x[0], x[1]])
+        return value_fn(x), grad, np.array([3.0 * x[0] ** 2 - 1.0, 1.0]), np.zeros(1)
+
+    start = np.array([0.1, 1.0])
+    out = damped_newton(start, value_fn, full_fn, _finite, SolveOptions())
+    assert out.converged and out.stop_reason == "gradient"
+    assert all(rec.value <= out.records[0].value for rec in out.records)
+    assert np.allclose(out.x, [1.0, 0.0], atol=1e-12)
 
 
 def test_stop_reason_no_progress():
@@ -158,7 +231,7 @@ def test_stop_reason_no_progress():
         return float(x @ x), 2.0 * x, np.full(x.size, 2.0), np.zeros(x.size - 1)
 
     out = damped_newton(
-        np.array([1.0, 2.0]), lambda x: 10.0, full_fn, ss.feasible_values, SolveOptions()
+        np.array([1.0, 2.0]), lambda x: 10.0, full_fn, feasible_values, SolveOptions()
     )
     assert not out.converged
     assert out.stop_reason == "no_progress"
@@ -171,9 +244,9 @@ def test_converges_at_the_rounding_floor(n, seed):
     # rounding keeps |g| of these near 1e-11..1e-13, above the default
     # gradient threshold, so only the decrement stop can certify them
     prob, lay = part(n, seed)
-    res = ss.minimize(prob, lay)
+    res = minimize(prob, lay)
     assert res.converged, (res.stop_reason, res.grad_norm)
-    g = ss.entropy_gradient(prob, lay, res.minimizer)
+    g = entropy_pass(prob, lay, res.x)[1]
     assert np.max(np.abs(g)) <= 1e-9
 
 
@@ -194,8 +267,8 @@ def test_value_evaluations_bounded_by_iterations():
                 counts["full"] += 1
                 return entropy_pass(prob, lay, x)
 
-            start = ss.initial_guess(prob, lay).as_array()
-            out = damped_newton(start, value_fn, full_fn, ss.feasible_values, SolveOptions())
+            start = initial_guess(prob, lay)
+            out = damped_newton(start, value_fn, full_fn, feasible_values, SolveOptions())
             assert out.converged, (n, seed, out.stop_reason)
             assert counts["full"] == out.iterations + 1
             if counts["value"] > 2 * out.iterations + 1:
@@ -213,9 +286,9 @@ def test_options_validated():
 
 def test_explicit_start_is_used():
     prob, lay = problem_of(TWO_PHASE)
-    start = ss.FreeBoundaries((-3.0,), lay)
-    res = ss.minimize(prob, lay, start=start)
-    assert res.trace[0].value == ss.entropy_value(prob, lay, start)
+    start = np.array([-3.0])
+    res = minimize(prob, lay, start=start)
+    assert res.records[0].value == entropy_value(prob, lay, start)
     assert res.converged
 
 
@@ -245,7 +318,7 @@ def test_minimize_random_problems_converge(rng):
     for _ in range(40):
         phases = int(rng.integers(2, 8))
         prob, lay = make_problem(rng, phases)
-        res = ss.minimize(prob, lay)
+        res = minimize(prob, lay)
         assert res.converged, (prob.partition, res.grad_norm)
-        g = ss.entropy_gradient(prob, lay, res.minimizer)
+        g = entropy_pass(prob, lay, res.x)[1]
         assert np.max(np.abs(g)) <= 1e-9

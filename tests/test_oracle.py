@@ -33,7 +33,7 @@ def test_grid_search_agrees_with_newton_two_phase():
     layout = build_layout(prob.partition)
     got = grid_search_min(prob, layout)
     sol = solve_riemann(0.0, 2.0, prob.partition)
-    assert abs(got.minimizer.values[0] - sol.boundaries[0]) <= 1e-4
+    assert abs(got.minimizer[0] - sol.boundaries[0]) <= 1e-4
 
 
 def test_grid_search_agrees_with_newton_two_boundaries():
@@ -41,7 +41,7 @@ def test_grid_search_agrees_with_newton_two_boundaries():
     layout = build_layout(prob.partition)
     got = grid_search_min(prob, layout)
     sol = solve_riemann(0.0, 3.0, prob.partition)
-    for lattice, newton in zip(got.minimizer.values, sol.boundaries):
+    for lattice, newton in zip(got.minimizer, sol.boundaries):
         assert abs(lattice - newton) <= 1e-4
 
 
@@ -61,7 +61,7 @@ def test_grid_search_merged_boundary():
     assert layout.m == 1
     got = grid_search_min(prob, layout)
     sol = solve_riemann(0.0, 3.0, prob.partition)
-    assert abs(got.minimizer.values[0] - sol.boundaries[0]) <= 1e-4
+    assert abs(got.minimizer[0] - sol.boundaries[0]) <= 1e-4
 
 
 def test_grid_search_rejects_wrong_sizes():

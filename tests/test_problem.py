@@ -5,61 +5,70 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import selfsim as ss
-from selfsim.problem import reversed_partition, validate
+from selfsim.problem import (
+    ConstantStatesError,
+    InvalidPartitionError,
+    PhasePartition,
+    build_layout,
+    diffusion_antiderivative,
+    normalize_orientation,
+    require_valid,
+    reversed_partition,
+    validate,
+)
 
 from conftest import make_problem
 
 
 def test_well_formed_partition_passes():
-    assert validate(ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))) is None
+    assert validate(PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))) is None
 
 
 def test_adjacent_equal_coefficients_rejected():
-    v = validate(ss.PhasePartition((0.0, 1.0, 2.0), (0.0, 0.0)))
+    v = validate(PhasePartition((0.0, 1.0, 2.0), (0.0, 0.0)))
     assert v is not None
     assert v.message == "adjacent equal at k=0"
 
 
 def test_non_monotone_breakpoints_rejected():
-    v = validate(ss.PhasePartition((0.0, 2.0, 1.0), (1.0, 2.0)))
+    v = validate(PhasePartition((0.0, 2.0, 1.0), (1.0, 2.0)))
     assert v is not None
     assert v.message == "breakpoints not increasing at index 2"
 
 
 def test_negative_coefficient_rejected():
-    v = validate(ss.PhasePartition((0.0, 1.0, 2.0), (1.0, -2.0)))
+    v = validate(PhasePartition((0.0, 1.0, 2.0), (1.0, -2.0)))
     assert v is not None
     assert v.message == "negative coefficient at k=1"
     # a coefficient that is not a number at all is not called negative
     for bad in (float("nan"), float("inf"), -float("inf")):
-        v = validate(ss.PhasePartition((0.0, 1.0, 2.0), (1.0, bad)))
+        v = validate(PhasePartition((0.0, 1.0, 2.0), (1.0, bad)))
         assert v is not None
         assert v.message == "coefficient not finite at k=1"
         assert v.index == 1
 
 
 def test_arity_mismatch_rejected():
-    v = validate(ss.PhasePartition((0.0, 1.0, 2.0), (1.0,)))
+    v = validate(PhasePartition((0.0, 1.0, 2.0), (1.0,)))
     assert v is not None
 
 
 def test_require_valid_raises():
-    with pytest.raises(ss.InvalidPartitionError):
-        ss.require_valid(ss.PhasePartition((0.0, 1.0), (-1.0,)))
+    with pytest.raises(InvalidPartitionError):
+        require_valid(PhasePartition((0.0, 1.0), (-1.0,)))
 
 
 def test_normalize_keeps_increasing_data():
-    part = ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
-    prob = ss.normalize_orientation(0.0, 2.0, part)
+    part = PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
+    prob = normalize_orientation(0.0, 2.0, part)
     assert not prob.orientation_flipped
     assert prob.partition.breakpoints == (0.0, 1.0, 2.0)
     assert prob.u_minus == 0.0 and prob.u_plus == 2.0
 
 
 def test_normalize_flips_decreasing_data():
-    part = ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
-    prob = ss.normalize_orientation(2.0, 0.0, part)
+    part = PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
+    prob = normalize_orientation(2.0, 0.0, part)
     assert prob.orientation_flipped
     # internal view is always increasing
     assert prob.partition.breakpoints[0] == 0.0
@@ -67,29 +76,29 @@ def test_normalize_flips_decreasing_data():
 
 
 def test_normalize_rejects_equal_states():
-    part = ss.PhasePartition((0.0, 1.0), (1.0,))
-    with pytest.raises(ss.ConstantStatesError):
-        ss.normalize_orientation(1.0, 1.0, part)
+    part = PhasePartition((0.0, 1.0), (1.0,))
+    with pytest.raises(ConstantStatesError):
+        normalize_orientation(1.0, 1.0, part)
 
 
 def test_layout_nondegenerate():
-    part = ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
-    lay = ss.build_layout(part)
+    part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
+    lay = build_layout(part)
     assert lay.n == 2 and lay.m == 2
     assert lay.slots == (0, 1)
 
 
 def test_layout_inner_merge():
     # inner vanishing coefficient identifies the two flanking boundaries
-    part = ss.PhasePartition((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 1.0, 2.0))
-    lay = ss.build_layout(part)
+    part = PhasePartition((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 1.0, 2.0))
+    lay = build_layout(part)
     assert lay.n == 3 and lay.m == 2
     assert lay.slots == (0, 0, 1)
 
 
 def test_layout_degenerate_left_edge():
-    part = ss.PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
-    lay = ss.build_layout(part)
+    part = PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
+    lay = build_layout(part)
     # a dead edge phase fuses nothing: its one boundary keeps its own slot
     assert lay.n == 1 and lay.m == 1
     assert lay.slots == (0,)
@@ -125,7 +134,7 @@ def test_reflection_covariance(rng):
         prob, lay = make_problem(rng, phases)
         rev = reversed_partition(prob.partition)
         assert validate(rev) is None
-        lay_rev = ss.build_layout(rev)
+        lay_rev = build_layout(rev)
         assert lay_rev.n == lay.n and lay_rev.m == lay.m
         # merged boundary groups mirror: boundary k of the reversed partition
         # is boundary n + 1 - k of the original, slot j becomes slot m - 1 - j
@@ -133,14 +142,14 @@ def test_reflection_covariance(rng):
 
 
 def test_antiderivative_table():
-    part = ss.PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
-    states, accum = ss.diffusion_antiderivative(part)
+    part = PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
+    states, accum = diffusion_antiderivative(part)
     assert np.allclose(states, [0.0, 1.0, 2.0])
     # integral of a^2 du: 1 over the first phase, 4 over the second
     assert np.allclose(accum, [0.0, 1.0, 5.0])
 
 
 def test_antiderivative_flat_on_degenerate():
-    part = ss.PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
-    states, accum = ss.diffusion_antiderivative(part)
+    part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
+    states, accum = diffusion_antiderivative(part)
     assert accum[1] == accum[2]

@@ -8,22 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from selfsim import (
-    PhasePartition,
-    build_profile,
-    eval_selfsimilar,
-    eval_solution,
-    flux,
-    heat_step,
-    heat_step_deriv,
-    jump_residuals,
-    solve_riemann,
-    validate,
-)
+from selfsim import PhasePartition, eval_selfsimilar, eval_solution, solve_riemann
 from selfsim.api import KIND_FROZEN_STEP, KIND_GENERAL, KIND_SINGLE_ARC
 from selfsim.cli import main
-from selfsim.entropy import FreeBoundaries
-from selfsim.profile import JumpPoint, SelfSimilarProfile
+from selfsim.problem import validate
+from selfsim.profile import JumpPoint, SelfSimilarProfile, build_profile, flux, jump_residuals
+from selfsim.special import heat_step, heat_step_deriv
 
 from conftest import make_problem, part
 
@@ -263,11 +253,9 @@ def test_perturbed_boundary_localizes_residual():
     # boundaries 1 and 2 (they share an interval) but not at boundary 3
     sol = _solve((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.5, 2.0, 0.8))
     assert all(abs(r.rh_residual) <= 1e-9 for r in sol.jumps)
-    vals = list(sol.profile.boundaries)
+    vals = np.array(sol.profile.boundaries)
     vals[0] += 0.01
-    perturbed = build_profile(
-        sol.problem, sol.layout, FreeBoundaries(values=tuple(vals), layout=sol.layout)
-    )
+    perturbed = build_profile(sol.problem, sol.layout, vals)
     recs = jump_residuals(sol.problem, perturbed)
     assert abs(recs[0].rh_residual) > 1e-4
     assert abs(recs[1].rh_residual) > 1e-4
@@ -277,11 +265,9 @@ def test_perturbed_boundary_localizes_residual():
 def test_perturbed_two_phase_touches_both_records():
     # with two boundaries every interval is shared, so both residuals move
     sol = _solve((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
-    vals = list(sol.profile.boundaries)
+    vals = np.array(sol.profile.boundaries)
     vals[0] += 0.01
-    perturbed = build_profile(
-        sol.problem, sol.layout, FreeBoundaries(values=tuple(vals), layout=sol.layout)
-    )
+    perturbed = build_profile(sol.problem, sol.layout, vals)
     recs = jump_residuals(sol.problem, perturbed)
     assert all(abs(r.rh_residual) > 1e-4 for r in recs)
 

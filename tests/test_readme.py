@@ -5,13 +5,15 @@ import io
 import re
 from pathlib import Path
 
+import selfsim
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # expression -> its value as the README's comment on that line shows it
 SHOWN_VALUES = {
     "sol.kind": "'general'",
     "sol.boundaries": "(-0.492883594210621, -0.492883594210621)",
-    "sol.stop_reason": "'decrement'",
+    "sol.stop_reason": "'gradient'",
     "eval_solution(sol.profile, t=4.0, x=0.0)": "2.1215273678128828",
     "eval_solution(sol.profile, t=4.0, x=2.0 * sol.boundaries[0])": "(1.0, 2.0)",
 }
@@ -47,3 +49,14 @@ def test_readme_quick_start_runs_as_shown():
     sol = namespace["sol"]
     steps = re.search(r"sol\.converged\s+# True, after (\d+) Newton steps", "\n".join(lines))
     assert steps and sol.converged and sol.iterations == int(steps.group(1))
+
+
+def test_top_level_names_resolve_and_cover_the_readme_imports():
+    for name in selfsim.__all__:
+        assert getattr(selfsim, name, None) is not None, name
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    imported = set()
+    for block in blocks:
+        for group in re.findall(r"^from selfsim import (?:\(([^)]*)\)|(.+))$", block, re.M):
+            imported.update(name.strip() for name in "".join(group).split(",") if name.strip())
+    assert imported and imported <= set(selfsim.__all__), imported - set(selfsim.__all__)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsim import (
+from selfsim.special import (
     heat_step,
     heat_step_deriv,
     heat_step_inverse,
