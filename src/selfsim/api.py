@@ -1,4 +1,4 @@
-"""One-call solve: orient, lay out, minimize, reconstruct, diagnose.
+"""One-call solve: orient, minimize, reconstruct, diagnose.
 
 The solver frame always has increasing far-field states; callers with
 decreasing states get the space-reflected profile back (the equation is
@@ -13,13 +13,7 @@ import numpy as np
 
 from .entropy import shift_constant
 from .optimizer import IterationRecord, NewtonOutcome, SolveOptions, minimize
-from .problem import (
-    BoundaryLayout,
-    PhasePartition,
-    RiemannProblem,
-    build_layout,
-    normalize_orientation,
-)
+from .problem import PhasePartition, RiemannProblem, normalize_orientation
 from .profile import JumpRecord, SelfSimilarProfile, build_profile, jump_residuals
 
 KIND_SINGLE_ARC = "single-arc"
@@ -32,7 +26,6 @@ class RiemannSolution:
     """Solved step problem in the caller's orientation."""
 
     problem: RiemannProblem
-    layout: BoundaryLayout
     kind: str
     profile: SelfSimilarProfile
     jumps: tuple[JumpRecord, ...]
@@ -56,8 +49,7 @@ def solve_riemann(
     options: SolveOptions | None = None,
 ) -> RiemannSolution:
     problem = normalize_orientation(u_minus, u_plus, partition)
-    layout = build_layout(partition)
-    if layout.m == 0:
+    if problem.m == 0:
         # no free boundaries: a single arc, or a step that never moves; an
         # empty gradient meets any tolerance
         kind = KIND_SINGLE_ARC if partition.coefficients[0] > 0.0 else KIND_FROZEN_STEP
@@ -67,13 +59,12 @@ def solve_riemann(
         )
     else:
         kind = KIND_GENERAL
-        outcome = minimize(problem, layout, options)
-    profile = build_profile(problem, layout, outcome.x)
+        outcome = minimize(problem, options)
+    profile = build_profile(problem, outcome.x)
     if problem.orientation_flipped:
         profile = profile.mirrored()
     return RiemannSolution(
         problem=problem,
-        layout=layout,
         kind=kind,
         profile=profile,
         jumps=jump_residuals(problem, profile),

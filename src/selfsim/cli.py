@@ -175,13 +175,11 @@ def _solve_from_config(config: RunConfig) -> RiemannSolution:
 
 
 def _plot_halfwidth(solution: RiemannSolution) -> float:
-    if solution.layout.m >= 1:
-        level = entropy_value(
-            solution.problem, solution.layout, initial_guess(solution.problem, solution.layout)
-        )
-        radius = sublevel_bounds(solution.problem, solution.layout, level).radius
+    problem = solution.problem
+    if problem.m >= 1:
+        radius = sublevel_bounds(problem, entropy_value(problem, initial_guess(problem))).radius
     else:
-        radius = max(1.0, 10.0 * max(solution.problem.partition.coefficients))
+        radius = max(1.0, 10.0 * max(problem.partition.coefficients))
     return 1.2 * radius
 
 

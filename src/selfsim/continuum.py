@@ -27,8 +27,8 @@ import numpy as np
 
 from .entropy import shift_constant
 from .optimizer import SolveOptions, damped_newton, minimize
-from .problem import PhasePartition, build_layout, normalize_orientation, require_valid
-from .special import heat_step_inverse, log_heat_step_deriv
+from .problem import PhasePartition, normalize_orientation, require_valid
+from .special import heat_step_inverse
 
 _JITTER = 1e-12
 _GRID_TRIM = 0.05  # study grids keep off the ends, where xi(u) -> -+inf
@@ -160,26 +160,6 @@ def variational_cost(f: DiffusionFunction, profile: InverseProfile) -> float:
     return _cost(xi, du, a)
 
 
-def variational_cost_kernel_form(f: DiffusionFunction, profile: InverseProfile) -> float:
-    """The same functional before the kernel's square is expanded.
-
-    Per nondegenerate cell: -a^2 ln( H'(xi_mid / a) * slope ) du, with the
-    quadratic position term only on degenerate cells.  Differs from
-    ``variational_cost`` by exactly ln(2 sqrt(pi)) * sum_{a>0} a^2 du — the
-    kernel's normalization prefactor — and nothing else.
-    """
-    _, xi, du, gap, a = _cell_data(f, profile)
-    mid = 0.5 * (xi[:-1] + xi[1:])
-    total = 0.0
-    for j in range(du.size):
-        if a[j] > 0.0:
-            log_slope = math.log(gap[j] / du[j])
-            total -= a[j] ** 2 * (log_heat_step_deriv(mid[j] / a[j]) + log_slope) * du[j]
-        else:
-            total += 0.25 * mid[j] * mid[j] * du[j]
-    return total
-
-
 def euler_lagrange_residual(f: DiffusionFunction, profile: InverseProfile) -> np.ndarray:
     """Stationarity defect xi/2 + d/du (a^2 / xi') at the interior nodes.
 
@@ -302,13 +282,12 @@ def convergence_study(f: DiffusionFunction, cell_counts: Sequence[int]) -> tuple
         if partition.n < 1:
             raise ValueError(f"{cells} cells leave no free boundary after merging")
         problem = normalize_orientation(f.lo, f.hi, partition)
-        layout = build_layout(partition)
-        result = minimize(problem, layout)
+        result = minimize(problem)
         if not result.converged:
             raise RuntimeError(
                 f"boundary solve did not converge at {cells} cells (stopped on {result.stop_reason})"
             )
-        nominal = layout.expand(result.x.tolist())
+        nominal = problem.expand(result.x.tolist())
         on_grid = np.interp(grid, partition.breakpoints[1:-1], nominal)
         shifted = result.value + shift_constant(problem)
         partial.append((cells, partition, nominal, on_grid, shifted))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import BoundaryLayout, RiemannProblem
+from .problem import RiemannProblem
 from .special import heat_step_inverse, log_heat_step_deriv, log_heat_step_diff
 
 _INF = math.inf
@@ -43,9 +43,9 @@ def feasible_values(values) -> bool:
     return bool(np.all(np.diff(v) > 0.0)) if v.size > 1 else True
 
 
-def _full_positions(layout: BoundaryLayout, values: Sequence[float]) -> tuple[float, ...]:
+def _full_positions(problem: RiemannProblem, values: Sequence[float]) -> tuple[float, ...]:
     # xi_0 .. xi_{n+1} with the infinite sentinels attached
-    return (-_INF,) + layout.expand(values) + (_INF,)
+    return (-_INF,) + problem.expand(values) + (_INF,)
 
 
 def _anchor(k: int, n: int) -> int:
@@ -57,7 +57,7 @@ def _anchor(k: int, n: int) -> int:
     return k
 
 
-def entropy_pass(problem: RiemannProblem, layout: BoundaryLayout, values, derivatives: bool = True):
+def entropy_pass(problem: RiemannProblem, values, derivatives: bool = True):
     """The objective at ``values`` in one pass over the intervals.
 
     Returns the value alone when ``derivatives`` is false; otherwise
@@ -67,14 +67,14 @@ def entropy_pass(problem: RiemannProblem, layout: BoundaryLayout, values, deriva
     kernel does not check them.  Each interval takes ``log_heat_step_diff``
     once and shares it between all three pieces.
     """
-    full = _full_positions(layout, np.asarray(values, dtype=float).tolist())
+    full = _full_positions(problem, np.asarray(values, dtype=float).tolist())
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
-    n = layout.n
-    slots = layout.slots
+    n = problem.n
+    slots = problem.slots
     total = 0.0
     if derivatives:
-        m = layout.m
+        m = problem.m
         g = [0.0] * m
         hd = [0.0] * m
         ho = [0.0] * max(m - 1, 0)
@@ -121,17 +121,15 @@ def entropy_pass(problem: RiemannProblem, layout: BoundaryLayout, values, deriva
     return total, np.array(g), np.array(hd), np.array(ho)
 
 
-def entropy_value(
-    problem: RiemannProblem, layout: BoundaryLayout, values: Sequence[float]
-) -> float:
+def entropy_value(problem: RiemannProblem, values: Sequence[float]) -> float:
     """The objective at the m free positions ``values``, checked for feasibility."""
-    if len(values) != layout.m:
-        raise ValueError(f"expected {layout.m} free boundaries, got {len(values)}")
-    if layout.m == 0:
+    if len(values) != problem.m:
+        raise ValueError(f"expected {problem.m} free boundaries, got {len(values)}")
+    if problem.m == 0:
         raise ValueError("problem has no free boundaries (n = 0)")
     if not feasible_values(values):
         raise InfeasibleBoundariesError(f"boundaries must be strictly increasing and finite, got {values!r}")
-    return entropy_pass(problem, layout, values, derivatives=False)
+    return entropy_pass(problem, values, derivatives=False)
 
 
 def shift_constant(problem: RiemannProblem) -> float:
@@ -164,10 +162,10 @@ class SublevelBox:
     delta: float
 
 
-def sublevel_bounds(problem: RiemannProblem, layout: BoundaryLayout, c: float) -> SublevelBox:
+def sublevel_bounds(problem: RiemannProblem, c: float) -> SublevelBox:
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
-    n = layout.n
+    n = problem.n
     if n < 1:
         raise ValueError("sublevel bounds need at least one free boundary")
     weights = []

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .entropy import entropy_pass, feasible_values
-from .problem import BoundaryLayout, RiemannProblem
+from .problem import RiemannProblem
 from .special import heat_step_inverse
 
 
@@ -193,21 +193,21 @@ def damped_newton(
     )
 
 
-def initial_guess(problem: RiemannProblem, layout: BoundaryLayout) -> np.ndarray:
+def initial_guess(problem: RiemannProblem) -> np.ndarray:
     """Quantile start: slot j sits where the widest phase's profile would put
     the cumulative state fraction reached at that boundary."""
-    if layout.m < 1:
+    if problem.m < 1:
         raise ValueError("problem has no free boundaries (n = 0)")
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
     span = u[-1] - u[0]
     abar = max(a for a in cs if a > 0.0)
     fracs: dict[int, list[float]] = {}
-    for k in range(1, layout.n + 1):
-        fracs.setdefault(layout.slots[k - 1], []).append((u[k] - u[0]) / span)
+    for k in range(1, problem.n + 1):
+        fracs.setdefault(problem.slots[k - 1], []).append((u[k] - u[0]) / span)
     vals: list[float] = []
     min_gap = 1e-6 * abar
-    for j in range(layout.m):
+    for j in range(problem.m):
         f = fracs[j]
         guess = abar * heat_step_inverse(sum(f) / len(f))
         if vals and guess < vals[-1] + min_gap:
@@ -218,17 +218,16 @@ def initial_guess(problem: RiemannProblem, layout: BoundaryLayout) -> np.ndarray
 
 def minimize(
     problem: RiemannProblem,
-    layout: BoundaryLayout,
     options: SolveOptions | None = None,
     start: np.ndarray | None = None,
 ) -> NewtonOutcome:
     """Damped Newton on the objective from ``start`` (default ``initial_guess``)."""
-    x0 = initial_guess(problem, layout) if start is None else start
+    x0 = initial_guess(problem) if start is None else start
 
     def value_fn(x: np.ndarray) -> float:
-        return entropy_pass(problem, layout, x, derivatives=False)
+        return entropy_pass(problem, x, derivatives=False)
 
     def full_fn(x: np.ndarray):
-        return entropy_pass(problem, layout, x)
+        return entropy_pass(problem, x)
 
     return damped_newton(x0, value_fn, full_fn, feasible_values, options or SolveOptions())

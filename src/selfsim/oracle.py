@@ -23,7 +23,7 @@ import numpy as np
 
 from .entropy import entropy_value, sublevel_bounds
 from .optimizer import initial_guess
-from .problem import BoundaryLayout, RiemannProblem, diffusion_antiderivative
+from .problem import RiemannProblem, diffusion_antiderivative
 from .profile import SelfSimilarProfile
 from .special import log_heat_step_deriv, log_heat_step_diff
 
@@ -78,7 +78,7 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     a_max = max(problem.partition.coefficients)
     half_cells = int(math.ceil(HALFWIDTH_FACTOR * max(a_max, 1.0) * math.sqrt(t_final) / dx)) + 1
     x = (np.arange(2 * half_cells) - half_cells + 0.5) * dx
-    u = np.where(x < 0.0, problem.u_minus, problem.u_plus).astype(float)
+    u = np.where(x < 0.0, nodes[0], nodes[-1])  # the step from u_0 to u_{n+1}
     half_width = (half_cells - 0.5) * dx
     if a_max == 0.0:
         return FDGrid(half_width=half_width, dx=dx, dt=0.0, t_final=t_final, cells=u, steps=0)
@@ -95,7 +95,7 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
 @dataclass(frozen=True)
 class ProfileDistance:
     l1: float
-    l1_relative: float  # l1 over the mass the profile moved from the step
+    l1_relative: float  # l1 over the mass the profile moved from the step (0 when both vanish)
     linf_away_from_jumps: float
 
 
@@ -119,7 +119,8 @@ def compare_profiles(fd: FDGrid, profile: SelfSimilarProfile) -> ProfileDistance
     linf = float(np.max(diff[keep])) if np.any(keep) else 0.0
     return ProfileDistance(
         l1=l1,
-        l1_relative=l1 / mass if mass > 0.0 else math.inf,
+        # a profile that moved no mass is matched exactly or not at all
+        l1_relative=l1 / mass if mass > 0.0 else (math.inf if l1 > 0.0 else 0.0),
         linf_away_from_jumps=linf,
     )
 
@@ -131,7 +132,7 @@ class GridSearchResult:
     round_values: tuple[float, ...]  # best objective after each round
 
 
-def grid_search_min(problem: RiemannProblem, layout: BoundaryLayout) -> GridSearchResult:
+def grid_search_min(problem: RiemannProblem) -> GridSearchResult:
     """Derivative-free minimizer: scan a certified lattice, then refine.
 
     The first round enumerates every increasing tuple of lattice points
@@ -142,20 +143,20 @@ def grid_search_min(problem: RiemannProblem, layout: BoundaryLayout) -> GridSear
     is always a candidate, so round bests never increase.
     Intended as an oracle for m <= 3; the cost is exponential in m.
     """
-    m = layout.m
+    m = problem.m
     if m < 1:
         raise ValueError("problem has no free boundaries (n = 0)")
     if m > 3:
         raise ValueError(f"lattice search is limited to m <= 3, got m={m}")
 
-    best_x = tuple(initial_guess(problem, layout).tolist())
-    best_v = entropy_value(problem, layout, best_x)
-    radius = max(sublevel_bounds(problem, layout, best_v).radius, 1e-6)
+    best_x = tuple(initial_guess(problem).tolist())
+    best_v = entropy_value(problem, best_x)
+    radius = max(sublevel_bounds(problem, best_v).radius, 1e-6)
     step = radius / COARSE_CELLS
     k = int(math.ceil(radius / step))
     axis = step * np.arange(-k, k + 1)
     for combo in itertools.combinations(axis, m):
-        v = entropy_value(problem, layout, tuple(float(c) for c in combo))
+        v = entropy_value(problem, tuple(float(c) for c in combo))
         if v < best_v:
             best_v, best_x = v, tuple(float(c) for c in combo)
     round_values = [best_v]
@@ -166,7 +167,7 @@ def grid_search_min(problem: RiemannProblem, layout: BoundaryLayout) -> GridSear
         for combo in itertools.product(*axes):
             if any(combo[j + 1] <= combo[j] for j in range(m - 1)):
                 continue
-            v = entropy_value(problem, layout, tuple(float(c) for c in combo))
+            v = entropy_value(problem, tuple(float(c) for c in combo))
             if v < best_v:
                 best_v, best_x = v, tuple(float(c) for c in combo)
         round_values.append(best_v)

@@ -8,7 +8,9 @@ state interval and one diffusion coefficient a_k >= 0 per subinterval
 The self-similar solution carries one phase boundary per interior breakpoint.
 Boundaries enclosing an interior interval with a_k = 0 collapse onto each
 other, so the optimization sees fewer free variables than there are nominal
-boundaries; BoundaryLayout records that fusing.
+boundaries.  RiemannProblem is the solver-frame problem: the validated
+partition, the free-variable slot of each nominal boundary, and whether the
+caller's states were flipped to make them increase.
 """
 
 from __future__ import annotations
@@ -84,14 +86,6 @@ def require_valid(partition: PhasePartition) -> None:
         raise InvalidPartitionError(v.message)
 
 
-def reversed_partition(partition: PhasePartition) -> PhasePartition:
-    """The partition seen after the state reflection u -> -u."""
-    return PhasePartition(
-        breakpoints=tuple(-b for b in reversed(partition.breakpoints)),
-        coefficients=tuple(reversed(partition.coefficients)),
-    )
-
-
 def diffusion_antiderivative(partition: PhasePartition) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and values of A(u) = int_{u_0}^{u} a^2(s) ds.
 
@@ -106,23 +100,43 @@ def diffusion_antiderivative(partition: PhasePartition) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class RiemannProblem:
-    """Step data in the solver frame: u_minus < u_plus.
+    """Step data in the solver frame: states increase from u_0 to u_{n+1}.
 
+    The far-field states are the partition's end breakpoints.  ``slots[k-1]``
+    is the free-variable index (0-based) of nominal boundary k; the map is
+    nondecreasing and onto, and two consecutive boundaries share a slot
+    exactly when the interior interval between them carries zero diffusion.
     ``orientation_flipped`` records that the caller's states arrived in
     decreasing order; the equation is invariant under x -> -x, so downstream
     outputs un-flip by mirroring the profile.
     """
 
-    u_minus: float
-    u_plus: float
     partition: PhasePartition
-    orientation_flipped: bool = False
+    slots: tuple[int, ...]
+    orientation_flipped: bool
+
+    @property
+    def n(self) -> int:
+        """Number of nominal boundaries."""
+        return len(self.slots)
+
+    @property
+    def m(self) -> int:
+        """Number of free variables."""
+        return self.slots[-1] + 1 if self.slots else 0
+
+    def expand(self, values: tuple[float, ...]) -> tuple[float, ...]:
+        """Nominal boundary positions xi_1..xi_n from the m free values."""
+        if len(values) != self.m:
+            raise ValueError(f"expected {self.m} free values, got {len(values)}")
+        return tuple(values[j] for j in self.slots)
 
 
 def normalize_orientation(
     u_minus: float, u_plus: float, partition: PhasePartition
 ) -> RiemannProblem:
-    """Build a solver-frame problem from caller states in either order."""
+    """Validate a partition once and build its solver-frame problem from
+    caller states in either order."""
     if not (math.isfinite(u_minus) and math.isfinite(u_plus)):
         raise InvalidPartitionError("states must be finite")
     if u_minus == u_plus:
@@ -136,40 +150,9 @@ def normalize_orientation(
             f"partition must span [{lo!r}, {hi!r}], spans "
             f"[{partition.breakpoints[0]!r}, {partition.breakpoints[-1]!r}]"
         )
-    return RiemannProblem(
-        u_minus=lo,
-        u_plus=hi,
-        partition=partition,
-        orientation_flipped=u_plus < u_minus,
-    )
-
-
-@dataclass(frozen=True)
-class BoundaryLayout:
-    """Mapping from the n nominal boundaries to the m <= n free variables.
-
-    ``slots[k-1]`` is the free-variable index (0-based) of nominal boundary k.
-    The map is nondecreasing and onto; two consecutive boundaries share a slot
-    exactly when the interior interval between them carries zero diffusion.
-    """
-
-    n: int
-    m: int
-    slots: tuple[int, ...]
-
-    def expand(self, values: tuple[float, ...]) -> tuple[float, ...]:
-        """Nominal boundary positions xi_1..xi_n from the m free values."""
-        if len(values) != self.m:
-            raise ValueError(f"expected {self.m} free values, got {len(values)}")
-        return tuple(values[j] for j in self.slots)
-
-
-def build_layout(partition: PhasePartition) -> BoundaryLayout:
-    require_valid(partition)
-    n = partition.n
     cs = partition.coefficients
     slots: list[int] = []
-    for k in range(1, n + 1):
+    for k in range(1, partition.n + 1):
         if k == 1:
             slots.append(0)
         elif cs[k - 1] == 0.0:
@@ -177,5 +160,8 @@ def build_layout(partition: PhasePartition) -> BoundaryLayout:
             slots.append(slots[-1])
         else:
             slots.append(slots[-1] + 1)
-    m = (slots[-1] + 1) if slots else 0
-    return BoundaryLayout(n=n, m=m, slots=tuple(slots))
+    return RiemannProblem(
+        partition=partition,
+        slots=tuple(slots),
+        orientation_flipped=u_plus < u_minus,
+    )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
-from .problem import BoundaryLayout, RiemannProblem, diffusion_antiderivative
+from .problem import RiemannProblem, diffusion_antiderivative
 from .special import heat_step, heat_step_vec, log_heat_step_deriv, log_heat_step_diff
 
 _INF = math.inf
@@ -112,14 +112,19 @@ class SelfSimilarProfile:
             if a == 0.0
         )
 
+    def _phases_at(self, xi: float) -> tuple[int, int]:
+        # the phases left and right of xi: i < j on a boundary line, else i == j
+        if math.isnan(xi):
+            raise ValueError("xi must not be NaN")
+        return bisect_left(self.boundaries, xi), bisect_right(self.boundaries, xi)
+
     def limits(self, xi: float) -> tuple[float, float]:
         """One-sided values (left limit, right limit) at xi.
 
         On a boundary line both are the exact states there, so a continuous
         boundary never reads as a jump; inside a phase they coincide.
         """
-        i = bisect_left(self.boundaries, xi)
-        j = bisect_right(self.boundaries, xi)
+        i, j = self._phases_at(xi)
         if i < j:
             return self._sides(i, j)
         if self.coefficients[i] == 0.0:  # a constant tail, or the frozen step
@@ -130,8 +135,7 @@ class SelfSimilarProfile:
 
     def flux_limits(self, xi: float) -> tuple[float, float]:
         """One-sided values of a^2(v) v'(xi)."""
-        i = bisect_left(self.boundaries, xi)
-        j = bisect_right(self.boundaries, xi)
+        i, j = self._phases_at(xi)
         right = self._flux(j, xi)
         return (self._flux(i, xi) if i < j else right), right
 
@@ -162,12 +166,10 @@ class SelfSimilarProfile:
         )
 
 
-def build_profile(
-    problem: RiemannProblem, layout: BoundaryLayout, x: np.ndarray
-) -> SelfSimilarProfile:
+def build_profile(problem: RiemannProblem, x: np.ndarray) -> SelfSimilarProfile:
     """The profile of the m solved free positions ``x``, in the solver frame."""
     return SelfSimilarProfile(
-        boundaries=layout.expand(x.tolist()),
+        boundaries=problem.expand(x.tolist()),
         states=problem.partition.breakpoints,
         coefficients=problem.partition.coefficients,
     )
@@ -182,9 +184,9 @@ def eval_selfsimilar(profile: SelfSimilarProfile, xi: float):
 
 
 def eval_solution(profile: SelfSimilarProfile, t: float, x: float):
-    """u(t, x) = v(x / sqrt(t)) for t > 0."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    """u(t, x) = v(x / sqrt(t)) for 0 < t < inf."""
+    if not 0.0 < t < _INF:
+        raise ValueError(f"t must be positive and finite, got {t!r}")
     return eval_selfsimilar(profile, x / math.sqrt(t))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from selfsim.problem import PhasePartition, build_layout, normalize_orientation
+from selfsim.problem import PhasePartition, normalize_orientation
 
 
 def make_breakpoints(rng: np.random.Generator, phases: int, lo=-2.0, hi=3.0):
@@ -46,9 +46,7 @@ def make_problem(rng: np.random.Generator, phases: int, degenerate: str = "maybe
     bps = make_breakpoints(rng, phases)
     cs = make_coefficients(rng, phases, degenerate)
     part = PhasePartition(bps, cs)
-    problem = normalize_orientation(bps[0], bps[-1], part)
-    layout = build_layout(problem.partition)
-    return problem, layout
+    return normalize_orientation(bps[0], bps[-1], part)
 
 
 def part(n: int, seed: int, lo: float = 0.2, hi: float = 2.0):
@@ -57,7 +55,7 @@ def part(n: int, seed: int, lo: float = 0.2, hi: float = 2.0):
     n + 1 coefficients uniform in [lo, hi], each zeroed with probability
     0.2, then any coefficient equal to its left neighbour set to 0.5 (in
     order, so runs of zeros alternate with 0.5); breakpoints evenly spaced
-    on [0, 1].  Returns the problem for states 0 -> 1 and its layout.
+    on [0, 1].  Returns the solver-frame problem for states 0 -> 1.
     """
     rng = np.random.default_rng(seed)
     cs = rng.uniform(lo, hi, n + 1)
@@ -66,14 +64,14 @@ def part(n: int, seed: int, lo: float = 0.2, hi: float = 2.0):
         if cs[k] == cs[k - 1]:
             cs[k] = 0.5
     partition = PhasePartition(tuple(np.linspace(0.0, 1.0, n + 2).tolist()), tuple(cs.tolist()))
-    return normalize_orientation(0.0, 1.0, partition), build_layout(partition)
+    return normalize_orientation(0.0, 1.0, partition)
 
 
-def feasible_point(rng: np.random.Generator, layout, scale: float = 1.0):
+def feasible_point(rng: np.random.Generator, problem, scale: float = 1.0):
     """Random strictly increasing boundary values, as an array of m floats."""
-    steps = rng.uniform(0.05, 0.8, size=layout.m) * scale
+    steps = rng.uniform(0.05, 0.8, size=problem.m) * scale
     start = rng.uniform(-1.5, 0.5) * scale
-    return start + np.concatenate([[0.0], np.cumsum(steps[:-1])]) if layout.m > 1 else np.array([start])
+    return start + np.concatenate([[0.0], np.cumsum(steps[:-1])]) if problem.m > 1 else np.array([start])
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -16,9 +16,9 @@ import numpy as np
 from selfsim.special import log_heat_step_deriv, log_heat_step_diff
 
 
-def _full(layout, values):
+def _full(problem, values):
     # xi_0 .. xi_{n+1} with the infinite sentinels attached
-    return (-math.inf,) + layout.expand(tuple(values)) + (math.inf,)
+    return (-math.inf,) + problem.expand(tuple(values)) + (math.inf,)
 
 
 def _anchor(k, n):
@@ -30,11 +30,11 @@ def _anchor(k, n):
     return k
 
 
-def reference_value(problem, layout, values) -> float:
-    full = _full(layout, values)
+def reference_value(problem, values) -> float:
+    full = _full(problem, values)
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
-    n = layout.n
+    n = problem.n
     total = 0.0
     for k in range(n + 1):
         du = u[k + 1] - u[k]
@@ -47,12 +47,12 @@ def reference_value(problem, layout, values) -> float:
     return total
 
 
-def reference_shifted_value(problem, layout, values) -> float:
+def reference_shifted_value(problem, values) -> float:
     """The shifted objective, each live term written as -a^2 du ln(D a / du)."""
-    full = _full(layout, values)
+    full = _full(problem, values)
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
-    n = layout.n
+    n = problem.n
     total = 0.0
     for k in range(n + 1):
         du = u[k + 1] - u[k]
@@ -65,13 +65,13 @@ def reference_shifted_value(problem, layout, values) -> float:
     return total
 
 
-def reference_gradient(problem, layout, values) -> np.ndarray:
-    full = _full(layout, values)
+def reference_gradient(problem, values) -> np.ndarray:
+    full = _full(problem, values)
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
-    n = layout.n
-    slots = layout.slots
-    g = np.zeros(layout.m)
+    n = problem.n
+    slots = problem.slots
+    g = np.zeros(problem.m)
     for k in range(n + 1):
         du = u[k + 1] - u[k]
         a = cs[k]
@@ -90,14 +90,14 @@ def reference_gradient(problem, layout, values) -> np.ndarray:
     return g
 
 
-def reference_hessian(problem, layout, values) -> tuple[np.ndarray, np.ndarray]:
-    full = _full(layout, values)
+def reference_hessian(problem, values) -> tuple[np.ndarray, np.ndarray]:
+    full = _full(problem, values)
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
-    n = layout.n
-    slots = layout.slots
-    hd = np.zeros(layout.m)
-    ho = np.zeros(max(layout.m - 1, 0))
+    n = problem.n
+    slots = problem.slots
+    hd = np.zeros(problem.m)
+    ho = np.zeros(max(problem.m - 1, 0))
     for k in range(n + 1):
         du = u[k + 1] - u[k]
         a = cs[k]

@@ -21,7 +21,7 @@ from selfsim.continuum import (
 from selfsim.entropy import entropy_pass, entropy_value, shift_constant, sublevel_bounds
 from selfsim.optimizer import initial_guess, minimize
 from selfsim.oracle import compare_profiles, fd_solve, grid_search_min, stefan_bisection
-from selfsim.problem import build_layout, normalize_orientation
+from selfsim.problem import normalize_orientation
 from selfsim.profile import build_profile, jump_residuals
 from selfsim.special import heat_step, heat_step_inverse
 
@@ -33,8 +33,7 @@ SEED = 20260817
 
 def _problem(breakpoints, coefficients):
     part = PhasePartition(breakpoints=breakpoints, coefficients=coefficients)
-    prob = normalize_orientation(breakpoints[0], breakpoints[-1], part)
-    return prob, build_layout(part)
+    return normalize_orientation(breakpoints[0], breakpoints[-1], part)
 
 
 def _sample_points(rng, count):
@@ -47,11 +46,11 @@ def _sample_points(rng, count):
     ]
     out = []
     for bps, cs in fixed:
-        prob, layout = _problem(bps, cs)
-        out.append((prob, layout, feasible_point(rng, layout)))
+        prob = _problem(bps, cs)
+        out.append((prob, feasible_point(rng, prob)))
     while len(out) < count:
-        problem, layout = make_problem(rng, phases=int(rng.integers(2, 8)))
-        out.append((problem, layout, feasible_point(rng, layout)))
+        problem = make_problem(rng, phases=int(rng.integers(2, 8)))
+        out.append((problem, feasible_point(rng, problem)))
     return out
 
 
@@ -76,9 +75,9 @@ def test_criterion_02_gradient_matches_finite_differences(record_property):
         "to 1e-6 relative at 100 random feasible points",
     )
     rng = np.random.default_rng(SEED)
-    for problem, layout, point in _sample_points(rng, 100):
-        gradient = entropy_pass(problem, layout, point)[1]
-        fd = fd_gradient(lambda vals: entropy_value(problem, layout, vals), point)
+    for problem, point in _sample_points(rng, 100):
+        gradient = entropy_pass(problem, point)[1]
+        fd = fd_gradient(lambda vals: entropy_value(problem, vals), point)
         scale = max(1.0, float(np.max(np.abs(gradient))))
         assert np.max(np.abs(fd - gradient)) <= 1e-6 * scale
 
@@ -90,11 +89,11 @@ def test_criterion_03_hessian_positive_definite(record_property):
         "matches finite differences to 1e-5 at 100 random feasible points",
     )
     rng = np.random.default_rng(SEED + 1)
-    for problem, layout, point in _sample_points(rng, 100):
-        dense = dense_hessian(*entropy_pass(problem, layout, point)[2:])
+    for problem, point in _sample_points(rng, 100):
+        dense = dense_hessian(*entropy_pass(problem, point)[2:])
         assert np.array_equal(dense, dense.T)
         assert float(np.min(np.linalg.eigvalsh(dense))) > 0.0
-        fd = fd_hessian(lambda vals: entropy_value(problem, layout, vals), point)
+        fd = fd_hessian(lambda vals: entropy_value(problem, vals), point)
         scale = max(1.0, float(np.max(np.abs(dense))))
         assert np.max(np.abs(fd - dense)) <= 1e-5 * scale
 
@@ -115,11 +114,11 @@ def test_criterion_04_stationarity_equals_jump_conditions(record_property):
         sol = solve_riemann(bps[0], bps[-1], PhasePartition(bps, cs))
         assert sol.converged
         assert all(abs(rec.rh_residual) <= 1e-9 for rec in sol.jumps)
-        values = minimize(sol.problem, sol.layout).x
-        for slot in range(sol.layout.m):
+        values = minimize(sol.problem).x
+        for slot in range(sol.problem.m):
             bumped = values.copy()
             bumped[slot] += 1e-2
-            profile = build_profile(sol.problem, sol.layout, bumped)
+            profile = build_profile(sol.problem, bumped)
             records = jump_residuals(sol.problem, profile)
             hit = [rec for rec in records if rec.slot == slot]
             assert hit and all(abs(rec.rh_residual) > 1e-4 for rec in hit)
@@ -132,15 +131,15 @@ def test_criterion_05_oracle_equivalence(record_property):
         "and with interface bisection (1e-9)",
     )
     for bps, cs in [((0.0, 1.0, 2.0), (1.0, 2.0)), ((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))]:
-        prob, layout = _problem(bps, cs)
-        lattice = grid_search_min(prob, layout)
-        newton = minimize(prob, layout)
+        prob = _problem(bps, cs)
+        lattice = grid_search_min(prob)
+        newton = minimize(prob)
         for a, b in zip(lattice.minimizer, newton.x):
             assert abs(a - b) <= 1e-4
     for cs in [(0.0, 1.0), (1.0, 0.0)]:
-        prob, layout = _problem((0.0, 1.0, 2.0), cs)
+        prob = _problem((0.0, 1.0, 2.0), cs)
         front = stefan_bisection(prob)
-        newton = minimize(prob, layout)
+        newton = minimize(prob)
         assert abs(front - newton.x[0]) <= 1e-9
 
 
@@ -155,11 +154,11 @@ def test_criterion_06_restarts_agree(record_property):
         ((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0)),
         ((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0)),
     ]:
-        prob, layout = _problem(bps, cs)
+        prob = _problem(bps, cs)
         solutions = []
         for _ in range(10):
-            start = feasible_point(rng, layout)
-            result = minimize(prob, layout, start=start)
+            start = feasible_point(rng, prob)
+            result = minimize(prob, start=start)
             assert result.converged
             solutions.append(result.x)
         stacked = np.vstack(solutions)
@@ -173,15 +172,15 @@ def test_criterion_07_sublevel_box_contains_sublevel_set(record_property):
         "reaches the starting objective level",
     )
     for bps, cs in [((0.0, 1.0, 2.0), (1.0, 2.0)), ((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 0.5))]:
-        prob, layout = _problem(bps, cs)
-        start = initial_guess(prob, layout)
-        level = entropy_value(prob, layout, start)
-        box = sublevel_bounds(prob, layout, level)
+        prob = _problem(bps, cs)
+        start = initial_guess(prob)
+        level = entropy_value(prob, start)
+        box = sublevel_bounds(prob, level)
         axis = np.linspace(-3.0 * box.radius, 3.0 * box.radius, 41)
-        for combo in itertools.combinations(axis, layout.m):
+        for combo in itertools.combinations(axis, prob.m):
             if all(abs(v) <= box.radius for v in combo):
                 continue  # inside the box: no claim to check
-            value = entropy_value(prob, layout, combo)
+            value = entropy_value(prob, combo)
             assert value > level - 1e-12
 
 
@@ -192,7 +191,7 @@ def test_criterion_08_pde_cross_validation(record_property):
         "dx=0.01, ratio >= 1.5 under halving, under 60 s)",
     )
     begun = time.monotonic()
-    prob, _ = _problem((0.0, 1.0, 2.0), (1.0, 2.0))
+    prob = _problem((0.0, 1.0, 2.0), (1.0, 2.0))
     sol = solve_riemann(0.0, 2.0, prob.partition)
     dists = [
         compare_profiles(fd_solve(prob, 1.0, dx), sol.profile) for dx in (0.02, 0.01)
@@ -256,20 +255,20 @@ def test_criterion_11_shifted_objective(record_property):
         ((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0)),
         ((0.0, 1.0, 2.0), (0.0, 1.0)),
     ]:
-        prob, layout = _problem(bps, cs)
+        prob = _problem(bps, cs)
         offsets = []
         for _ in range(10):
-            point = feasible_point(rng, layout)
-            raw = entropy_value(prob, layout, point)
-            shifted = reference_shifted_value(prob, layout, point)
+            point = feasible_point(rng, prob)
+            raw = entropy_value(prob, point)
+            shifted = reference_shifted_value(prob, point)
             offsets.append(shifted - raw)
         spread = max(offsets) - min(offsets)
         assert spread <= 1e-12 * max(1.0, abs(offsets[0]))
         assert offsets[0] == pytest.approx(shift_constant(prob), rel=1e-12, abs=1e-12)
         # a constant offset cannot move the minimizer: the shifted objective
         # is stationary exactly where the raw one is
-        result = minimize(prob, layout)
-        fd = fd_gradient(lambda vals: reference_shifted_value(prob, layout, vals), result.x)
+        result = minimize(prob)
+        fd = fd_gradient(lambda vals: reference_shifted_value(prob, vals), result.x)
         assert np.max(np.abs(fd)) <= 1e-6
 
 

@@ -179,6 +179,20 @@ def test_validate_reports_small_errors(tmp_path):
     assert float(rows[0][2]) > float(rows[1][2])  # l1 shrinks with dx
 
 
+def test_validate_frozen_step_reports_zero_relative_error(tmp_path):
+    # a frozen step moves no mass; the FD grid matches it exactly, so the
+    # relative error is 0, not 0 / 0 = inf
+    config_path = tmp_path / "frozen.cfg"
+    config_path.write_text(
+        "u_minus = 1\nu_plus = 3\nbreakpoints = []\ncoefficients = [0]\n", encoding="utf-8"
+    )
+    code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "f_")])
+    assert code == 0
+    header, rows = _read_rows(tmp_path / "f_validate.csv")
+    assert [r[header.index("l1")] for r in rows] == ["0.0", "0.0"]
+    assert [r[header.index("l1_relative")] for r in rows] == ["0.0", "0.0"]
+
+
 def test_continuum_emits_refinement_table(tmp_path):
     table = tmp_path / "ramp.csv"
     table.write_text(

@@ -9,21 +9,41 @@ from selfsim import solve_riemann
 from selfsim.continuum import (
     DiffusionFunction,
     InverseProfile,
+    _cell_data,
     convergence_study,
     discretize,
     euler_lagrange_residual,
     minimize_variational_cost,
     variational_cost,
-    variational_cost_kernel_form,
 )
 from selfsim.problem import validate
-from selfsim.special import heat_step_inverse
+from selfsim.special import heat_step_inverse, log_heat_step_deriv
 
 from conftest import fd_hessian
 
 UNIT = DiffusionFunction.from_callable(lambda u: 1.0, 0.0, 1.0)
 LINEAR = DiffusionFunction.from_callable(lambda u: 1.0 + u, 0.0, 1.0)
 RAMP = DiffusionFunction.from_callable(lambda u: max(0.0, 2.0 * u - 1.0), 0.0, 1.0)
+
+
+def variational_cost_kernel_form(f: DiffusionFunction, profile: InverseProfile) -> float:
+    """The same functional before the kernel's square is expanded.
+
+    Per nondegenerate cell: -a^2 ln( H'(xi_mid / a) * slope ) du, with the
+    quadratic position term only on degenerate cells.  Differs from
+    ``variational_cost`` by exactly ln(2 sqrt(pi)) * sum_{a>0} a^2 du — the
+    kernel's normalization prefactor — and nothing else.
+    """
+    _, xi, du, gap, a = _cell_data(f, profile)
+    mid = 0.5 * (xi[:-1] + xi[1:])
+    total = 0.0
+    for j in range(du.size):
+        if a[j] > 0.0:
+            log_slope = math.log(gap[j] / du[j])
+            total -= a[j] ** 2 * (log_heat_step_deriv(mid[j] / a[j]) + log_slope) * du[j]
+        else:
+            total += 0.25 * mid[j] * mid[j] * du[j]
+    return total
 
 
 def _exact_heat_inverse(u):

@@ -20,7 +20,7 @@ from selfsim.entropy import (
     sublevel_bounds,
 )
 from selfsim.optimizer import initial_guess, minimize
-from selfsim.problem import PhasePartition, build_layout, normalize_orientation
+from selfsim.problem import PhasePartition, normalize_orientation
 from selfsim.special import heat_step, heat_step_deriv, heat_step_inverse
 
 from conftest import dense_hessian, fd_gradient, fd_hessian, feasible_point, make_problem
@@ -37,41 +37,40 @@ LEFT_DEGENERATE = PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
 
 
 def problem_of(part):
-    prob = normalize_orientation(part.breakpoints[0], part.breakpoints[-1], part)
-    return prob, build_layout(part)
+    return normalize_orientation(part.breakpoints[0], part.breakpoints[-1], part)
 
 
 def test_two_phase_hand_value():
-    prob, lay = problem_of(TWO_PHASE)
+    prob = problem_of(TWO_PHASE)
     xi = (0.0,)
     # -1*1*ln(1-F(0)) - 4*1*ln(F(0)-0) = ln 2 + 4 ln 2
-    assert entropy_value(prob, lay, xi) == pytest.approx(5.0 * math.log(2.0), rel=1e-15)
+    assert entropy_value(prob, xi) == pytest.approx(5.0 * math.log(2.0), rel=1e-15)
 
 
 def test_degenerate_edge_hand_value():
-    prob, lay = problem_of(LEFT_DEGENERATE)
+    prob = problem_of(LEFT_DEGENERATE)
     xi = (1.0,)
     expected = 0.25 - math.log(1.0 - heat_step(1.0))
-    assert entropy_value(prob, lay, xi) == pytest.approx(expected, rel=1e-14)
+    assert entropy_value(prob, xi) == pytest.approx(expected, rel=1e-14)
 
 
 def test_rejects_infeasible_points():
     part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
-    prob, lay = problem_of(part)
+    prob = problem_of(part)
     with pytest.raises(InfeasibleBoundariesError):
-        entropy_value(prob, lay, (0.5, 0.5))
+        entropy_value(prob, (0.5, 0.5))
     with pytest.raises(InfeasibleBoundariesError):
-        entropy_value(prob, lay, (1.0, -1.0))
+        entropy_value(prob, (1.0, -1.0))
 
 
 def test_gradient_matches_finite_differences(rng):
     checked = 0
     while checked < 100:
         phases = int(rng.integers(2, 8))
-        prob, lay = make_problem(rng, phases)
-        xi = feasible_point(rng, lay)
-        g = entropy_pass(prob, lay, xi)[1]
-        fd = fd_gradient(lambda v: entropy_value(prob, lay, v), xi)
+        prob = make_problem(rng, phases)
+        xi = feasible_point(rng, prob)
+        g = entropy_pass(prob, xi)[1]
+        fd = fd_gradient(lambda v: entropy_value(prob, v), xi)
         scale = np.maximum(np.abs(g), 1.0)
         assert np.max(np.abs((np.asarray(g) - fd) / scale)) <= 1e-6
         checked += 1
@@ -81,13 +80,13 @@ def test_hessian_matches_finite_differences(rng):
     checked = 0
     while checked < 100:
         phases = int(rng.integers(2, 8))
-        prob, lay = make_problem(rng, phases)
-        xi = feasible_point(rng, lay)
-        hd, ho = entropy_pass(prob, lay, xi)[2:]
+        prob = make_problem(rng, phases)
+        xi = feasible_point(rng, prob)
+        hd, ho = entropy_pass(prob, xi)[2:]
         H = dense_hessian(hd, ho)
         assert np.allclose(H, H.T)
         assert np.min(np.linalg.eigvalsh(H)) > 0.0
-        fd = fd_hessian(lambda v: entropy_value(prob, lay, v), xi)
+        fd = fd_hessian(lambda v: entropy_value(prob, v), xi)
         scale = max(1.0, float(np.max(np.abs(H))))
         assert np.max(np.abs(H - fd)) / scale <= 1e-5
         checked += 1
@@ -95,9 +94,9 @@ def test_hessian_matches_finite_differences(rng):
 
 def test_gradient_is_flux_mismatch_nondegenerate():
     # direct transcription of the interior matching condition for n=1
-    prob, lay = problem_of(TWO_PHASE)
+    prob = problem_of(TWO_PHASE)
     for x in (-1.3, -0.4, 0.0, 0.9):
-        g = entropy_pass(prob, lay, (x,))[1]
+        g = entropy_pass(prob, (x,))[1]
         # phase left of the boundary spans the kernel mass F(x/a0) - 0,
         # phase right of it spans 1 - F(x/a1)
         left = 1.0 * 1.0 * heat_step_deriv(x / 1.0) / heat_step(x / 1.0)
@@ -107,9 +106,9 @@ def test_gradient_is_flux_mismatch_nondegenerate():
 
 def test_gradient_is_flux_mismatch_two_boundaries():
     part = PhasePartition((0.0, 1.0, 3.0, 4.0), (1.0, 0.5, 2.0))
-    prob, lay = problem_of(part)
+    prob = problem_of(part)
     x1, x2 = -0.7, 0.6
-    g = entropy_pass(prob, lay, (x1, x2))[1]
+    g = entropy_pass(prob, (x1, x2))[1]
     du = (1.0, 2.0, 1.0)
     a = (1.0, 0.5, 2.0)
     f0 = heat_step(x1 / a[0]) - 0.0
@@ -122,9 +121,9 @@ def test_gradient_is_flux_mismatch_two_boundaries():
 
 
 def test_gradient_is_stefan_relation_at_degenerate_edge():
-    prob, lay = problem_of(LEFT_DEGENERATE)
+    prob = problem_of(LEFT_DEGENERATE)
     for x in (-1.0, 0.2, 1.4):
-        g = entropy_pass(prob, lay, (x,))[1]
+        g = entropy_pass(prob, (x,))[1]
         # quadratic edge term plus the one-sided flux of the live phase
         direct = 1.0 * x / 2.0 + 1.0 * 1.0 * heat_step_deriv(x) / (1.0 - heat_step(x))
         assert g[0] == pytest.approx(direct, abs=1e-12)
@@ -132,10 +131,10 @@ def test_gradient_is_stefan_relation_at_degenerate_edge():
 
 def test_gradient_is_merged_relation_at_inner_interval():
     part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
-    prob, lay = problem_of(part)
-    assert lay.m == 1
+    prob = problem_of(part)
+    assert prob.m == 1
     for x in (-0.9, 0.1, 0.8):
-        g = entropy_pass(prob, lay, (x,))[1]
+        g = entropy_pass(prob, (x,))[1]
         left = 1.0 * 1.0 * heat_step_deriv(x / 1.0) / heat_step(x / 1.0)
         right = 2.0 * 1.0 * heat_step_deriv(x / 2.0) / (1.0 - heat_step(x / 2.0))
         direct = right - left + 1.0 * x / 2.0
@@ -143,9 +142,9 @@ def test_gradient_is_merged_relation_at_inner_interval():
 
 
 def test_degenerate_scalar_hessian_formula():
-    prob, lay = problem_of(LEFT_DEGENERATE)
+    prob = problem_of(LEFT_DEGENERATE)
     x = 0.7
-    hd, ho = entropy_pass(prob, lay, (x,))[2:]
+    hd, ho = entropy_pass(prob, (x,))[2:]
     assert ho.size == 0
     r = heat_step_deriv(x) / (1.0 - heat_step(x))
     # scalar objective x^2/4 - ln(1 - F(x)); second derivative is
@@ -158,21 +157,21 @@ def test_degenerate_scalar_hessian_formula():
 def test_shifted_entropy_differs_by_constant(rng):
     for _ in range(5):
         phases = int(rng.integers(2, 7))
-        prob, lay = make_problem(rng, phases)
+        prob = make_problem(rng, phases)
         const = shift_constant(prob)
         diffs = []
         for _ in range(10):
-            xi = feasible_point(rng, lay)
-            diffs.append(reference_shifted_value(prob, lay, xi) - entropy_value(prob, lay, xi))
+            xi = feasible_point(rng, prob)
+            diffs.append(reference_shifted_value(prob, xi) - entropy_value(prob, xi))
         assert np.max(np.abs(np.asarray(diffs) - const)) <= 1e-12 * max(1.0, abs(const))
 
 
 def test_shifted_entropy_same_argmin():
-    prob, lay = problem_of(TWO_PHASE)
-    res = minimize(prob, lay)
+    prob = problem_of(TWO_PHASE)
+    res = minimize(prob)
     # stationarity of E at the E1 argmin and vice versa is the same condition
-    assert np.max(np.abs(entropy_pass(prob, lay, res.x)[1])) <= 1e-9
-    assert reference_shifted_value(prob, lay, res.x) == pytest.approx(
+    assert np.max(np.abs(entropy_pass(prob, res.x)[1])) <= 1e-9
+    assert reference_shifted_value(prob, res.x) == pytest.approx(
         res.value + shift_constant(prob), rel=1e-14
     )
 
@@ -184,9 +183,9 @@ def test_shifted_entropy_bounded_under_refinement():
     raw, shifted = [], []
     for N in (2, 4, 8, 16):
         part = discretize(f, N)
-        prob, lay = problem_of(part)
-        xi = tuple(heat_step_inverse((k + 1.0) / N) for k in range(lay.m))
-        raw.append(entropy_value(prob, lay, xi))
+        prob = problem_of(part)
+        xi = tuple(heat_step_inverse((k + 1.0) / N) for k in range(prob.m))
+        raw.append(entropy_value(prob, xi))
         shifted.append(raw[-1] + shift_constant(prob))
     assert raw[-1] > raw[0] + 1.5  # ~ log 16 - log 2
     assert all(b > a for a, b in zip(raw, raw[1:]))
@@ -196,9 +195,9 @@ def test_shifted_entropy_bounded_under_refinement():
 def test_entropy_positive(rng):
     for _ in range(100):
         phases = int(rng.integers(2, 8))
-        prob, lay = make_problem(rng, phases)
-        xi = feasible_point(rng, lay)
-        assert entropy_value(prob, lay, xi) > 0.0
+        prob = make_problem(rng, phases)
+        xi = feasible_point(rng, prob)
+        assert entropy_value(prob, xi) > 0.0
 
 
 @given(st.integers(0, 10_000), st.floats(0.05, 0.95))
@@ -206,24 +205,24 @@ def test_entropy_positive(rng):
 def test_convex_along_segments(seed, t):
     rng = np.random.default_rng(seed)
     phases = int(rng.integers(2, 7))
-    prob, lay = make_problem(rng, phases)
-    x = feasible_point(rng, lay)
-    y = feasible_point(rng, lay)
+    prob = make_problem(rng, phases)
+    x = feasible_point(rng, prob)
+    y = feasible_point(rng, prob)
     if np.allclose(x, y):
         y = y + 0.3
     mid = t * x + (1.0 - t) * y
     if not feasible_values(mid):
         return
-    e_mid = entropy_value(prob, lay, mid)
-    e_x = entropy_value(prob, lay, x)
-    e_y = entropy_value(prob, lay, y)
+    e_mid = entropy_value(prob, mid)
+    e_x = entropy_value(prob, x)
+    e_y = entropy_value(prob, y)
     assert e_mid <= t * e_x + (1.0 - t) * e_y + 1e-12
 
 
 def test_not_translation_invariant():
-    prob, lay = problem_of(TWO_PHASE)
-    a = entropy_value(prob, lay, (0.3,))
-    b = entropy_value(prob, lay, (0.4,))
+    prob = problem_of(TWO_PHASE)
+    a = entropy_value(prob, (0.3,))
+    b = entropy_value(prob, (0.4,))
     assert a != b
 
 
@@ -242,22 +241,22 @@ def test_fused_pass_bit_identical_to_reference(seed, zeros, center, spread):
         "right edge": (phases - 1,),
         "inner": (int(rng.integers(1, phases - 1)),) if phases > 2 else (0,),
     }.get(zeros, zeros)
-    prob, lay = make_problem(rng, phases, degenerate)
+    prob = make_problem(rng, phases, degenerate)
     # positions in [center - spread, center + spread] clipped to [-30, 30],
     # in units of the smallest live coefficient: |xi / a| reaches 30
     a_min = min(a for a in prob.partition.coefficients if a > 0.0)
     lo = max(center - spread, -30.0)
     hi = min(center + spread, 30.0)
-    values = a_min * np.sort(rng.uniform(lo, hi, lay.m))
+    values = a_min * np.sort(rng.uniform(lo, hi, prob.m))
     assume(feasible_values(values))
     point = tuple(values.tolist())
 
-    value, grad, hd, ho = entropy_pass(prob, lay, values)
-    ref_hd, ref_ho = reference_hessian(prob, lay, point)
+    value, grad, hd, ho = entropy_pass(prob, values)
+    ref_hd, ref_ho = reference_hessian(prob, point)
     bits = np.float64(value).tobytes()
-    assert bits == np.float64(reference_value(prob, lay, point)).tobytes()
-    assert bits == np.float64(entropy_pass(prob, lay, values, derivatives=False)).tobytes()
-    assert grad.tobytes() == reference_gradient(prob, lay, point).tobytes()
+    assert bits == np.float64(reference_value(prob, point)).tobytes()
+    assert bits == np.float64(entropy_pass(prob, values, derivatives=False)).tobytes()
+    assert grad.tobytes() == reference_gradient(prob, point).tobytes()
     assert hd.tobytes() == ref_hd.tobytes()
     assert ho.tobytes() == ref_ho.tobytes()
 
@@ -265,13 +264,13 @@ def test_fused_pass_bit_identical_to_reference(seed, zeros, center, spread):
 def test_sublevel_box_contains_sublevel_points(rng):
     for _ in range(20):
         phases = int(rng.integers(2, 6))
-        prob, lay = make_problem(rng, phases)
-        start = initial_guess(prob, lay)
-        c = entropy_value(prob, lay, start)
-        box = sublevel_bounds(prob, lay, c)
+        prob = make_problem(rng, phases)
+        start = initial_guess(prob)
+        c = entropy_value(prob, start)
+        box = sublevel_bounds(prob, c)
         for _ in range(25):
-            xi = feasible_point(rng, lay, scale=rng.uniform(0.5, 4.0))
-            if entropy_value(prob, lay, xi) <= c:
+            xi = feasible_point(rng, prob, scale=rng.uniform(0.5, 4.0))
+            if entropy_value(prob, xi) <= c:
                 v = np.asarray(xi)
                 assert np.max(np.abs(v)) <= box.radius + 1e-12
                 if v.size > 1:
@@ -279,11 +278,11 @@ def test_sublevel_box_contains_sublevel_points(rng):
 
 
 def test_sublevel_radius_monotone_in_level():
-    prob, lay = problem_of(TWO_PHASE)
-    start = initial_guess(prob, lay)
-    c = entropy_value(prob, lay, start)
-    r_small = sublevel_bounds(prob, lay, 0.5 * c).radius
-    r_big = sublevel_bounds(prob, lay, c).radius
+    prob = problem_of(TWO_PHASE)
+    start = initial_guess(prob)
+    c = entropy_value(prob, start)
+    r_small = sublevel_bounds(prob, 0.5 * c).radius
+    r_big = sublevel_bounds(prob, c).radius
     assert 0.0 < r_small <= r_big
 
 
@@ -295,13 +294,13 @@ def test_sublevel_radius_monotone_in_level():
     ],
 )
 def test_sublevel_scan_finds_nothing_outside_box(part):
-    prob, lay = problem_of(part)
-    start = initial_guess(prob, lay)
-    c = entropy_value(prob, lay, start)
-    box = sublevel_bounds(prob, lay, c)
+    prob = problem_of(part)
+    start = initial_guess(prob)
+    c = entropy_value(prob, start)
+    box = sublevel_bounds(prob, c)
     r = box.radius
     lattice = np.linspace(-3.0 * r, 3.0 * r, 31)
-    if lay.m == 1:
+    if prob.m == 1:
         points = [(x,) for x in lattice]
     else:
         points = [(x, y) for x in lattice for y in lattice if x < y]
@@ -311,5 +310,5 @@ def test_sublevel_scan_finds_nothing_outside_box(part):
             continue
         outside += 1
         if feasible_values(p):
-            assert entropy_value(prob, lay, p) > c
+            assert entropy_value(prob, p) > c
     assert outside > 0

@@ -19,7 +19,7 @@ from selfsim.optimizer import (
     solve_spd_tridiagonal,
 )
 from selfsim.oracle import stefan_bisection
-from selfsim.problem import build_layout, normalize_orientation
+from selfsim.problem import normalize_orientation
 
 from conftest import dense_hessian, feasible_point, make_problem, part
 
@@ -30,27 +30,26 @@ TWO_PHASE_XI = -0.8694313298425024
 
 
 def problem_of(part):
-    prob = normalize_orientation(part.breakpoints[0], part.breakpoints[-1], part)
-    return prob, build_layout(part)
+    return normalize_orientation(part.breakpoints[0], part.breakpoints[-1], part)
 
 
 def test_initial_guess_centered_two_phase():
-    prob, lay = problem_of(TWO_PHASE)
-    assert initial_guess(prob, lay).tolist() == [0.0]
+    prob = problem_of(TWO_PHASE)
+    assert initial_guess(prob).tolist() == [0.0]
 
 
 def test_initial_guess_always_feasible(rng):
     for _ in range(1000):
         phases = int(rng.integers(2, 10))
-        prob, lay = make_problem(rng, phases)
-        guess = initial_guess(prob, lay)
+        prob = make_problem(rng, phases)
+        guess = initial_guess(prob)
         assert feasible_values(guess)
-        assert len(guess) == lay.m
+        assert len(guess) == prob.m
 
 
 def test_two_phase_minimizer_regression():
-    prob, lay = problem_of(TWO_PHASE)
-    res = minimize(prob, lay)
+    prob = problem_of(TWO_PHASE)
+    res = minimize(prob)
     assert res.converged
     assert res.x[0] == pytest.approx(TWO_PHASE_XI, abs=1e-12)
     assert res.grad_norm <= 1e-12
@@ -58,8 +57,8 @@ def test_two_phase_minimizer_regression():
 
 
 def test_trace_descends():
-    prob, lay = problem_of(TWO_PHASE)
-    res = minimize(prob, lay)
+    prob = problem_of(TWO_PHASE)
+    res = minimize(prob)
     vals = [r.value for r in res.records]
     noise = 4.0 * np.finfo(float).eps * (1.0 + abs(vals[-1]))
     for a, b in zip(vals, vals[1:]):
@@ -71,8 +70,8 @@ def test_trace_descends():
 
 
 def test_fast_tail_convergence():
-    prob, lay = problem_of(TWO_PHASE)
-    res = minimize(prob, lay)
+    prob = problem_of(TWO_PHASE)
+    res = minimize(prob)
     gnorms = [r.grad_norm for r in res.records]
     assert any(
         prev > 1e-9 and nxt <= prev / 1e3 for prev, nxt in zip(gnorms, gnorms[1:])
@@ -80,22 +79,22 @@ def test_fast_tail_convergence():
 
 
 def test_reflection_pair():
-    prob, lay = problem_of(TWO_PHASE)
-    xi = minimize(prob, lay).x
+    prob = problem_of(TWO_PHASE)
+    xi = minimize(prob).x
     mirrored = PhasePartition((0.0, 1.0, 2.0), (2.0, 1.0))
-    prob_m, lay_m = problem_of(mirrored)
-    xi_m = minimize(prob_m, lay_m).x
+    prob_m = problem_of(mirrored)
+    xi_m = minimize(prob_m).x
     assert xi_m[0] == pytest.approx(-xi[0], abs=1e-10)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
 def test_scale_covariance(lam):
     part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
-    prob, lay = problem_of(part)
-    base = minimize(prob, lay).x
+    prob = problem_of(part)
+    base = minimize(prob).x
     scaled_part = PhasePartition(part.breakpoints, tuple(lam * a for a in part.coefficients))
-    prob_s, lay_s = problem_of(scaled_part)
-    scaled = minimize(prob_s, lay_s).x
+    prob_s = problem_of(scaled_part)
+    scaled = minimize(prob_s).x
     assert np.max(np.abs(scaled - lam * base)) <= 1e-8 * max(1.0, lam)
 
 
@@ -109,25 +108,25 @@ def test_scale_covariance(lam):
     ],
 )
 def test_restarts_agree(part, rng):
-    prob, lay = problem_of(part)
-    reference = minimize(prob, lay).x
+    prob = problem_of(part)
+    reference = minimize(prob).x
     for _ in range(10):
-        start = feasible_point(rng, lay)
-        res = minimize(prob, lay, start=start)
+        start = feasible_point(rng, prob)
+        res = minimize(prob, start=start)
         assert res.converged
         assert np.max(np.abs(res.x - reference)) <= 1e-9
 
 
 def test_degenerate_edge_matches_scalar_bisection():
     part = PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
-    prob, lay = problem_of(part)
-    newton = minimize(prob, lay).x[0]
+    prob = problem_of(part)
+    newton = minimize(prob).x[0]
     assert newton == pytest.approx(stefan_bisection(prob), abs=1e-10)
 
 
 def test_non_convergence_reported():
-    prob, lay = problem_of(TWO_PHASE)
-    res = minimize(prob, lay, options=SolveOptions(max_iters=1))
+    prob = problem_of(TWO_PHASE)
+    res = minimize(prob, options=SolveOptions(max_iters=1))
     assert not res.converged
     assert res.stop_reason == "max_iters"
     assert res.iterations == 1
@@ -135,8 +134,8 @@ def test_non_convergence_reported():
 
 
 def test_stop_reason_gradient():
-    prob, lay = problem_of(TWO_PHASE)
-    res = minimize(prob, lay, options=SolveOptions(grad_tol=1e-3))
+    prob = problem_of(TWO_PHASE)
+    res = minimize(prob, options=SolveOptions(grad_tol=1e-3))
     assert res.converged
     assert res.stop_reason == "gradient"
     assert res.grad_norm <= 1e-3 * max(1.0, res.records[0].grad_norm)
@@ -243,10 +242,10 @@ def test_stop_reason_no_progress():
 def test_converges_at_the_rounding_floor(n, seed):
     # rounding keeps |g| of these near 1e-11..1e-13, above the default
     # gradient threshold, so only the decrement stop can certify them
-    prob, lay = part(n, seed)
-    res = minimize(prob, lay)
+    prob = part(n, seed)
+    res = minimize(prob)
     assert res.converged, (res.stop_reason, res.grad_norm)
-    g = entropy_pass(prob, lay, res.x)[1]
+    g = entropy_pass(prob, res.x)[1]
     assert np.max(np.abs(g)) <= 1e-9
 
 
@@ -256,18 +255,18 @@ def test_value_evaluations_bounded_by_iterations():
     over = []
     for n in range(1, 9):
         for seed in range(32):
-            prob, lay = part(n, seed, 0.5, 2.0)
+            prob = part(n, seed, 0.5, 2.0)
             counts = {"value": 0, "full": 0}
 
             def value_fn(x):
                 counts["value"] += 1
-                return entropy_pass(prob, lay, x, derivatives=False)
+                return entropy_pass(prob, x, derivatives=False)
 
             def full_fn(x):
                 counts["full"] += 1
-                return entropy_pass(prob, lay, x)
+                return entropy_pass(prob, x)
 
-            start = initial_guess(prob, lay)
+            start = initial_guess(prob)
             out = damped_newton(start, value_fn, full_fn, feasible_values, SolveOptions())
             assert out.converged, (n, seed, out.stop_reason)
             assert counts["full"] == out.iterations + 1
@@ -285,10 +284,10 @@ def test_options_validated():
 
 
 def test_explicit_start_is_used():
-    prob, lay = problem_of(TWO_PHASE)
+    prob = problem_of(TWO_PHASE)
     start = np.array([-3.0])
-    res = minimize(prob, lay, start=start)
-    assert res.records[0].value == entropy_value(prob, lay, start)
+    res = minimize(prob, start=start)
+    assert res.records[0].value == entropy_value(prob, start)
     assert res.converged
 
 
@@ -317,8 +316,8 @@ def test_tridiagonal_solver_rejects_indefinite():
 def test_minimize_random_problems_converge(rng):
     for _ in range(40):
         phases = int(rng.integers(2, 8))
-        prob, lay = make_problem(rng, phases)
-        res = minimize(prob, lay)
+        prob = make_problem(rng, phases)
+        res = minimize(prob)
         assert res.converged, (prob.partition, res.grad_norm)
-        g = entropy_pass(prob, lay, res.x)[1]
+        g = entropy_pass(prob, res.x)[1]
         assert np.max(np.abs(g)) <= 1e-9

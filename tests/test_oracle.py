@@ -13,7 +13,7 @@ from selfsim.oracle import (
     grid_search_min,
     stefan_bisection,
 )
-from selfsim.problem import build_layout, normalize_orientation
+from selfsim.problem import normalize_orientation
 
 STEFAN_FRONT = -0.7156690933440143  # u=(0,1,2), a=(0,1); frozen from this oracle
 
@@ -30,16 +30,14 @@ def _oriented(breakpoints, coefficients):
 
 def test_grid_search_agrees_with_newton_two_phase():
     prob = _oriented((0.0, 1.0, 2.0), (1.0, 2.0))
-    layout = build_layout(prob.partition)
-    got = grid_search_min(prob, layout)
+    got = grid_search_min(prob)
     sol = solve_riemann(0.0, 2.0, prob.partition)
     assert abs(got.minimizer[0] - sol.boundaries[0]) <= 1e-4
 
 
 def test_grid_search_agrees_with_newton_two_boundaries():
     prob = _oriented((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
-    layout = build_layout(prob.partition)
-    got = grid_search_min(prob, layout)
+    got = grid_search_min(prob)
     sol = solve_riemann(0.0, 3.0, prob.partition)
     for lattice, newton in zip(got.minimizer, sol.boundaries):
         assert abs(lattice - newton) <= 1e-4
@@ -47,8 +45,7 @@ def test_grid_search_agrees_with_newton_two_boundaries():
 
 def test_grid_search_rounds_never_increase():
     prob = _oriented((0.0, 1.0, 2.0), (1.0, 2.0))
-    layout = build_layout(prob.partition)
-    got = grid_search_min(prob, layout)
+    got = grid_search_min(prob)
     assert len(got.round_values) == 4
     assert all(b <= a for a, b in zip(got.round_values, got.round_values[1:]))
     assert got.round_values[-1] == got.value
@@ -57,22 +54,20 @@ def test_grid_search_rounds_never_increase():
 def test_grid_search_merged_boundary():
     # the degenerate inner interval leaves one fused unknown: still m=1
     prob = _oriented((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
-    layout = build_layout(prob.partition)
-    assert layout.m == 1
-    got = grid_search_min(prob, layout)
+    assert prob.m == 1
+    got = grid_search_min(prob)
     sol = solve_riemann(0.0, 3.0, prob.partition)
     assert abs(got.minimizer[0] - sol.boundaries[0]) <= 1e-4
 
 
 def test_grid_search_rejects_wrong_sizes():
     prob = _oriented((0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (1.0, 2.0, 1.0, 2.0, 1.0))
-    layout = build_layout(prob.partition)
-    assert layout.m == 4
+    assert prob.m == 4
     with pytest.raises(ValueError, match="m <= 3"):
-        grid_search_min(prob, layout)
+        grid_search_min(prob)
     single = _oriented((0.0, 1.0), (1.0,))
     with pytest.raises(ValueError, match="no free boundaries"):
-        grid_search_min(single, build_layout(single.partition))
+        grid_search_min(single)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +157,7 @@ def test_fd_rejects_bad_parameters():
 def test_fd_conserves_mass():
     prob = _oriented((0.0, 1.0, 2.0), (1.0, 2.0))
     fd = fd_solve(prob, 1.0, 0.04)
-    initial = np.where(fd.positions < 0.0, prob.u_minus, prob.u_plus)
+    initial = np.where(fd.positions < 0.0, prob.partition.breakpoints[0], prob.partition.breakpoints[-1])
     drift = float(np.sum(fd.cells - initial) * fd.dx)
     assert abs(drift) <= 1e-8
 
@@ -247,6 +242,15 @@ def test_compare_profiles_self_distance_is_zero():
     assert dist.l1 == 0.0
     assert dist.linf_away_from_jumps == 0.0
     assert dist.l1_relative == 0.0
+
+
+def test_compare_profiles_zero_mass_with_an_error_is_infinitely_relative():
+    # the frozen step moves no mass; a grid that misses it is still reported
+    sol = solve_riemann(1.0, 3.0, PhasePartition((1.0, 3.0), (0.0,)))
+    grid = FDGrid(half_width=1.0, dx=0.5, dt=0.0, t_final=1.0, cells=np.full(5, 2.0), steps=0)
+    dist = compare_profiles(grid, sol.profile)
+    assert dist.l1 == 2.0
+    assert dist.l1_relative == math.inf
 
 
 def test_compare_profiles_collar_width_is_respected():

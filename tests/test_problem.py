@@ -1,23 +1,38 @@
-"""Partition validation, orientation handling, and slot layout."""
+"""Partition validation, orientation handling, and fused-boundary slots."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import selfsim.problem
+from selfsim import solve_riemann
 from selfsim.problem import (
     ConstantStatesError,
     InvalidPartitionError,
     PhasePartition,
-    build_layout,
+    RiemannProblem,
     diffusion_antiderivative,
     normalize_orientation,
     require_valid,
-    reversed_partition,
     validate,
 )
 
 from conftest import make_problem
+
+
+def reversed_partition(partition: PhasePartition) -> PhasePartition:
+    """The partition seen after the state reflection u -> -u."""
+    return PhasePartition(
+        breakpoints=tuple(-b for b in reversed(partition.breakpoints)),
+        coefficients=tuple(reversed(partition.coefficients)),
+    )
+
+
+def _problem(partition: PhasePartition):
+    return normalize_orientation(partition.breakpoints[0], partition.breakpoints[-1], partition)
 
 
 def test_well_formed_partition_passes():
@@ -63,7 +78,25 @@ def test_normalize_keeps_increasing_data():
     prob = normalize_orientation(0.0, 2.0, part)
     assert not prob.orientation_flipped
     assert prob.partition.breakpoints == (0.0, 1.0, 2.0)
-    assert prob.u_minus == 0.0 and prob.u_plus == 2.0
+    assert prob.slots == (0,)
+
+
+def test_problem_is_partition_slots_and_orientation():
+    fields = [f.name for f in dataclasses.fields(RiemannProblem)]
+    assert fields == ["partition", "slots", "orientation_flipped"]
+
+
+def test_solve_validates_the_partition_once(monkeypatch):
+    seen = []
+
+    def counting(partition):
+        seen.append(partition)
+        return validate(partition)
+
+    monkeypatch.setattr(selfsim.problem, "validate", counting)
+    part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
+    solve_riemann(3.0, 0.0, part)
+    assert seen == [part]
 
 
 def test_normalize_flips_decreasing_data():
@@ -83,62 +116,62 @@ def test_normalize_rejects_equal_states():
 
 def test_layout_nondegenerate():
     part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
-    lay = build_layout(part)
-    assert lay.n == 2 and lay.m == 2
-    assert lay.slots == (0, 1)
+    prob = _problem(part)
+    assert prob.n == 2 and prob.m == 2
+    assert prob.slots == (0, 1)
 
 
 def test_layout_inner_merge():
     # inner vanishing coefficient identifies the two flanking boundaries
     part = PhasePartition((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 1.0, 2.0))
-    lay = build_layout(part)
-    assert lay.n == 3 and lay.m == 2
-    assert lay.slots == (0, 0, 1)
+    prob = _problem(part)
+    assert prob.n == 3 and prob.m == 2
+    assert prob.slots == (0, 0, 1)
 
 
 def test_layout_degenerate_left_edge():
     part = PhasePartition((0.0, 1.0, 2.0), (0.0, 1.0))
-    lay = build_layout(part)
+    prob = _problem(part)
     # a dead edge phase fuses nothing: its one boundary keeps its own slot
-    assert lay.n == 1 and lay.m == 1
-    assert lay.slots == (0,)
+    assert prob.n == 1 and prob.m == 1
+    assert prob.slots == (0,)
 
 
 def test_layout_slots_nondecreasing_and_surjective(rng):
     for _ in range(50):
         phases = int(rng.integers(2, 8))
-        _, lay = make_problem(rng, phases)
-        slots = lay.slots
-        assert len(slots) == lay.n
+        prob = make_problem(rng, phases)
+        slots = prob.slots
+        assert len(slots) == prob.n
         assert all(b - a in (0, 1) for a, b in zip(slots, slots[1:]))
-        assert sorted(set(slots)) == list(range(lay.m))
+        assert sorted(set(slots)) == list(range(prob.m))
 
 
 def test_expand_contract_round_trip(rng):
     for _ in range(50):
         phases = int(rng.integers(2, 8))
-        _, lay = make_problem(rng, phases)
-        values = tuple(np.sort(rng.uniform(-2, 2, size=lay.m)).tolist())
-        nominal = lay.expand(values)
-        assert len(nominal) == lay.n
+        prob = make_problem(rng, phases)
+        values = tuple(np.sort(rng.uniform(-2, 2, size=prob.m)).tolist())
+        nominal = prob.expand(values)
+        assert len(nominal) == prob.n
         # the first entry of each slot gives the free values back
-        assert tuple(nominal[lay.slots.index(j)] for j in range(lay.m)) == values
+        assert tuple(nominal[prob.slots.index(j)] for j in range(prob.m)) == values
         # nominal positions repeat exactly on merged slots
-        for k, s in enumerate(lay.slots):
+        for k, s in enumerate(prob.slots):
             assert nominal[k] == values[s]
 
 
 def test_reflection_covariance(rng):
     for _ in range(30):
         phases = int(rng.integers(2, 7))
-        prob, lay = make_problem(rng, phases)
+        prob = make_problem(rng, phases)
         rev = reversed_partition(prob.partition)
         assert validate(rev) is None
-        lay_rev = build_layout(rev)
-        assert lay_rev.n == lay.n and lay_rev.m == lay.m
+        prob_rev = _problem(rev)
+        assert prob_rev.n == prob.n and prob_rev.m == prob.m
         # merged boundary groups mirror: boundary k of the reversed partition
         # is boundary n + 1 - k of the original, slot j becomes slot m - 1 - j
-        assert lay_rev.slots == tuple(lay.m - 1 - j for j in reversed(lay.slots))
+        assert prob_rev.slots == tuple(prob.m - 1 - j for j in reversed(prob.slots))
 
 
 def test_antiderivative_table():

@@ -133,17 +133,37 @@ def test_eval_solution_scaling_invariance():
         assert abs(a - b) < 1e-14
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0, -1e-300])
+# t = inf used to read v(0) for every finite x
+@pytest.mark.parametrize("t", [0.0, -1.0, -1e-300, math.inf, math.nan])
 def test_eval_solution_rejects_nonpositive_time(t):
     sol = _solve((0.0, 2.0), (1.0,))
     with pytest.raises(ValueError):
         eval_solution(sol.profile, t, 1.0)
 
 
+@pytest.mark.parametrize(
+    "breakpoints, coefficients",
+    [((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0)), ((0.0, 2.0), (1.5,))],
+    ids=["readme", "single-arc"],
+)
+def test_nan_xi_is_rejected_and_infinite_xi_reads_the_far_field(breakpoints, coefficients):
+    # NaN used to read as the jump (1.0, 2.0) on the README problem and as
+    # (nan, nan) on a single arc
+    sol = _solve(breakpoints, coefficients)
+    for query in (eval_selfsimilar, flux, SelfSimilarProfile.limits, SelfSimilarProfile.flux_limits):
+        with pytest.raises(ValueError, match="NaN"):
+            query(sol.profile, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        eval_solution(sol.profile, 1.0, math.nan)
+    assert eval_selfsimilar(sol.profile, -math.inf) == breakpoints[0]
+    assert eval_selfsimilar(sol.profile, math.inf) == breakpoints[-1]
+    assert eval_solution(sol.profile, 1.0, math.inf) == breakpoints[-1]
+
+
 def test_profile_is_nondecreasing(rng):
     xs = np.linspace(-9.0, 9.0, 4001)
     for _ in range(20):
-        problem, layout = make_problem(rng, phases=int(rng.integers(1, 6)))
+        problem = make_problem(rng, phases=int(rng.integers(1, 6)))
         sol = solve_riemann(
             problem.partition.breakpoints[0],
             problem.partition.breakpoints[-1],
@@ -191,7 +211,7 @@ def test_flux_continuous_across_weak_boundaries(rng):
     # the antiderivative of the diffusion applied to v must come out C^1
     # wherever the profile itself is continuous
     for _ in range(15):
-        problem, layout = make_problem(rng, phases=int(rng.integers(2, 6)))
+        problem = make_problem(rng, phases=int(rng.integers(2, 6)))
         sol = solve_riemann(
             problem.partition.breakpoints[0],
             problem.partition.breakpoints[-1],
@@ -236,7 +256,7 @@ def test_jump_records_fused_slots():
 
 def test_classification_strong_iff_profile_jumps(rng):
     for _ in range(25):
-        problem, layout = make_problem(rng, phases=int(rng.integers(1, 6)))
+        problem = make_problem(rng, phases=int(rng.integers(1, 6)))
         sol = solve_riemann(
             problem.partition.breakpoints[0],
             problem.partition.breakpoints[-1],
@@ -255,7 +275,7 @@ def test_perturbed_boundary_localizes_residual():
     assert all(abs(r.rh_residual) <= 1e-9 for r in sol.jumps)
     vals = np.array(sol.profile.boundaries)
     vals[0] += 0.01
-    perturbed = build_profile(sol.problem, sol.layout, vals)
+    perturbed = build_profile(sol.problem, vals)
     recs = jump_residuals(sol.problem, perturbed)
     assert abs(recs[0].rh_residual) > 1e-4
     assert abs(recs[1].rh_residual) > 1e-4
@@ -267,7 +287,7 @@ def test_perturbed_two_phase_touches_both_records():
     sol = _solve((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
     vals = np.array(sol.profile.boundaries)
     vals[0] += 0.01
-    perturbed = build_profile(sol.problem, sol.layout, vals)
+    perturbed = build_profile(sol.problem, vals)
     recs = jump_residuals(sol.problem, perturbed)
     assert all(abs(r.rh_residual) > 1e-4 for r in recs)
 
@@ -406,7 +426,7 @@ def test_two_phase_right_tail_arc_through_the_cli(tmp_path):
 
 @pytest.mark.parametrize("n, seed", [(64, 2), (256, 1), (1024, 0), (256, 9)])
 def test_random_partition_profile_balances(n, seed):
-    problem, _ = part(n, seed)
+    problem = part(n, seed)
     sol = solve_riemann(0.0, 1.0, problem.partition)
     _assert_finite_profile(sol, residual_tol=1e-9)
 
