@@ -49,26 +49,29 @@ def solve_spd_tridiagonal(diag, off, rhs) -> np.ndarray:
     fails to be positive, which for our objective can only be a numerical
     accident.
     """
-    d = np.asarray(diag, dtype=float).copy()
-    e = np.asarray(off, dtype=float)
-    x = np.asarray(rhs, dtype=float).copy()
-    m = d.size
-    l = np.empty(max(m - 1, 0))
-    if not np.all(np.isfinite(d)) or (m > 1 and not np.all(np.isfinite(e))):
+    d = np.asarray(diag, dtype=float).tolist()
+    e = np.asarray(off, dtype=float).tolist()
+    x = np.asarray(rhs, dtype=float).tolist()
+    m = len(d)
+    # on Python floats: indexing numpy arrays one element at a time costs more
+    # than the arithmetic, and the operations (hence the bits) are the same
+    if not all(map(math.isfinite, d)) or not all(map(math.isfinite, e)):
         raise TridiagonalFactorizationError("non-finite matrix entry")
     if d[0] <= 0.0:
         raise TridiagonalFactorizationError("nonpositive pivot at 0")
-    for i in range(1, m):
-        l[i - 1] = e[i - 1] / d[i - 1]
-        d[i] = d[i] - l[i - 1] * e[i - 1]
-        if d[i] <= 0.0 or not math.isfinite(d[i]):
+    l = [0.0] * (m - 1)
+    for i in range(1, m):  # factor, and forward: L z = rhs
+        li = e[i - 1] / d[i - 1]
+        di = d[i] - li * e[i - 1]
+        if di <= 0.0 or not math.isfinite(di):
             raise TridiagonalFactorizationError(f"nonpositive pivot at {i}")
-    for i in range(1, m):  # forward: L z = rhs
-        x[i] -= l[i - 1] * x[i - 1]
-    x /= d  # D y = z
+        l[i - 1] = li
+        d[i] = di
+        x[i] -= li * x[i - 1]
+    x = [xi / di for xi, di in zip(x, d)]  # D y = z
     for i in range(m - 2, -1, -1):  # back: L^T x = y
         x[i] -= l[i] * x[i + 1]
-    return x
+    return np.array(x)
 
 
 @dataclass(frozen=True)

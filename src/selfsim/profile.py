@@ -14,13 +14,17 @@ left edge, at xi_n on the right edge, at its fused position inside, and at 0
 when it is the only phase.  Values, one-sided limits, fluxes, jumps and the
 mirror image are all derived from those three tuples.
 
-Arcs follow the sign split of ``special.log_heat_step_diff``, which also
-gives ln D_k.  An arc with both scaled ends >= 0 is anchored at its right
-end in complement form, (1 - H(t)) / D_k = erfcx(t/2) exp(-t^2/4 - ln D_k)/2,
-and one with both ends <= 0 is its mirror image anchored at the left end, so
-neither cancels nor underflows however far into a Gaussian tail it lies.
-The one arc that may straddle 0 keeps plain heat_step differences, which
-cannot cancel there.  Each arc is clipped to its own state interval.
+``sample`` takes every arc value in one pass, in complement form, from the
+tail ratio R_k(s) = (1 - H(s)) / D_k = erfcx(s/2) exp(-s^2/4 - ln D_k) / 2
+(s >= 0, ln D_k from ``special.log_heat_step_diff``): a point at
+t = xi/a_k >= 0 is anchored at the arc's right end,
+v = u_{k+1} - du (R_k(t) - R_k(xi_{k+1}/a_k)), and a point at t < 0 at its
+left end by the mirror image, v = u_k + du (R_k(-t) - R_k(-xi_k/a_k)), so
+no arc cancels or underflows however far into a Gaussian tail it lies.  The
+one-point ``limits`` does the same on arcs with both scaled ends on one side
+of 0, and takes plain heat_step differences, which cannot cancel there, on
+the one arc that may straddle 0.  Each arc is clipped to its own state
+interval.
 """
 
 from __future__ import annotations
@@ -30,17 +34,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .problem import RiemannProblem, diffusion_antiderivative
-from .special import heat_step, heat_step_vec, log_heat_step_deriv, log_heat_step_diff
+from .special import erfcx, erfcx_vec, heat_step, log_heat_step_deriv, log_heat_step_diff
 
 _INF = math.inf
 
 
-def _tail_ratio(t, log_norm):
+def _tail_ratio(t: float, log_norm: float) -> float:
     # (1 - H(t)) / D for t >= 0, with D = exp(log_norm)
-    return 0.5 * erfcx(0.5 * t) * np.exp(-0.25 * t * t - log_norm)
+    return 0.5 * erfcx(0.5 * t) * math.exp(-0.25 * t * t - log_norm)
+
+
+def _tail_ratio_vec(t: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
+    return 0.5 * erfcx_vec(0.5 * t) * np.exp(-0.25 * t * t - log_norm)
 
 
 @dataclass(frozen=True)
@@ -76,26 +83,6 @@ class SelfSimilarProfile:
         u, cs = self.states, self.coefficients
         return (u[i + 1] if cs[i] > 0.0 else u[i]), (u[j] if cs[j] > 0.0 else u[j + 1])
 
-    def _values(self, k: int, xi: np.ndarray) -> np.ndarray:
-        """v at points of phase k; a dead phase takes its right limit at the jump."""
-        u0, u1 = self.states[k], self.states[k + 1]
-        a = self.coefficients[k]
-        if a == 0.0:
-            return np.where(xi < self._jump_location(k), u0, u1)
-        lo, hi = self._ends(k)
-        x, y, t = hi / a, lo / a, xi / a
-        du = u1 - u0
-        if y < 0.0 < x:
-            f_lo = heat_step(y)
-            v = u0 + du / (heat_step(x) - f_lo) * (heat_step_vec(t) - f_lo)
-        else:
-            log_norm = self._log_norm(k)
-            if y >= 0.0:  # right tail: anchored at hi
-                v = u1 - du * (_tail_ratio(t, log_norm) - _tail_ratio(x, log_norm))
-            else:  # left tail: the mirror image, anchored at lo
-                v = u0 + du * (_tail_ratio(-t, log_norm) - _tail_ratio(-y, log_norm))
-        return np.clip(v, min(u0, u1), max(u0, u1))
-
     def _flux(self, k: int, xi: float) -> float:
         # a^2 v' = a du H'(xi/a) / D in phase k; zero where a vanishes
         a = self.coefficients[k]
@@ -130,8 +117,31 @@ class SelfSimilarProfile:
         if self.coefficients[i] == 0.0:  # a constant tail, or the frozen step
             u, loc = self.states, self._jump_location(i)
             return (u[i] if xi <= loc else u[i + 1]), (u[i] if xi < loc else u[i + 1])
-        v = float(self._values(i, np.array([xi]))[0])
+        v = self._value(i, xi)
         return v, v
+
+    def _value(self, k: int, xi: float) -> float:
+        """v at one point of live phase k; ``sample`` is the array form.
+
+        An arc that straddles 0 takes plain heat_step differences, which
+        cannot cancel there, so a single arc over the whole line is exactly
+        u_0 + (u_1 - u_0) H(xi/a).
+        """
+        u0, u1 = self.states[k], self.states[k + 1]
+        a = self.coefficients[k]
+        lo, hi = self._ends(k)
+        x, y, t = hi / a, lo / a, xi / a
+        du = u1 - u0
+        if y < 0.0 < x:
+            f_lo = heat_step(y)
+            v = u0 + du / (heat_step(x) - f_lo) * (heat_step(t) - f_lo)
+        else:
+            log_norm = self._log_norm(k)
+            if y >= 0.0:  # right tail: anchored at hi
+                v = u1 - du * (_tail_ratio(t, log_norm) - _tail_ratio(x, log_norm))
+            else:  # left tail: the mirror image, anchored at lo
+                v = u0 + du * (_tail_ratio(-t, log_norm) - _tail_ratio(-y, log_norm))
+        return min(max(v, min(u0, u1)), max(u0, u1))
 
     def flux_limits(self, xi: float) -> tuple[float, float]:
         """One-sided values of a^2(v) v'(xi)."""
@@ -139,15 +149,47 @@ class SelfSimilarProfile:
         right = self._flux(j, xi)
         return (self._flux(i, xi) if i < j else right), right
 
+    def _arcs(self) -> tuple[np.ndarray, ...]:
+        """Per-phase scalars of ``sample``.
+
+        Phase k has one row k for points left of its pivot and one row
+        n + 1 + k for points right of it; a point's value is
+        base + slope * (R_k(|xi| / scale) - R_k(end)), clipped to [low, high],
+        with end the row's scaled phase end.  A live phase pivots at 0, so
+        each side is anchored at its own end; a dead phase pivots at its jump
+        with slope 0, so it takes its left state left of the jump and its
+        right state from the jump on.
+        """
+        cs, u = self.coefficients, self.states
+        live = [a > 0.0 for a in cs]
+        scale = np.array([a if ok else 1.0 for a, ok in zip(cs, live)])
+        log_norm = np.array([self._log_norm(k) if ok else 0.0 for k, ok in enumerate(live)])
+        pivot = np.array([0.0 if ok else self._jump_location(k) for k, ok in enumerate(live)])
+        edges = np.array((-_INF, *self.boundaries, _INF))
+        ends = np.abs(np.concatenate((edges[:-1], edges[1:])) / np.tile(scale, 2))
+        du = np.array([u[k + 1] - u[k] if ok else 0.0 for k, ok in enumerate(live)])
+        base = np.array(u[:-1] + u[1:])
+        low = np.minimum(base[: len(cs)], base[len(cs) :])
+        high = np.maximum(base[: len(cs)], base[len(cs) :])
+        return scale, log_norm, pivot, ends, base, np.concatenate((du, -du)), low, high
+
     def sample(self, xs) -> np.ndarray:
-        """Values on a grid; exact junction points take the right limit."""
+        """Values on a grid in one pass; exact junction points take the right limit."""
         xs = np.asarray(xs, dtype=float)
-        phase = np.searchsorted(self.boundaries, xs, side="right")
-        out = np.empty(xs.shape)
-        for k in np.unique(phase):
-            mask = phase == k
-            out[mask] = self._values(int(k), xs[mask])
-        return out
+        if np.isnan(xs).any():
+            raise ValueError("xi must not be NaN")
+        scale, log_norm, pivot, ends, base, slope, low, high = self._arcs()
+        flat = xs.ravel()
+        k = np.searchsorted(self.boundaries, flat, side="right")
+        row = np.where(flat >= pivot[k], k + len(scale), k)
+        # the points' tail ratios and the rows' anchors in one kernel pass
+        r = _tail_ratio_vec(
+            np.concatenate((np.abs(flat / scale[k]), ends)),
+            np.concatenate((log_norm[k], log_norm, log_norm)),
+        )
+        anchor = r[flat.size :]
+        v = base[row] + slope[row] * (r[: flat.size] - anchor[row])
+        return np.clip(v, low[k], high[k]).reshape(xs.shape)
 
     @property
     def left_state(self) -> float:

@@ -9,10 +9,24 @@ the self-similar shape taken by the constant-diffusivity heat equation with
 unit step data; ``heat_step(x / a)`` is the same shape for diffusivity a^2.
 Everything transcendental in the solver reduces to this function, its
 derivative, and logarithms of its differences, so those live here once with
-tail-safe branches: differences of nearly-equal tail values are computed
-through the scaled complementary error function in log space rather than by
-naive subtraction, which keeps objective gradients finite far into the
-Gaussian tails.
+tail-safe branches: differences of nearly-equal tail values are computed in
+log space from the ratio of their erfc values rather than by naive
+subtraction, which keeps objective gradients finite far into the Gaussian
+tails.  Past x = 26, where erfc underflows (and exp(x^2) overflows), the
+scaled complementary error function erfcx(x) = exp(x^2) erfc(x) takes over.
+
+Scalars use ``math.erf`` and ``math.erfc``.  erfcx has two kernels, both
+for x >= 0 and both switching at x = 26 to the Laplace continued fraction:
+
+* ``erfcx``, for one float: below 26, erfc(x) exp(x^2) with x^2 split
+  exactly (Dekker), so that exp sees no rounding of x^2;
+* ``erfcx_vec``, for arrays: below 26, the piecewise polynomials in
+  4 / (4 + x) of S. G. Johnson's Faddeeva package, from the table that
+  ``scripts/erfcx_table.py`` writes into ``_erfcx_table.py``.
+
+The inverse starts from M. Giles' closed-form erfinv (single-precision
+version, "Approximating the erfinv function", 2010) and is polished by
+Newton.
 """
 
 from __future__ import annotations
@@ -20,10 +34,62 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, erfc, erfcx, erfinv
+
+from ._erfcx_table import FIRST as _ERFCX_FIRST, TABLE as _ERFCX_TABLE
 
 _LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
 _LN2 = math.log(2.0)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_CF_FROM = 26.0  # erfcx kernels switch to the continued fraction here
+_CF_TERMS = 6  # within about one ulp from 26 on
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
+_ERFCX_ROWS = np.array(_ERFCX_TABLE)
+# below this quantile the inverse works in log space; above it Giles' start
+# is close enough for a few Newton steps
+_LOG_TAIL_BELOW = 1e-10
+
+
+def _erfcx_cf(x):
+    # exp(x^2) erfc(x) as the Laplace continued fraction
+    # 1 / (sqrt(pi) (x + (1/2) / (x + 1 / (x + (3/2) / (x + ...))))),
+    # summed from the bottom; converged to rounding for x >= 26, on floats or arrays
+    r = x
+    for k in range(_CF_TERMS, 0, -1):
+        r = x + (0.5 * k) / r
+    return _INV_SQRT_PI / r
+
+
+def erfcx(x: float) -> float:
+    """exp(x^2) erfc(x) for x >= 0, to a relative error of a few units of 2^-52."""
+    if x >= _CF_FROM:
+        return _erfcx_cf(x)
+    # x^2 = p + e exactly, so exp(x^2) = exp(p) (1 + e) to rounding
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    p = x * x
+    e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    return math.erfc(x) * math.exp(p) * (1.0 + e)
+
+
+def erfcx_vec(x) -> np.ndarray:
+    """exp(x^2) erfc(x) on a 1-d array of x >= 0; the array twin of ``erfcx``."""
+    x = np.asarray(x, dtype=float)
+    near = np.minimum(x, _CF_FROM)
+    s = 4.0 + near
+    # the piece floor(400 / s); the rows' polynomials hold slightly past their ends
+    rows = _ERFCX_ROWS.take((400.0 / s).astype(np.intp) - _ERFCX_FIRST, axis=0, mode="clip")
+    # u = 2 y_c (x_c - x) / (4 + x), columns (x_c, 2 y_c, c_0, ..., c_6)
+    u = rows[:, 1] * (rows[:, 0] - near) / s
+    out = rows[:, -1] * u  # Horner, c_6 down to c_0
+    for c in rows.T[-2:2:-1]:
+        out += c
+        out *= u
+    out += rows[:, 2]
+    far = x >= _CF_FROM
+    if far.any():
+        out[far] = _erfcx_cf(x[far])
+    return out
 
 
 def heat_step(x: float) -> float:
@@ -35,15 +101,8 @@ def heat_step(x: float) -> float:
     if math.isnan(x):
         return math.nan
     if x < 0.0:
-        return 0.5 * float(erfc(-0.5 * x))
-    return 0.5 * (1.0 + float(erf(0.5 * x)))
-
-
-def heat_step_vec(x) -> np.ndarray:
-    """Vectorized heat_step for sampling profiles on grids."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore"):
-        return np.where(x < 0.0, 0.5 * erfc(-0.5 * x), 0.5 * (1.0 + erf(0.5 * x)))
+        return 0.5 * math.erfc(-0.5 * x)
+    return 0.5 * (1.0 + math.erf(0.5 * x))
 
 
 def heat_step_deriv(x: float) -> float:
@@ -57,10 +116,10 @@ def log_heat_step_deriv(x: float) -> float:
 
 
 def _log_erfc(t: float) -> float:
-    # ln(erfc(t)) for finite t; the t > 0 tail goes through erfcx.
-    if t <= 0.0:
-        return math.log(float(erfc(t)))
-    return -t * t + math.log(float(erfcx(t)))
+    # ln(erfc(t)) for finite t; past _CF_FROM, where erfc underflows, through erfcx
+    if t < _CF_FROM:
+        return math.log(math.erfc(t))
+    return -t * t + math.log(_erfcx_cf(t))
 
 
 def _log_flat_diff(x: float, y: float) -> float:
@@ -73,9 +132,13 @@ def _log_upper_tail_diff(a: float, b: float, x: float, y: float) -> float:
     log_eb = _log_erfc(b)
     if math.isinf(a):
         return log_eb - _LN2
-    # s = ln(erfc(a)/erfc(b)) < 0, assembled from well-scaled pieces;
-    # -expm1(s) is then 1 - erfc(a)/erfc(b) without cancellation.
-    s = (b * b - a * a) + math.log(float(erfcx(a))) - math.log(float(erfcx(b)))
+    # s = ln(erfc(a)/erfc(b)) < 0, from erfc while it does not underflow and
+    # else from well-scaled erfcx pieces; -expm1(s) is then
+    # 1 - erfc(a)/erfc(b) without cancellation.
+    if a < _CF_FROM:
+        s = math.log(math.erfc(a) / math.erfc(b))
+    else:
+        s = (b * b - a * a) + math.log(erfcx(a)) - math.log(erfcx(b))
     if s >= 0.0:
         return _log_flat_diff(x, y)
     return log_eb + math.log(-math.expm1(s)) - _LN2
@@ -84,9 +147,10 @@ def _log_upper_tail_diff(a: float, b: float, x: float, y: float) -> float:
 def log_heat_step_diff(x: float, y: float) -> float:
     """ln(heat_step(x) - heat_step(y)) for x > y, finite for all finite x > y.
 
-    Same-sign arguments are handled entirely in log space through erfcx, so
-    the result stays accurate when both points sit far out in one Gaussian
-    tail; straddling arguments add two positive erf values and cannot cancel.
+    Same-sign arguments are handled entirely in log space through erfc (and
+    erfcx once erfc underflows), so the result stays accurate when both
+    points sit far out in one Gaussian tail; straddling arguments add two
+    positive erf values and cannot cancel.
     Infinite arguments are allowed on their natural side.  Always <= 0.
     """
     if not x > y:
@@ -100,7 +164,7 @@ def log_heat_step_diff(x: float, y: float) -> float:
     if a <= 0.0:
         return _log_upper_tail_diff(-b, -a, -y, -x)
     # arguments straddle zero: a sum of two positive terms
-    p = 0.5 * (float(erf(a)) + float(erf(-b)))
+    p = 0.5 * (math.erf(a) + math.erf(-b))
     if p <= 0.0:  # both arguments subnormal
         return _log_flat_diff(x, y)
     if p >= 1.0:
@@ -135,23 +199,47 @@ def _inverse_log_tail(p: float) -> float:
     return x
 
 
+def _erfinv_start(p: float) -> float:
+    # erfinv(2p - 1) by Giles' single-precision formula, with its
+    # w = -ln(1 - (2p - 1)^2) taken as -ln(4 p (1 - p)); relative error
+    # ~1e-7 for w < 16, a few 1e-4 out to p = 1e-10
+    w = -math.log(4.0 * p * (1.0 - p))
+    if w < 5.0:
+        w -= 2.5
+        q = 2.81022636e-08
+        for c in (3.43273939e-07, -3.5233877e-06, -4.39150654e-06, 0.00021858087,
+                  -0.00125372503, -0.00417768164, 0.246640727, 1.50140941):
+            q = c + q * w
+    else:
+        w = math.sqrt(w) - 3.0
+        q = -0.000200214257
+        for c in (0.000100950558, 0.00134934322, -0.00367342844, 0.00573950773,
+                  -0.0076224613, 0.00943887047, 1.00167406, 2.83297682):
+            q = c + q * w
+    return q * (2.0 * p - 1.0)
+
+
 def heat_step_inverse(p: float) -> float:
     """x such that heat_step(x) = p for 0 < p < 1 (|heat_step(x) - p| <= 1e-12).
 
-    Safeguarded Newton from an inverse-erf start; quantiles below working
-    precision switch to a log-space Newton so the whole open interval works.
+    Safeguarded Newton from Giles' erfinv start on the left half; p > 1/2
+    is solved as -heat_step_inverse(1 - p), where 1 - p is exact, and
+    quantiles below ``_LOG_TAIL_BELOW`` switch to a log-space Newton, so the
+    whole open interval works.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"heat_step_inverse requires 0 < p < 1, got {p!r}")
-    if p < 1e-15:
+    if p > 0.5:
+        return -heat_step_inverse(1.0 - p)
+    if p < _LOG_TAIL_BELOW:
         return _inverse_log_tail(p)
-    x = 2.0 * float(erfinv(2.0 * p - 1.0))
+    x = 2.0 * _erfinv_start(p)
     for _ in range(6):
         f = heat_step(x) - p
         if f == 0.0:
             break
         step = f / heat_step_deriv(x)
-        if step > 1.0:  # erfinv start is close; clamp paranoid steps
+        if step > 1.0:  # the start is close; clamp paranoid steps
             step = 1.0
         elif step < -1.0:
             step = -1.0

@@ -341,3 +341,28 @@ def test_console_script_runs(tmp_path):
     listed = [line for line in proc.stdout.splitlines() if line]
     assert len(listed) == 3
     assert (tmp_path / "s_profile.csv").exists()
+
+
+def test_cli_imports_and_solves_without_scipy(tmp_path):
+    # the README problem, solved in a fresh process
+    config_path = tmp_path / "problem.cfg"
+    config_path.write_text(
+        "u_minus = 0\nu_plus = 3\nbreakpoints = [1, 2]\ncoefficients = [1, 0, 2]\n",
+        encoding="utf-8",
+    )
+    src = str(Path(selfsim.__file__).resolve().parents[1])  # the child imports this checkout
+    code = (
+        "import sys\n"
+        "import selfsim.cli\n"
+        "assert 'scipy' not in sys.modules, 'imported by selfsim.cli'\n"
+        "assert selfsim.cli.main(sys.argv[1:]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'imported by selfsim solve'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "solve", "--config", str(config_path), "--out", str(tmp_path / "s_")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "s_profile.csv").exists()

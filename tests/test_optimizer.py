@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsim import PhasePartition, solve_riemann
 from selfsim.entropy import entropy_pass, entropy_value, feasible_values
@@ -145,19 +147,20 @@ def test_stop_reason_gradient():
 
 
 def test_stop_reason_decrement():
-    # rounding holds |g| of this 16-phase problem just above the gradient
-    # threshold, so two full floor steps in a row end the solve
+    # rounding holds |g| of this 16-phase problem (two dead phases, 37 steps)
+    # about a hundred times above the gradient threshold, so two full floor
+    # steps in a row end the solve
     partition = PhasePartition(
-        (0.0, 0.1982154390913794, 0.23209615675097917, 0.26729411826782634,
-         0.3028487968804203, 0.3333739433450873, 0.35373506705566393,
-         0.41543122209798766, 0.44056665502111036, 0.6056578551454658,
-         0.616238256398321, 0.616902456930241, 0.7195524889389822,
-         0.7903032895182788, 0.9156427242278199, 0.9495837490239311, 1.0),
-        (1.047998797218799, 0.0993851513379583, 0.0, 0.44430120459480404,
-         0.10799699813057796, 0.11289144002808572, 2.6803180305686056,
-         0.8011787003100059, 0.13835732277431048, 0.3156971581991054,
-         0.0656915709264476, 0.5535022281236067, 2.1591966556999886,
-         0.7788074865262313, 1.0085050876847146, 0.0),
+        (0.0, 0.011132742866439616, 0.019158789596858017, 0.03833547813697591,
+         0.29795081902947007, 0.2982818136633061, 0.37544892137592456,
+         0.5569106091770423, 0.5858938309849588, 0.6854954315389565,
+         0.7888943274077123, 0.8551511209094842, 0.8711334604008812,
+         0.8963484290134379, 0.9172406217585797, 0.9309121369964842, 1.0),
+        (0.0, 0.06798823352499665, 1.37503330845667, 0.1538055980772992,
+         0.05316046906134794, 0.0, 4.343617863280667, 0.425686814335397,
+         4.342433118554338, 0.058139506324394935, 1.818674809426066, 0.0,
+         0.4496758866134265, 0.0734157205131519, 0.14008153155707762,
+         0.1289494128066339),
     )
     sol = solve_riemann(1.0, 0.0, partition)
     assert sol.converged
@@ -303,6 +306,58 @@ def test_tridiagonal_solver_matches_dense(rng):
         rhs = rng.uniform(-3.0, 3.0, size=m)
         x = solve_spd_tridiagonal(diag, off, rhs)
         assert np.allclose(dense_hessian(diag, off) @ x, rhs, atol=1e-10)
+
+
+def _ldlt_on_arrays(diag, off, rhs):
+    # the solver's LDL^T as it indexed numpy arrays element by element
+    d = np.asarray(diag, dtype=float).copy()
+    e = np.asarray(off, dtype=float)
+    x = np.asarray(rhs, dtype=float).copy()
+    m = d.size
+    l = np.empty(max(m - 1, 0))
+    if not np.all(np.isfinite(d)) or (m > 1 and not np.all(np.isfinite(e))):
+        raise TridiagonalFactorizationError("non-finite matrix entry")
+    if d[0] <= 0.0:
+        raise TridiagonalFactorizationError("nonpositive pivot at 0")
+    for i in range(1, m):
+        l[i - 1] = e[i - 1] / d[i - 1]
+        d[i] = d[i] - l[i - 1] * e[i - 1]
+        if d[i] <= 0.0 or not math.isfinite(d[i]):
+            raise TridiagonalFactorizationError(f"nonpositive pivot at {i}")
+    for i in range(1, m):  # forward: L z = rhs
+        x[i] -= l[i - 1] * x[i - 1]
+    x /= d  # D y = z
+    for i in range(m - 2, -1, -1):  # back: L^T x = y
+        x[i] -= l[i] * x[i + 1]
+    return x
+
+
+@st.composite
+def _tridiagonal_systems(draw):
+    m = draw(st.integers(1, 40))
+    entry = st.floats(-1e3, 1e3)
+    off = np.array(draw(st.lists(entry, min_size=m - 1, max_size=m - 1)))
+    diag = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+    if draw(st.booleans()):  # diagonally dominant, hence SPD
+        diag = np.abs(diag) + 1e-3
+        diag[:-1] += np.abs(off)
+        diag[1:] += np.abs(off)
+    rhs = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+    return diag, off, rhs
+
+
+@given(_tridiagonal_systems())
+@settings(max_examples=300, deadline=None)
+def test_tridiagonal_solver_is_bit_identical_to_the_array_loop(system):
+    try:
+        with np.errstate(all="ignore"):  # numpy scalars warn where Python floats do not
+            expected = _ldlt_on_arrays(*system)
+    except TridiagonalFactorizationError as err:
+        with pytest.raises(TridiagonalFactorizationError, match=f"^{err}$"):
+            solve_spd_tridiagonal(*system)
+        return
+    got = solve_spd_tridiagonal(*system)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_tridiagonal_solver_rejects_indefinite():

@@ -2,11 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from selfsim import PhasePartition, eval_selfsimilar, eval_solution, solve_riemann
 from selfsim.api import KIND_FROZEN_STEP, KIND_GENERAL, KIND_SINGLE_ARC
@@ -160,6 +160,26 @@ def test_nan_xi_is_rejected_and_infinite_xi_reads_the_far_field(breakpoints, coe
     assert eval_solution(sol.profile, 1.0, math.inf) == breakpoints[-1]
 
 
+@pytest.mark.parametrize(
+    "u_minus, u_plus, breakpoints, coefficients",
+    [
+        (0.0, 3.0, (0.0, 1.0, 3.0), (1.0, 0.0)),
+        (0.0, 3.0, (0.0, 1.0, 3.0), (1.0, 2.0)),
+        (3.0, 0.0, (0.0, 3.0), (0.0,)),
+    ],
+    ids=["dead-right-edge", "live-right-edge", "frozen-step"],
+)
+def test_sample_rejects_nan_and_reads_the_far_field_at_infinity(
+    u_minus, u_plus, breakpoints, coefficients
+):
+    # sample sorted NaN into the last phase: it read [3.] on the dead right
+    # edge, [nan] on the live one and [0.] on the frozen step 3 -> 0
+    profile = solve_riemann(u_minus, u_plus, PhasePartition(breakpoints, coefficients)).profile
+    with pytest.raises(ValueError, match="NaN"):
+        profile.sample([0.0, math.nan])
+    np.testing.assert_array_equal(profile.sample([-math.inf, math.inf]), [u_minus, u_plus])
+
+
 def test_profile_is_nondecreasing(rng):
     xs = np.linspace(-9.0, 9.0, 4001)
     for _ in range(20):
@@ -310,20 +330,13 @@ def _excess_mass(profile, u_minus, u_plus, t, radius):
     root = math.sqrt(t)
 
     def integrand(x):
+        x = float(x)
         v = profile.limits(x / root)[1]
         return v - (u_minus if x < 0 else u_plus)
 
+    # tanh-sinh on each piece between the kinks and the jump at 0
     points = sorted({b * root for b in profile.boundaries} | {0.0})
-    val, _ = quad(
-        integrand,
-        -radius,
-        radius,
-        points=points,
-        limit=300,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
-    return val
+    return float(mpmath.quad(integrand, [-radius, *points, radius]))
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
-"""Checks for the smoothed-step kernel and its stable log-difference."""
+"""Checks for the smoothed-step kernel, its stable log-difference and the
+erf family under them."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfsim._erfcx_table import FIRST, TABLE
 from selfsim.special import (
+    erfcx,
+    erfcx_vec,
     heat_step,
     heat_step_deriv,
     heat_step_inverse,
-    heat_step_vec,
     log_heat_step_diff,
 )
 
@@ -52,14 +57,6 @@ def test_tail_relative_accuracy(x):
         oracle = mpmath.erfc(-mpmath.mpf(x) / 2) / 2
         rel = abs((mpmath.mpf(heat_step(x)) - oracle) / oracle)
     assert rel <= 1e-14
-
-
-def test_vectorized_matches_scalar():
-    xs = np.linspace(-30.0, 30.0, 101)
-    v = heat_step_vec(xs)
-    assert v.shape == xs.shape
-    for x, y in zip(xs, v):
-        assert y == heat_step(float(x))
 
 
 def test_deriv_peak_value():
@@ -162,7 +159,9 @@ def test_inverse_of_pinned_value():
     assert heat_step_inverse(0.9213503964) == pytest.approx(2.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("p", [1e-300, 1e-150, 1e-15, 1e-6, 0.25, 0.75, 1.0 - 1e-12])
+@pytest.mark.parametrize(
+    "p", [1e-300, 1e-150, 1e-15, 9.9e-11, 1e-10, 1e-8, 1e-6, 0.25, 0.75, 1.0 - 1e-12]
+)
 def test_inverse_residual(p):
     x = heat_step_inverse(p)
     assert heat_step(x) == pytest.approx(p, rel=1e-11, abs=1e-320)
@@ -172,3 +171,86 @@ def test_inverse_residual(p):
 def test_inverse_rejects_outside_unit_interval(p):
     with pytest.raises(ValueError):
         heat_step_inverse(p)
+
+
+# ---------------------------------------------------------------------------
+# the erf family against 40-digit mpmath
+# ---------------------------------------------------------------------------
+
+EPS = 2.0**-52  # one unit in the last place of 1.0
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _max_relative_error(got, xs, exact) -> float:
+    """max |got - exact| / |exact| over the points, exact at 40 digits, in units of EPS."""
+    worst = 0.0
+    with mpmath.workdps(40):
+        for g, x in zip(got, xs):
+            ref = exact(mpmath.mpf(float(x)))
+            worst = max(worst, float(abs((mpmath.mpf(float(g)) - ref) / ref)))
+    return worst / EPS
+
+
+def _erfcx_points() -> np.ndarray:
+    rng = np.random.default_rng(7)
+    edges = 400.0 / np.arange(14, 101) - 4.0  # where the table changes piece
+    return np.unique(
+        np.concatenate(
+            [
+                np.linspace(0.0, 40.0, 1601),
+                rng.uniform(0.0, 40.0, 2000),
+                edges,
+                np.nextafter(edges, -np.inf)[1:],
+                np.nextafter(edges, np.inf),
+                [np.nextafter(26.0, 0.0), 26.0, np.nextafter(26.0, 30.0)],  # the switch to the fraction
+                np.geomspace(1e-300, 1e6, 400),
+            ]
+        )
+    )
+
+
+def _mp_erfcx(x):
+    return mpmath.erfc(x) * mpmath.exp(x * x)
+
+
+def test_scalar_erfcx_within_4_ulp():
+    xs = _erfcx_points()
+    assert _max_relative_error([erfcx(float(x)) for x in xs], xs, _mp_erfcx) <= 4.0
+
+
+def test_array_erfcx_within_4_ulp():
+    xs = _erfcx_points()
+    got = erfcx_vec(xs)
+    assert got.shape == xs.shape
+    assert _max_relative_error(got, xs, _mp_erfcx) <= 4.0
+
+
+def test_erfcx_limits():
+    assert erfcx(0.0) == 1.0 and erfcx(math.inf) == 0.0
+    np.testing.assert_array_equal(erfcx_vec(np.array([0.0, math.inf])), [1.0, 0.0])
+
+
+def test_erfc_and_erf_within_4_ulp():
+    # the scalar paths take both from the math module; erfc only where it is
+    # a normal double (it leaves them near 26.5), erf over the whole range
+    rng = np.random.default_rng(8)
+    xs = np.unique(np.concatenate([np.linspace(-40.0, 26.0, 1321), rng.uniform(-40.0, 26.0, 1000)]))
+    assert _max_relative_error([math.erfc(float(x)) for x in xs], xs, mpmath.erfc) <= 4.0
+    xs = np.concatenate([xs[xs != 0.0], np.geomspace(1e-300, 1e6, 400)])
+    assert _max_relative_error([math.erf(float(x)) for x in xs], xs, mpmath.erf) <= 4.0
+
+
+def _table_generator():
+    spec = importlib.util.spec_from_file_location("erfcx_table", ROOT / "scripts" / "erfcx_table.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_erfcx_table_matches_its_generator():
+    generator = _table_generator()
+    assert generator.FIRST == FIRST
+    assert len(TABLE) == generator.LAST - generator.FIRST + 1
+    for j in (generator.FIRST, 56, generator.LAST):  # first, middle and last piece
+        regenerated = generator.piece(j)
+        assert [v.hex() for v in regenerated] == [v.hex() for v in TABLE[j - FIRST]]
