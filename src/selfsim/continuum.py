@@ -14,7 +14,8 @@ minimizer.
 
 Degenerate convention: where a vanishes the slope term is taken as zero
 (0 * ln = 0) and the quadratic term survives; a flat run of xi across such a
-band is the inverse picture of a jump.
+band is the inverse picture of a jump, and ``minimize_variational_cost``
+makes that run exact by giving the band's nodes one position.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import shift_constant
+from .entropy import feasible_values, shift_constant
 from .optimizer import SolveOptions, damped_newton, minimize
 from .problem import PhasePartition, normalize_orientation, require_valid
 from .special import heat_step_inverse
@@ -191,12 +192,17 @@ class CostMinimum:
 def minimize_variational_cost(
     f: DiffusionFunction, cells: int, options: SolveOptions | None = None
 ) -> CostMinimum:
-    """Newton minimization of J over all node positions on a uniform grid.
+    """Newton minimization of J over the node positions on a uniform grid.
 
-    All cells+1 positions are unknowns (no pinned ends: the functional's
-    quadratic part keeps them finite).  The Hessian is symmetric tridiagonal
-    — cell j couples only nodes j, j+1 — so the boundary-objective Newton
-    machinery applies unchanged.
+    No end is pinned: the functional's quadratic part keeps the positions
+    finite.  The two nodes of each zero-coefficient cell share one unknown,
+    as ``RiemannProblem.slots`` fuses the boundaries around a dead interval,
+    so a degenerate band is an exact flat run; its ``gap >= 0`` constraint
+    would be active at the minimum, which free Newton cannot reach.  Node i
+    takes unknown ``slots[i]``, the number of live cells left of it.  The
+    Hessian stays symmetric tridiagonal — a live cell couples two adjacent
+    unknowns, a dead one only adds to its unknown's diagonal — so the
+    boundary-objective Newton machinery applies unchanged.
     """
     if cells < 1:
         raise ValueError("need at least one cell")
@@ -207,17 +213,14 @@ def minimize_variational_cost(
     if a_max == 0.0:
         raise ValueError("diffusion vanishes identically")
     pos = a > 0.0
+    slots = np.concatenate(([0], np.cumsum(pos)))
+    unknowns = int(slots[-1]) + 1
 
-    def feasible(x: np.ndarray) -> bool:
-        if not np.all(np.isfinite(x)):
-            return False
-        gap = np.diff(x)
-        return bool(np.all(gap >= 0.0) and np.all(gap[pos] > 0.0))
+    def value_fn(y: list[float]) -> float:
+        return _cost(np.asarray(y)[slots], du, a)
 
-    def value_fn(x: np.ndarray) -> float:
-        return _cost(x, du, a)
-
-    def full_fn(x: np.ndarray):
+    def full_fn(y: list[float]):
+        x = np.asarray(y)[slots]
         gap = np.diff(x)
         mid = 0.5 * (x[:-1] + x[1:])
         s = np.zeros(du.size)
@@ -233,16 +236,22 @@ def minimize_variational_cost(
         hd[:-1] += q + r
         hd[1:] += q + r
         ho = -q + r
-        return value_fn(x), g, hd, ho
+        # sum over each unknown's nodes; a dead cell's coupling joins its diagonal
+        hd = np.bincount(slots, weights=hd) + np.bincount(
+            slots[:-1][~pos], weights=2.0 * ho[~pos], minlength=unknowns
+        )
+        g = np.bincount(slots, weights=g)
+        return _cost(x, du, a), g.tolist(), hd.tolist(), ho[pos].tolist()
 
     lo_frac = 0.5 * float(np.min(du)) / (f.hi - f.lo + float(np.min(du)))
     fracs = (w - f.lo + 0.5 * float(np.min(du))) / (f.hi - f.lo + float(np.min(du)))
     start = a_max * np.array([heat_step_inverse(min(max(p, lo_frac), 1.0 - lo_frac)) for p in fracs])
-    outcome = damped_newton(start, value_fn, full_fn, feasible, options or SolveOptions())
+    start = np.bincount(slots, weights=start) / np.bincount(slots)  # each unknown's mean
+    outcome = damped_newton(start, value_fn, full_fn, feasible_values, options or SolveOptions())
     return CostMinimum(
         profile=InverseProfile(
             states=tuple(float(u) for u in w),
-            positions=tuple(float(v) for v in outcome.x),
+            positions=tuple(outcome.x[slots].tolist()),
         ),
         cost=outcome.value,
         grad_norm=outcome.grad_norm,

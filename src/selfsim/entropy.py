@@ -24,8 +24,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .problem import RiemannProblem
 from .special import heat_step_inverse, log_heat_step_deriv, log_heat_step_diff
 
@@ -37,10 +35,14 @@ class InfeasibleBoundariesError(ValueError):
 
 
 def feasible_values(values) -> bool:
-    v = np.asarray(values, dtype=float)
-    if v.size == 0 or not np.all(np.isfinite(v)):
-        return False
-    return bool(np.all(np.diff(v) > 0.0)) if v.size > 1 else True
+    """Whether ``values`` is nonempty, finite and strictly increasing."""
+    prev = -_INF
+    for v in values:
+        # fails on NaN, on either infinity and on a pair that does not increase
+        if not prev < v < _INF:
+            return False
+        prev = v
+    return prev > -_INF
 
 
 def _full_positions(problem: RiemannProblem, values: Sequence[float]) -> tuple[float, ...]:
@@ -61,13 +63,14 @@ def entropy_pass(problem: RiemannProblem, values, derivatives: bool = True):
     """The objective at ``values`` in one pass over the intervals.
 
     Returns the value alone when ``derivatives`` is false; otherwise
-    ``(value, gradient, hess_diag, hess_off)`` with the symmetric tridiagonal
-    Hessian as its diagonal and first off-diagonal.  ``values`` are the m
-    free positions and must already be feasible (``feasible_values``): this
-    kernel does not check them.  Each interval takes ``log_heat_step_diff``
-    once and shares it between all three pieces.
+    ``(value, gradient, hess_diag, hess_off)``, three lists of floats with
+    the symmetric tridiagonal Hessian as its diagonal and first off-diagonal.
+    ``values`` are the m free positions, a sequence of floats, and must
+    already be feasible (``feasible_values``): this kernel does not check
+    them.  Each interval takes ``log_heat_step_diff`` once and shares it
+    between all three pieces.
     """
-    full = _full_positions(problem, np.asarray(values, dtype=float).tolist())
+    full = _full_positions(problem, values)
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
     n = problem.n
@@ -118,7 +121,7 @@ def entropy_pass(problem: RiemannProblem, values, derivatives: bool = True):
                 hd[slots[b - 1]] += 0.5 * du
     if not derivatives:
         return total
-    return total, np.array(g), np.array(hd), np.array(ho)
+    return total, g, hd, ho
 
 
 def entropy_value(problem: RiemannProblem, values: Sequence[float]) -> float:

@@ -5,14 +5,17 @@ set, so each Newton direction costs one LDL^T sweep.  Steps are backtracked
 first to stay strictly feasible (boundaries strictly increasing; the set is
 convex, so one feasible trial point makes every shorter step feasible) and
 then to satisfy an Armijo decrease, which makes the iteration globally
-convergent from any feasible start.
+convergent from any feasible start.  The iterate, gradient, Hessian and
+direction are lists of Python floats: on a few unknowns numpy's per-call
+dispatch costs more than the arithmetic, and the operations (hence the
+bits) are the same.
 
 Three tests end the iteration as converged or not:
 
-* gradient: |g|_inf <= grad_tol * max(1, |g at start|_inf);
+* gradient: |g|_inf <= grad_tol * |g at start|_inf;
 * decrement: the Newton decrement lambda^2 = g^T H^-1 g (Boyd & Vandenberghe,
   Convex Optimization 9.5.1) predicts a decrease lambda^2/2 of the objective
-  no larger than its rounding floor, DECREMENT_ULPS * eps * (1 + |E|).  Armijo
+  no larger than its rounding floor, DECREMENT_ULPS * eps * |E|.  Armijo
   cannot certify such a step, but the Newton step is then exact to rounding,
   so the full step (backtracked only for feasibility) is taken.  Where the
   Hessian is large, lambda^2 reaches the floor while |g| still falls by
@@ -21,7 +24,10 @@ Three tests end the iteration as converged or not:
   step;
 * no progress: the Armijo search fails above that floor (not converged).
 
-Otherwise the solve stops at ``max_iters`` (not converged).
+Otherwise the solve stops at ``max_iters`` (not converged).  Both converged
+tests are relative, to the start gradient and to |E|, so they hold at every
+scale of the data: scaling the states by s scales E and g by s, and scaling
+the coefficients by c scales E by c^2 and the minimiser by c.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ class TridiagonalFactorizationError(RuntimeError):
     """Raised when a pivot of the LDL^T factorization is not positive."""
 
 
-def solve_spd_tridiagonal(diag, off, rhs) -> np.ndarray:
+def solve_spd_tridiagonal(diag, off, rhs) -> list[float]:
     """Solve T x = rhs for symmetric positive definite tridiagonal T.
 
     ``diag`` holds the main diagonal (length m), ``off`` the first
@@ -49,20 +55,19 @@ def solve_spd_tridiagonal(diag, off, rhs) -> np.ndarray:
     fails to be positive, which for our objective can only be a numerical
     accident.
     """
-    d = np.asarray(diag, dtype=float).tolist()
-    e = np.asarray(off, dtype=float).tolist()
-    x = np.asarray(rhs, dtype=float).tolist()
-    m = len(d)
     # on Python floats: indexing numpy arrays one element at a time costs more
     # than the arithmetic, and the operations (hence the bits) are the same
-    if not all(map(math.isfinite, d)) or not all(map(math.isfinite, e)):
+    if not all(map(math.isfinite, diag)) or not all(map(math.isfinite, off)):
         raise TridiagonalFactorizationError("non-finite matrix entry")
-    if d[0] <= 0.0:
+    if diag[0] <= 0.0:
         raise TridiagonalFactorizationError("nonpositive pivot at 0")
+    d = list(diag)
+    x = list(rhs)
+    m = len(d)
     l = [0.0] * (m - 1)
     for i in range(1, m):  # factor, and forward: L z = rhs
-        li = e[i - 1] / d[i - 1]
-        di = d[i] - li * e[i - 1]
+        li = off[i - 1] / d[i - 1]
+        di = d[i] - li * off[i - 1]
         if di <= 0.0 or not math.isfinite(di):
             raise TridiagonalFactorizationError(f"nonpositive pivot at {i}")
         l[i - 1] = li
@@ -71,12 +76,12 @@ def solve_spd_tridiagonal(diag, off, rhs) -> np.ndarray:
     x = [xi / di for xi, di in zip(x, d)]  # D y = z
     for i in range(m - 2, -1, -1):  # back: L^T x = y
         x[i] -= l[i] * x[i + 1]
-    return np.array(x)
+    return x
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    # stop once |grad|_inf <= grad_tol * max(1, |grad at start|_inf); the
+    # stop once |grad|_inf <= grad_tol * |grad at start|_inf; the
     # Newton-decrement stop (module docstring) ends solves whose rounding
     # floor lies above that threshold
     grad_tol: float = 1e-12
@@ -107,8 +112,9 @@ class NewtonOutcome:
     records: tuple[IterationRecord, ...]
 
 
-# The decrement stop fires once lambda^2/2 <= DECREMENT_ULPS * eps * (1 + |E|):
-# a thousand units of rounding of the objective, which sums positive terms.
+# The decrement stop fires once lambda^2/2 <= DECREMENT_ULPS * eps * |E|: a
+# thousand units of rounding of the objective, which sums positive terms, so
+# |E| is its own rounding scale.
 DECREMENT_ULPS = 1e3
 # Armijo sufficient-decrease constant and the step shrink per backtrack
 ARMIJO_C = 1e-4
@@ -117,36 +123,38 @@ _EPS = float(np.finfo(float).eps)
 _MIN_STEP = 1e-18
 
 
-def _direction(hd, ho, grad) -> tuple[np.ndarray, bool]:
+def _direction(hd, ho, grad) -> tuple[list[float], bool]:
     """Search direction, and whether it is the exact Newton direction."""
     try:
-        return -solve_spd_tridiagonal(hd, ho, grad), True
+        return [-v for v in solve_spd_tridiagonal(hd, ho, grad)], True
     except TridiagonalFactorizationError:
-        ridge = float(np.max(np.abs(hd))) * 1e-12 + 1e-300
+        ridge = max(map(abs, hd)) * 1e-12 + 1e-300
         try:
-            return -solve_spd_tridiagonal(hd + ridge, ho, grad), False
+            return [-v for v in solve_spd_tridiagonal([h + ridge for h in hd], ho, grad)], False
         except TridiagonalFactorizationError:
-            return -np.asarray(grad, dtype=float), False
+            return [-g for g in grad], False
 
 
 def damped_newton(
     x0: np.ndarray,
-    value_fn: Callable[[np.ndarray], float],
-    full_fn: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]],
-    feasible: Callable[[np.ndarray], bool],
+    value_fn: Callable[[list[float]], float],
+    full_fn: Callable[[list[float]], tuple[float, list[float], list[float], list[float]]],
+    feasible: Callable[[list[float]], bool],
     options: SolveOptions,
 ) -> NewtonOutcome:
     """Minimize from ``x0``; see the module docstring for the stop tests.
 
-    ``value_fn`` and ``full_fn`` are only called at points ``feasible``
-    accepts, so they need not check feasibility themselves.
+    The iterate is a list of Python floats: the callbacks take it and return
+    the gradient and the Hessian's diagonal and off-diagonal as sequences of
+    floats.  ``value_fn`` and ``full_fn`` are only called at points
+    ``feasible`` accepts, so they need not check feasibility themselves.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).tolist()
     if not feasible(x):
         raise ValueError(f"start point is not feasible: {x!r}")
     value, grad, hd, ho = full_fn(x)
-    gnorm = float(np.max(np.abs(grad)))
-    tol = options.grad_tol * max(1.0, gnorm)
+    gnorm = max(map(abs, grad), default=0.0)
+    tol = options.grad_tol * gnorm
     records = [IterationRecord(value, gnorm, 0.0)]
     stop_reason = "gradient" if gnorm <= tol else None
     iterations = 0
@@ -156,28 +164,28 @@ def damped_newton(
             stop_reason = "max_iters"
             break
         d, newton = _direction(hd, ho, grad)
-        slope = float(grad @ d)  # -lambda^2 for a Newton direction
+        slope = sum(gi * di for gi, di in zip(grad, d))  # -lambda^2 for a Newton direction
         if not slope < 0.0:
-            d = -grad
-            slope = -float(grad @ grad)
+            d = [-g for g in grad]
+            slope = -sum(g * g for g in grad)
             newton = False
         t = 1.0
-        while not feasible(x + t * d):
+        while not feasible([xi + t * di for xi, di in zip(x, d)]):
             t *= BACKTRACK_FACTOR
             if t < _MIN_STEP:
                 break
-        at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * (1.0 + abs(value))
+        at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * abs(value)
         if not at_floor:  # Armijo; every shorter step stays feasible
             while t >= _MIN_STEP:
-                if value_fn(x + t * d) <= value + ARMIJO_C * t * slope:
+                if value_fn([xi + t * di for xi, di in zip(x, d)]) <= value + ARMIJO_C * t * slope:
                     break
                 t *= BACKTRACK_FACTOR
         if t < _MIN_STEP:
             stop_reason = "no_progress"
             break
-        x = x + t * d
+        x = [xi + t * di for xi, di in zip(x, d)]
         value, grad, hd, ho = full_fn(x)
-        gnorm = float(np.max(np.abs(grad)))
+        gnorm = max(map(abs, grad), default=0.0)
         records.append(IterationRecord(value, gnorm, t))
         iterations += 1
         if gnorm <= tol:
@@ -186,7 +194,7 @@ def damped_newton(
             stop_reason = "decrement"
         prev_floor = at_floor
     return NewtonOutcome(
-        x=x,
+        x=np.array(x),
         value=value,
         grad_norm=gnorm,
         iterations=iterations,
@@ -227,10 +235,10 @@ def minimize(
     """Damped Newton on the objective from ``start`` (default ``initial_guess``)."""
     x0 = initial_guess(problem) if start is None else start
 
-    def value_fn(x: np.ndarray) -> float:
+    def value_fn(x: list[float]) -> float:
         return entropy_pass(problem, x, derivatives=False)
 
-    def full_fn(x: np.ndarray):
+    def full_fn(x: list[float]):
         return entropy_pass(problem, x)
 
     return damped_newton(x0, value_fn, full_fn, feasible_values, options or SolveOptions())

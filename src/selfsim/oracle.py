@@ -86,9 +86,16 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     steps = int(math.ceil(t_final / dt_bound))
     dt = t_final / steps
     lam = dt / (dx * dx)
+    # lam * (A_{i+1} - 2 A_i + A_{i-1}) in one reused buffer, same operation order
+    lap = np.empty(u.size - 2)
+    inner = u[1:-1]
     for _ in range(steps):
         av = np.interp(u, nodes, avals)
-        u[1:-1] += lam * (av[2:] - 2.0 * av[1:-1] + av[:-2])
+        np.multiply(2.0, av[1:-1], out=lap)
+        np.subtract(av[2:], lap, out=lap)
+        np.add(lap, av[:-2], out=lap)
+        np.multiply(lam, lap, out=lap)
+        inner += lap
     return FDGrid(half_width=half_width, dx=dx, dt=dt, t_final=t_final, cells=u, steps=steps)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import RiemannProblem, diffusion_antiderivative
+from .problem import RiemannProblem
 from .special import erfcx, erfcx_vec, heat_step, log_heat_step_deriv, log_heat_step_diff
 
 _INF = math.inf
@@ -273,18 +273,22 @@ def jump_residuals(problem: RiemannProblem, profile: SelfSimilarProfile) -> tupl
             scale = a * (u[k + 1] - u[k])
             at_lo[k] = scale * math.exp(log_heat_step_deriv(lo / a) - log_norm)
             at_hi[k] = scale * math.exp(log_heat_step_deriv(hi / a) - log_norm)
-    sides = [profile._sides(k - 1, k) for k in range(1, n + 1)]
-    nodes, avals = diffusion_antiderivative(problem.partition)
-    a_jumps = np.interp([s[1] for s in sides], nodes, avals) - np.interp(
-        [s[0] for s in sides], nodes, avals
-    )
+    # A(u) = int a^2 du at the partition's nodes, accumulated in the order
+    # ``diffusion_antiderivative`` sums them; the one-sided states are always
+    # nodes, so the lookup by state is exact in either orientation
+    nodes = problem.partition.breakpoints
+    a_at = {nodes[0]: 0.0}
+    total = 0.0
+    for k, c in enumerate(problem.partition.coefficients):
+        total += c * c * (nodes[k + 1] - nodes[k])
+        a_at[nodes[k + 1]] = total
     records: list[JumpRecord] = []
     slot = -1
     for k in range(1, n + 1):
         loc = b[k - 1]
         if k == 1 or loc != b[k - 2]:
             slot += 1
-        left, right = sides[k - 1]
+        left, right = profile._sides(k - 1, k)
         # the flux across a fused pair comes from the live phases beyond it
         p = k - 2 if k > 1 and cs[k - 1] == 0.0 else k - 1
         q = k + 1 if k < n and cs[k] == 0.0 else k
@@ -296,7 +300,7 @@ def jump_residuals(problem: RiemannProblem, profile: SelfSimilarProfile) -> tupl
                 location=loc,
                 left=left,
                 right=right,
-                a_jump=float(a_jumps[k - 1]),
+                a_jump=a_at[right] - a_at[left],
                 rh_residual=residual,
                 classification="strong" if left != right else "weak",
             )

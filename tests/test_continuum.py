@@ -294,6 +294,32 @@ def test_minimized_profile_solves_selfsimilar_ode():
         assert coarse / fine >= 2.5
 
 
+def _banded_table(seed):
+    # a(u) = 0.6 + 0.4 sin(2 pi (u + phase)) on [0, 1], zero on a seeded band
+    # [center - halfwidth, center + halfwidth], tabulated at 65 points
+    rng = np.random.default_rng(seed)
+    phase, center, halfwidth = rng.uniform(0.0, 1.0), rng.uniform(0.35, 0.65), rng.uniform(0.04, 0.1)
+    u = np.linspace(0.0, 1.0, 65)
+    a = np.where(np.abs(u - center) <= halfwidth, 0.0, 0.6 + 0.4 * np.sin(2.0 * np.pi * (u + phase)))
+    return DiffusionFunction(states=tuple(u.tolist()), values=tuple(a.tolist()))
+
+
+@pytest.mark.parametrize("cells", [32, 128])
+def test_minimize_cost_converges_across_a_zero_band(cells):
+    # the nodes of the band's dead cells are one unknown, so the band is an
+    # exact flat run; as free nodes their gap >= 0 constraints were active at
+    # the minimum and Newton stalled at max_iters with |g| ~ 0.1
+    f = _banded_table(1)
+    m = minimize_variational_cost(f, cells)
+    assert m.converged
+    w = np.linspace(f.lo, f.hi, cells + 1)
+    dead = np.flatnonzero(f(0.5 * (w[:-1] + w[1:])) == 0.0)
+    assert dead.size > 0
+    xi = np.array(m.profile.positions)
+    band = xi[np.concatenate((dead, dead + 1))]
+    assert np.all(band == band[0])
+
+
 def test_minimize_cost_rejects_bad_input():
     with pytest.raises(ValueError):
         minimize_variational_cost(UNIT, 0)

@@ -146,6 +146,28 @@ def test_stop_reason_gradient():
     assert single.converged and single.stop_reason == "gradient"
 
 
+SCALED_BREAKPOINTS = (0.0, 0.3, 0.7, 1.0)
+SCALED_COEFFICIENTS = (1.0, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("state_scale", [1e-15, 1e-12, 1e-9, 1e-6, 1e3, 1e9])
+@pytest.mark.parametrize("coefficient_scale", [1e-9, 1e-6, 1e-3, 1e3, 1e6])
+def test_stop_tests_are_scale_free(state_scale, coefficient_scale):
+    # the objective scales by state_scale * coefficient_scale^2 and its
+    # minimiser by coefficient_scale, so the stop tests, taken relative to the
+    # start gradient and to |E|, must end every scaled solve where the unit
+    # one ends; absolute floors stopped 1e-12 states after 0 iterations
+    unit = solve_riemann(0.0, 1.0, PhasePartition(SCALED_BREAKPOINTS, SCALED_COEFFICIENTS))
+    bps = tuple(state_scale * u for u in SCALED_BREAKPOINTS)
+    cs = tuple(coefficient_scale * a for a in SCALED_COEFFICIENTS)
+    sol = solve_riemann(bps[0], bps[-1], PhasePartition(bps, cs))
+    assert sol.converged, sol.stop_reason
+    expected = coefficient_scale * np.array(unit.boundaries)
+    assert np.max(np.abs(np.array(sol.boundaries) - expected)) <= 1e-9 * np.max(np.abs(expected))
+    scale = max(cs) * (bps[-1] - bps[0])
+    assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * scale
+
+
 def test_stop_reason_decrement():
     # rounding holds |g| of this 16-phase problem (two dead phases, 37 steps)
     # about a hundred times above the gradient threshold, so two full floor
@@ -230,6 +252,7 @@ def test_stop_reason_no_progress():
     # the solver's objective is convex, so its line search cannot fail above
     # the rounding floor; a value function that never decreases makes it fail
     def full_fn(x):
+        x = np.asarray(x)
         return float(x @ x), 2.0 * x, np.full(x.size, 2.0), np.zeros(x.size - 1)
 
     out = damped_newton(
@@ -343,7 +366,7 @@ def _tridiagonal_systems(draw):
         diag[:-1] += np.abs(off)
         diag[1:] += np.abs(off)
     rhs = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
-    return diag, off, rhs
+    return diag.tolist(), off.tolist(), rhs.tolist()
 
 
 @given(_tridiagonal_systems())
@@ -357,7 +380,7 @@ def test_tridiagonal_solver_is_bit_identical_to_the_array_loop(system):
             solve_spd_tridiagonal(*system)
         return
     got = solve_spd_tridiagonal(*system)
-    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert type(got) is list and np.array(got).tobytes() == expected.tobytes()
 
 
 def test_tridiagonal_solver_rejects_indefinite():

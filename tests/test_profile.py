@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from selfsim import PhasePartition, eval_selfsimilar, eval_solution, solve_riemann
 from selfsim.api import KIND_FROZEN_STEP, KIND_GENERAL, KIND_SINGLE_ARC
 from selfsim.cli import main
-from selfsim.problem import validate
+from selfsim.problem import diffusion_antiderivative, validate
 from selfsim.profile import JumpPoint, SelfSimilarProfile, build_profile, flux, jump_residuals
 from selfsim.special import heat_step, heat_step_deriv
 
@@ -487,3 +487,15 @@ def test_profile_finite_and_monotone_for_admissible_partitions(drawn):
 @settings(max_examples=150, deadline=None)
 def test_profile_balances_for_moderate_coefficients(drawn):
     _assert_finite_profile(_solve_drawn(drawn), residual_tol=1e-9)
+
+
+@given(_partitions(0.05, 5.0))
+@settings(max_examples=150, deadline=None)
+def test_a_jump_is_bit_identical_to_interpolating_the_antiderivative(drawn):
+    # jump_residuals sums A at the partition's nodes; the one-sided states are
+    # nodes, so np.interp on the antiderivative table gives the same bits
+    sol = _solve_drawn(drawn)
+    nodes, avals = diffusion_antiderivative(sol.problem.partition)
+    for rec in sol.jumps:
+        expected = np.interp(rec.right, nodes, avals) - np.interp(rec.left, nodes, avals)
+        assert np.float64(rec.a_jump).tobytes() == expected.tobytes()
