@@ -202,10 +202,12 @@ def minimize_variational_cost(
     takes unknown ``slots[i]``, the number of live cells left of it.  The
     Hessian stays symmetric tridiagonal — a live cell couples two adjacent
     unknowns, a dead one only adds to its unknown's diagonal — so the
-    boundary-objective Newton machinery applies unchanged.
+    boundary-objective Newton machinery applies unchanged.  On one cell J
+    is unbounded below (the quadratic pins only the midpoint, so the gap
+    grows without limit); two or more cells pin every node.
     """
-    if cells < 1:
-        raise ValueError("need at least one cell")
+    if cells < 2:
+        raise ValueError("need at least two cells: on one the cost is unbounded below")
     w = np.linspace(f.lo, f.hi, cells + 1)
     du = np.diff(w)
     a = np.asarray(f(0.5 * (w[:-1] + w[1:])), dtype=float)

@@ -71,6 +71,23 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     time step is ``SAFETY`` times the explicit stability bound
     dx^2 / (2 max A'), which also makes the update monotone (order
     preserving), so comparison arguments apply to the discrete solution.
+
+    Monotone and translation invariant, the update keeps the cells sorted:
+    the step data is nondecreasing in x, so is its shift by one cell, and
+    the shift stays above the unshifted solution (Crandall & Majda, Math.
+    Comp. 34, 1980).  Each phase of A is therefore one contiguous block of
+    cells, found per step by a single ``searchsorted`` of the phase nodes
+    into the cells.  Rounding can still swap two neighbours that agree to
+    an ulp, as under any cellwise evaluation of A; such a cell lands at
+    worst on the adjacent phase's line, within an ulp of their shared node,
+    where both lines give A to rounding.  A is evaluated blockwise as
+    ``slope * (u - node) + A(node)``, with lam = dt/dx^2 folded into slope
+    and value.  Measuring u from the block's node keeps the rounding
+    independent of where the states sit (``slope * u + intercept`` loses
+    digits in proportion to |u| / |u_{n+1} - u_0|: 2e-11 of the jump on
+    heat from 1e4 to 1e4 + 1).  Cells at or above the last node form a flat
+    block at lam * A(u_{n+1}), so the far field keeps an exactly zero
+    Laplacian.
     """
     if not (0.0 < t_final < _INF and 0.0 < dx < _INF):
         raise ValueError("t_final and dx must be positive and finite")
@@ -86,15 +103,29 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     steps = int(math.ceil(t_final / dt_bound))
     dt = t_final / steps
     lam = dt / (dx * dx)
-    # lam * (A_{i+1} - 2 A_i + A_{i-1}) in one reused buffer, same operation order
+    # block j (phase j, then the flat block above the last node) holds
+    # lam * A(u) = slopes[j] * (u - nodes[j]) + values[j]
+    slopes = np.append(lam * (np.diff(avals) / np.diff(nodes)), 0.0)
+    values = lam * avals
+    upper = nodes[1:]
+    seen = b""
+    av = np.empty(u.size)
     lap = np.empty(u.size - 2)
     inner = u[1:-1]
+    av_right, av_mid, av_left = av[2:], av[1:-1], av[:-2]
     for _ in range(steps):
-        av = np.interp(u, nodes, avals)
-        np.multiply(2.0, av[1:-1], out=lap)
-        np.subtract(av[2:], lap, out=lap)
-        np.add(lap, av[:-2], out=lap)
-        np.multiply(lam, lap, out=lap)
+        cuts = np.searchsorted(u, upper)  # cells below each upper node
+        if cuts.tobytes() != seen:
+            seen = cuts.tobytes()
+            counts = np.diff(cuts, prepend=0, append=u.size)
+            slope, base, value = (np.repeat(v, counts) for v in (slopes, nodes, values))
+        np.subtract(u, base, out=av)
+        av *= slope
+        av += value
+        # lam * (A_{i+1} - 2 A_i + A_{i-1}) in one reused buffer
+        np.multiply(2.0, av_mid, out=lap)
+        np.subtract(av_right, lap, out=lap)
+        np.add(lap, av_left, out=lap)
         inner += lap
     return FDGrid(half_width=half_width, dx=dx, dt=dt, t_final=t_final, cells=u, steps=steps)
 

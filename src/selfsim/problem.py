@@ -90,7 +90,7 @@ def diffusion_antiderivative(partition: PhasePartition) -> tuple[np.ndarray, np.
     """Nodes and values of A(u) = int_{u_0}^{u} a^2(s) ds.
 
     A is continuous, piecewise linear, nondecreasing, and constant across
-    degenerate intervals; evaluate it with np.interp on the returned pair.
+    degenerate intervals.
     """
     nodes = np.asarray(partition.breakpoints, dtype=float)
     a2 = np.square(np.asarray(partition.coefficients, dtype=float))

@@ -67,6 +67,16 @@ def part(n: int, seed: int, lo: float = 0.2, hi: float = 2.0):
     return normalize_orientation(0.0, 1.0, partition)
 
 
+def admissible(coefficients) -> tuple[float, ...]:
+    """Drawn coefficients made admissible: adjacent ones must differ, so a
+    repeat is replaced as the ``part`` recipe does."""
+    cs = list(coefficients)
+    for k in range(1, len(cs)):
+        if cs[k] == cs[k - 1]:
+            cs[k] = 0.5 if cs[k - 1] != 0.5 else 2.0
+    return tuple(cs)
+
+
 def feasible_point(rng: np.random.Generator, problem, scale: float = 1.0):
     """Random strictly increasing boundary values, as an array of m floats."""
     steps = rng.uniform(0.05, 0.8, size=problem.m) * scale

@@ -328,6 +328,15 @@ def test_minimize_cost_rejects_bad_input():
         minimize_variational_cost(dead, 8)
 
 
+@pytest.mark.parametrize("f", [UNIT, DiffusionFunction(states=(0.0, 1.0), values=(0.5, 2.0))])
+def test_minimize_cost_rejects_one_cell(f):
+    # one cell pins only its midpoint, so J falls without bound as the gap
+    # grows; Newton used to run to max_iters and return converged=False
+    with pytest.raises(ValueError, match="at least two cells"):
+        minimize_variational_cost(f, 1)
+    assert minimize_variational_cost(f, 2).converged
+
+
 # ---------------------------------------------------------------------------
 # refinement studies
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selfsim import PhasePartition, solve_riemann
 from selfsim.oracle import (
+    SAFETY,
     FDGrid,
     compare_profiles,
     fd_solve,
@@ -15,12 +18,22 @@ from selfsim.oracle import (
 )
 from selfsim.problem import normalize_orientation
 
+from conftest import admissible, part
+from fd_reference import reference_fd_solve
+
 STEFAN_FRONT = -0.7156690933440143  # u=(0,1,2), a=(0,1); frozen from this oracle
 
 
 def _oriented(breakpoints, coefficients):
-    part = PhasePartition(breakpoints=breakpoints, coefficients=coefficients)
-    return normalize_orientation(breakpoints[0], breakpoints[-1], part)
+    partition = PhasePartition(breakpoints=breakpoints, coefficients=coefficients)
+    return normalize_orientation(breakpoints[0], breakpoints[-1], partition)
+
+
+def _mirrored(problem):
+    # the other orientation in the solver frame: u -> u_0 + u_{n+1} - u, phases reversed
+    bps = problem.partition.breakpoints
+    lo, hi = bps[0], bps[-1]
+    return _oriented(tuple(lo + hi - b for b in reversed(bps)), problem.partition.coefficients[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +209,76 @@ def test_fd_preserves_monotonicity():
     for t_final in (0.1, 0.5, 1.0):
         fd = fd_solve(prob, t_final, 0.02)
         assert np.all(np.diff(fd.cells) >= 0.0)
+    # fd_solve finds each phase's block of cells by one searchsorted, so the
+    # cells must stay sorted: part(n, s), both orientations
+    for n in (2, 4, 8):
+        for seed in (0, 1, 2):
+            for prob in (part(n, seed), _mirrored(part(n, seed))):
+                for t_final in (0.1, 1.0):
+                    fd = fd_solve(prob, t_final, 0.05)
+                    assert np.all(np.diff(fd.cells) >= 0.0), (n, seed, t_final)
+
+
+def _fd_partitions():
+    """Admissible partitions with n <= 8, coefficients in [0.2, 1.5] or zero
+    (edge and interior), states off the origin, and a random orientation."""
+    coefficient = st.one_of(st.just(0.0), st.floats(0.2, 1.5))
+    return st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.floats(-3.0, 3.0),
+            st.lists(st.floats(0.1, 1.0), min_size=n + 1, max_size=n + 1),
+            st.lists(coefficient, min_size=n + 1, max_size=n + 1),
+            st.booleans(),
+        )
+    )
+
+
+@given(_fd_partitions(), st.floats(0.05, 0.25), st.floats(0.05, 0.1))
+# heat from 1e4 to 1e4 + 1: lam*A(u) as slope*u + intercept, without the
+# phase's node subtracted first, is 1e-11 of the jump off here
+@example(drawn=(1e4, [1.0], [1.0], False), t_final=0.25, dx=0.0625)
+@settings(max_examples=60, deadline=None)
+def test_fd_matches_the_interp_loop(drawn, t_final, dx):
+    start, gaps, coefficients, flip = drawn
+    bps = tuple((start + np.concatenate([[0.0], np.cumsum(gaps)])).tolist())
+    partition = PhasePartition(bps, admissible(coefficients))
+    ends = (bps[-1], bps[0]) if flip else (bps[0], bps[-1])
+    prob = normalize_orientation(*ends, partition)
+    got = fd_solve(prob, t_final, dx)
+    ref = reference_fd_solve(prob, t_final, dx)
+    assert (got.steps, got.dt, got.half_width) == (ref.steps, ref.dt, ref.half_width)
+    span = bps[-1] - bps[0]
+    assert np.max(np.abs(got.cells - ref.cells)) <= 1e-12 * span
+    # sorted up to rounding: both loops swap neighbours that agree to one ulp
+    # of a far state in about 1 % of random draws; a larger swap would move
+    # a cell into the wrong phase block
+    ulp = np.spacing(max(abs(bps[0]), abs(bps[-1])))
+    assert np.all(np.diff(got.cells) >= -4.0 * ulp)
+    assert (got.cells[0], got.cells[-1]) == (bps[0], bps[-1])
+
+
+@pytest.mark.parametrize(
+    "breakpoints, coefficients",
+    [
+        ((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0)),
+        ((1.0, 1.5, 2.5, 3.0), (0.0, 2.0, 0.7)),
+        ((-4.0, -3.0, -1.0), (0.6, 1.3)),
+    ],
+)
+def test_fd_finite_propagation(breakpoints, coefficients):
+    # each step reaches one cell further from the initial jump; beyond that
+    # the cells must keep their far states exactly, so neither the flat
+    # block above the last node nor an intercept's rounding may drift
+    for prob in (_oriented(breakpoints, coefficients), _mirrored(_oriented(breakpoints, coefficients))):
+        a_max = max(coefficients)
+        dx = 0.05
+        fd = fd_solve(prob, 4.0 * SAFETY * dx * dx / (2.0 * a_max * a_max), dx)
+        assert 4 <= fd.steps <= 5
+        half = fd.cells.size // 2  # the jump lies between cells half - 1 and half
+        lo, hi = prob.partition.breakpoints[0], prob.partition.breakpoints[-1]
+        assert np.all(fd.cells[: half - fd.steps] == lo)
+        assert np.all(fd.cells[half + fd.steps :] == hi)
+        assert fd.cells[half - 1] > lo and fd.cells[half] < hi
 
 
 def test_fd_comparison_principle():

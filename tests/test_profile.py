@@ -15,7 +15,7 @@ from selfsim.problem import diffusion_antiderivative, validate
 from selfsim.profile import JumpPoint, SelfSimilarProfile, build_profile, flux, jump_residuals
 from selfsim.special import heat_step, heat_step_deriv
 
-from conftest import make_problem, part
+from conftest import admissible, make_problem, part
 
 
 def _solve(breakpoints, coefficients):
@@ -444,15 +444,6 @@ def test_random_partition_profile_balances(n, seed):
     _assert_finite_profile(sol, residual_tol=1e-9)
 
 
-def _admissible(coefficients):
-    # adjacent coefficients must differ: replace a repeat as the part() recipe does
-    cs = list(coefficients)
-    for k in range(1, len(cs)):
-        if cs[k] == cs[k - 1]:
-            cs[k] = 0.5 if cs[k - 1] != 0.5 else 2.0
-    return tuple(cs)
-
-
 def _partitions(lo, hi):
     """Admissible partitions with n <= 16, coefficients log-uniform in [lo, hi]
     or zero, and a random orientation."""
@@ -471,7 +462,7 @@ def _partitions(lo, hi):
 def _solve_drawn(drawn):
     gaps, coefficients, flip = drawn
     breakpoints = tuple(np.concatenate([[0.0], np.cumsum(gaps)]).tolist())
-    partition = PhasePartition(breakpoints, _admissible(coefficients))
+    partition = PhasePartition(breakpoints, admissible(coefficients))
     assert validate(partition) is None
     ends = (breakpoints[-1], breakpoints[0]) if flip else (breakpoints[0], breakpoints[-1])
     return solve_riemann(*ends, partition)
