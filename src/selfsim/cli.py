@@ -336,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # reads raise ConfigError, so this is a failed write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - last-resort guard
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

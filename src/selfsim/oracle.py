@@ -71,6 +71,8 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     time step is ``SAFETY`` times the explicit stability bound
     dx^2 / (2 max A'), which also makes the update monotone (order
     preserving), so comparison arguments apply to the discrete solution.
+    A coefficient so small that the bound overflows, or its square
+    underflows, still gets one step over the whole horizon.
 
     Monotone and translation invariant, the update keeps the cells sorted:
     the step data is nondecreasing in x, so is its shift by one cell, and
@@ -91,7 +93,7 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     """
     if not (0.0 < t_final < _INF and 0.0 < dx < _INF):
         raise ValueError("t_final and dx must be positive and finite")
-    nodes, avals = diffusion_antiderivative(problem.partition)
+    nodes, avals = (np.array(v) for v in diffusion_antiderivative(problem.partition))
     a_max = max(problem.partition.coefficients)
     half_cells = int(math.ceil(HALFWIDTH_FACTOR * max(a_max, 1.0) * math.sqrt(t_final) / dx)) + 1
     x = (np.arange(2 * half_cells) - half_cells + 0.5) * dx
@@ -99,8 +101,9 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     half_width = (half_cells - 0.5) * dx
     if a_max == 0.0:
         return FDGrid(half_width=half_width, dx=dx, dt=0.0, t_final=t_final, cells=u, steps=0)
-    dt_bound = SAFETY * dx * dx / (2.0 * a_max * a_max)
-    steps = int(math.ceil(t_final / dt_bound))
+    denominator = 2.0 * a_max * a_max
+    dt_bound = SAFETY * dx * dx / denominator if denominator > 0.0 else _INF
+    steps = max(int(math.ceil(t_final / dt_bound)), 1)
     dt = t_final / steps
     lam = dt / (dx * dx)
     # block j (phase j, then the flat block above the last node) holds

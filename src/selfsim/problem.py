@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 
 class InvalidPartitionError(ValueError):
@@ -86,16 +85,17 @@ def require_valid(partition: PhasePartition) -> None:
         raise InvalidPartitionError(v.message)
 
 
-def diffusion_antiderivative(partition: PhasePartition) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and values of A(u) = int_{u_0}^{u} a^2(s) ds.
+def diffusion_antiderivative(partition: PhasePartition) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and values of A(u) = int_{u_0}^{u} a^2(s) ds, as Python floats.
 
     A is continuous, piecewise linear, nondecreasing, and constant across
-    degenerate intervals.
+    degenerate intervals.  The values are the partial sums of a_k^2 du_k,
+    taken left to right, so every caller reads the same bits at the nodes.
     """
-    nodes = np.asarray(partition.breakpoints, dtype=float)
-    a2 = np.square(np.asarray(partition.coefficients, dtype=float))
-    values = np.concatenate(([0.0], np.cumsum(a2 * np.diff(nodes))))
-    return nodes, values
+    nodes = tuple(map(float, partition.breakpoints))
+    cs = map(float, partition.coefficients)
+    terms = (c * c * (hi - lo) for c, lo, hi in zip(cs, nodes, nodes[1:]))
+    return nodes, tuple(accumulate(terms, initial=0.0))
 
 
 @dataclass(frozen=True)

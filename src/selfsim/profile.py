@@ -12,7 +12,9 @@ A live phase (a_k > 0) is the error-function arc
 and a dead phase (a_k = 0) is a jump from u_k to u_{k+1}: at xi_1 on the
 left edge, at xi_n on the right edge, at its fused position inside, and at 0
 when it is the only phase.  Values, one-sided limits, fluxes, jumps and the
-mirror image are all derived from those three tuples.
+mirror image are all derived from those three tuples; each live phase's
+ln D_k is taken once per profile, and ``jump_residuals`` reads its balance
+from the one-sided ``limits`` and ``flux_limits``.
 
 ``sample`` takes every arc value in one pass, in complement form, from the
 tail ratio R_k(s) = (1 - H(s)) / D_k = erfcx(s/2) exp(-s^2/4 - ln D_k) / 2
@@ -32,10 +34,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .problem import RiemannProblem
+from .problem import RiemannProblem, diffusion_antiderivative
 from .special import erfcx, erfcx_vec, heat_step, log_heat_step_deriv, log_heat_step_diff
 
 _INF = math.inf
@@ -73,10 +76,15 @@ class SelfSimilarProfile:
         # of dead phase k: xi_1 on the left edge, else xi_k
         return self.boundaries[max(k - 1, 0)] if self.boundaries else 0.0
 
-    def _log_norm(self, k: int) -> float:
-        lo, hi = self._ends(k)
-        a = self.coefficients[k]
-        return log_heat_step_diff(hi / a, lo / a)
+    @cached_property
+    def _log_norms(self) -> tuple[float, ...]:
+        # ln D_k of each live phase, 0.0 for a dead one; the cache lives in
+        # the instance dict, so ==, hash and repr still see the three fields
+        edges = (-_INF, *self.boundaries, _INF)
+        return tuple(
+            log_heat_step_diff(hi / a, lo / a) if a > 0.0 else 0.0
+            for a, lo, hi in zip(self.coefficients, edges, edges[1:])
+        )
 
     def _sides(self, i: int, j: int) -> tuple[float, float]:
         # the states on either side of a line where phase i ends and phase j begins
@@ -89,7 +97,7 @@ class SelfSimilarProfile:
         if a == 0.0:
             return 0.0
         du = self.states[k + 1] - self.states[k]
-        return a * du * math.exp(log_heat_step_deriv(xi / a) - self._log_norm(k))
+        return a * du * math.exp(log_heat_step_deriv(xi / a) - self._log_norms[k])
 
     def jumps(self) -> tuple[JumpPoint, ...]:
         u = self.states
@@ -136,7 +144,7 @@ class SelfSimilarProfile:
             f_lo = heat_step(y)
             v = u0 + du / (heat_step(x) - f_lo) * (heat_step(t) - f_lo)
         else:
-            log_norm = self._log_norm(k)
+            log_norm = self._log_norms[k]
             if y >= 0.0:  # right tail: anchored at hi
                 v = u1 - du * (_tail_ratio(t, log_norm) - _tail_ratio(x, log_norm))
             else:  # left tail: the mirror image, anchored at lo
@@ -163,7 +171,7 @@ class SelfSimilarProfile:
         cs, u = self.coefficients, self.states
         live = [a > 0.0 for a in cs]
         scale = np.array([a if ok else 1.0 for a, ok in zip(cs, live)])
-        log_norm = np.array([self._log_norm(k) if ok else 0.0 for k, ok in enumerate(live)])
+        log_norm = np.array(self._log_norms)
         pivot = np.array([0.0 if ok else self._jump_location(k) for k, ok in enumerate(live)])
         edges = np.array((-_INF, *self.boundaries, _INF))
         ends = np.abs(np.concatenate((edges[:-1], edges[1:])) / np.tile(scale, 2))
@@ -253,46 +261,27 @@ class JumpRecord:
 
 
 def jump_residuals(problem: RiemannProblem, profile: SelfSimilarProfile) -> tuple[JumpRecord, ...]:
-    """Interface diagnostics at every nominal boundary.
+    """Interface diagnostics at every nominal boundary, read from the profile.
 
-    The residual is the self-similar form of the moving-interface balance:
-    (right - left) * xi / 2 plus the jump of the diffusive flux.  It vanishes
-    at the minimizer and is reported, not thrown, so perturbed profiles can
-    be inspected.  Each live phase's end fluxes a du H'(end/a) / D are taken
-    once, as the ratios the objective's gradient sums, so the residual is
-    finite wherever the objective is.
+    The residual is the self-similar form of the moving-interface balance,
+    (right - left) * xi / 2 + (flux_right - flux_left), with the states from
+    ``limits`` and the fluxes from ``flux_limits`` at the boundary, so a
+    fused pair reads the live phases beyond it.  It vanishes at the
+    minimizer and is reported, not thrown, so perturbed profiles can be
+    inspected.  Each flux is a du exp(ln H'(xi/a) - ln D) with the profile's
+    ln D, so the residual is finite wherever the objective is.  The one-sided
+    states are nodes of ``diffusion_antiderivative``, so A is read from its
+    table exactly, in either orientation.
     """
-    b, u, cs = profile.boundaries, profile.states, profile.coefficients
-    n = len(b)
-    at_lo = [0.0] * (n + 1)
-    at_hi = [0.0] * (n + 1)
-    for k, a in enumerate(cs):
-        if a > 0.0:
-            lo, hi = profile._ends(k)
-            log_norm = profile._log_norm(k)
-            scale = a * (u[k + 1] - u[k])
-            at_lo[k] = scale * math.exp(log_heat_step_deriv(lo / a) - log_norm)
-            at_hi[k] = scale * math.exp(log_heat_step_deriv(hi / a) - log_norm)
-    # A(u) = int a^2 du at the partition's nodes, accumulated in the order
-    # ``diffusion_antiderivative`` sums them; the one-sided states are always
-    # nodes, so the lookup by state is exact in either orientation
-    nodes = problem.partition.breakpoints
-    a_at = {nodes[0]: 0.0}
-    total = 0.0
-    for k, c in enumerate(problem.partition.coefficients):
-        total += c * c * (nodes[k + 1] - nodes[k])
-        a_at[nodes[k + 1]] = total
+    a_at = dict(zip(*diffusion_antiderivative(problem.partition)))
+    b = profile.boundaries
     records: list[JumpRecord] = []
     slot = -1
-    for k in range(1, n + 1):
-        loc = b[k - 1]
+    for k, loc in enumerate(b, start=1):
         if k == 1 or loc != b[k - 2]:
             slot += 1
-        left, right = profile._sides(k - 1, k)
-        # the flux across a fused pair comes from the live phases beyond it
-        p = k - 2 if k > 1 and cs[k - 1] == 0.0 else k - 1
-        q = k + 1 if k < n and cs[k] == 0.0 else k
-        residual = (right - left) * loc / 2.0 + (at_lo[q] - at_hi[p])
+        left, right = profile.limits(loc)
+        flux_left, flux_right = profile.flux_limits(loc)
         records.append(
             JumpRecord(
                 boundary=k,
@@ -301,7 +290,7 @@ def jump_residuals(problem: RiemannProblem, profile: SelfSimilarProfile) -> tupl
                 left=left,
                 right=right,
                 a_jump=a_at[right] - a_at[left],
-                rh_residual=residual,
+                rh_residual=(right - left) * loc / 2.0 + (flux_right - flux_left),
                 classification="strong" if left != right else "weak",
             )
         )

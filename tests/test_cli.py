@@ -193,6 +193,20 @@ def test_validate_frozen_step_reports_zero_relative_error(tmp_path):
     assert [r[header.index("l1_relative")] for r in rows] == ["0.0", "0.0"]
 
 
+def test_validate_runs_on_a_vanishing_coefficient(tmp_path):
+    # a_max = 1e-160 overflows the FD stability bound; the integrator still
+    # takes one step instead of dividing by zero steps
+    config_path = tmp_path / "tiny.cfg"
+    config_path.write_text(
+        "u_minus = 0\nu_plus = 1\nbreakpoints = [0.5]\ncoefficients = [1e-160, 0]\n",
+        encoding="utf-8",
+    )
+    code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "t_")])
+    assert code == 0
+    header, rows = _read_rows(tmp_path / "t_validate.csv")
+    assert [int(r[header.index("steps")]) for r in rows] == [1, 1]
+
+
 def test_continuum_emits_refinement_table(tmp_path):
     table = tmp_path / "ramp.csv"
     table.write_text(
@@ -284,6 +298,15 @@ def test_failed_run_removes_partial_files(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="disk full"):
         run(config)
     assert list(tmp_path.glob("p_*")) == []
+
+
+def test_exit_2_when_outputs_cannot_be_written(tmp_path, capsys):
+    config_path = tmp_path / "two.cfg"
+    config_path.write_text(SOLVE_TWO_PHASE, encoding="utf-8")
+    code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "missing" / "x_")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output:")
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,17 @@ def test_fd_rejects_bad_parameters():
             fd_solve(prob, t_final, dx)
 
 
+@pytest.mark.parametrize("a", [1e-160, 1e-200])
+def test_fd_takes_a_step_on_a_vanishing_coefficient(a):
+    # at 1e-160 the stability bound overflows to inf, at 1e-200 the square
+    # of a_max underflows to 0: one step of the whole horizon either way
+    prob = _oriented((0.0, 0.5, 1.0), (a, 0.0))
+    fd = fd_solve(prob, 1.0, 0.05)
+    assert fd.steps >= 1 and fd.steps * fd.dt == 1.0
+    assert np.all(np.isfinite(fd.cells))
+    assert (fd.cells[0], fd.cells[-1]) == (0.0, 1.0)
+
+
 def test_fd_conserves_mass():
     prob = _oriented((0.0, 1.0, 2.0), (1.0, 2.0))
     fd = fd_solve(prob, 1.0, 0.04)

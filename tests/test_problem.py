@@ -182,6 +182,21 @@ def test_antiderivative_table():
     assert np.allclose(accum, [0.0, 1.0, 5.0])
 
 
+def test_antiderivative_is_python_floats_summed_left_to_right(rng):
+    # np.cumsum sums sequentially too, so the array form gives the same bits;
+    # integer breakpoints still come back as floats
+    for n in (1, 4, 16):
+        prob = make_problem(rng, n)
+        bps, cs = prob.partition.breakpoints, prob.partition.coefficients
+        nodes, values = diffusion_antiderivative(prob.partition)
+        assert all(type(v) is float for v in nodes + values)
+        expected = np.concatenate(([0.0], np.cumsum(np.square(cs) * np.diff(bps))))
+        assert np.array(values).tobytes() == expected.tobytes()
+    nodes, values = diffusion_antiderivative(PhasePartition((0, 1, 3), (2, 0)))
+    assert (nodes, values) == ((0.0, 1.0, 3.0), (0.0, 4.0, 4.0))
+    assert all(type(v) is float for v in nodes + values)
+
+
 def test_antiderivative_flat_on_degenerate():
     part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
     states, accum = diffusion_antiderivative(part)

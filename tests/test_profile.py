@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfsim import PhasePartition, eval_selfsimilar, eval_solution, solve_riemann
@@ -16,6 +16,7 @@ from selfsim.profile import JumpPoint, SelfSimilarProfile, build_profile, flux, 
 from selfsim.special import heat_step, heat_step_deriv
 
 from conftest import admissible, make_problem, part
+from jump_reference import reference_jump_residuals
 
 
 def _solve(breakpoints, coefficients):
@@ -93,6 +94,12 @@ def test_profile_is_its_three_tuples():
     )
     assert prof.left_state == 0.0
     assert prof.right_state == 2.0
+    # the ln D that sample and jump_residuals cache is no part of the value
+    prof.sample(np.linspace(-3.0, 3.0, 7))
+    jump_residuals(sol.problem, prof)
+    fresh = SelfSimilarProfile(sol.boundaries, (0.0, 1.0, 2.0), (0.0, 1.0))
+    assert "_log_norms" in vars(prof) and "_log_norms" not in vars(fresh)
+    assert prof == fresh and hash(prof) == hash(fresh) and repr(prof) == repr(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -490,3 +497,38 @@ def test_a_jump_is_bit_identical_to_interpolating_the_antiderivative(drawn):
     for rec in sol.jumps:
         expected = np.interp(rec.right, nodes, avals) - np.interp(rec.left, nodes, avals)
         assert np.float64(rec.a_jump).tobytes() == expected.tobytes()
+
+
+def _record_bits(records):
+    return [
+        (r.boundary, r.slot, r.classification)
+        + tuple(float(v).hex() for v in (r.location, r.left, r.right, r.a_jump, r.rh_residual))
+        for r in records
+    ]
+
+
+@given(_partitions(0.05, 5.0), st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=17, max_size=17))
+@example(drawn=([0.5, 0.5], [0.0, 1.0], False), signs=[1.0] * 17)  # dead left edge
+@example(drawn=([0.5, 0.5], [1.0, 0.0], True), signs=[-1.0] * 17)  # dead right edge
+@example(drawn=([0.3, 0.4, 0.3], [1.0, 0.0, 2.0], False), signs=[1.0, -1.0] * 9)  # fused pair
+@example(drawn=([0.3, 0.4, 0.3, 0.2], [0.0, 1.0, 0.0, 2.0], True), signs=[-1.0, 1.0] * 9)
+@settings(max_examples=150, deadline=None)
+def test_jump_records_match_the_end_flux_loop(drawn, signs):
+    # the records read from limits/flux_limits are the per-phase end-flux
+    # loop's bit for bit, at the minimizer and with its slots moved by 1e-2
+    sol = _solve_drawn(drawn)
+    problem = sol.problem
+    assert _record_bits(sol.jumps) == _record_bits(reference_jump_residuals(problem, sol.profile))
+    if problem.m == 0:
+        return
+    solved = sol.profile.mirrored() if problem.orientation_flipped else sol.profile
+    x = np.array([solved.boundaries[problem.slots.index(j)] for j in range(problem.m)])
+    bumped = x + 1e-2 * np.array(signs[: problem.m])
+    if np.any(np.diff(bumped) <= 0.0):  # keep the order: move every slot alike
+        bumped = x + 1e-2 * signs[0]
+    profile = build_profile(problem, bumped)
+    if problem.orientation_flipped:
+        profile = profile.mirrored()
+    assert _record_bits(jump_residuals(problem, profile)) == _record_bits(
+        reference_jump_residuals(problem, profile)
+    )
