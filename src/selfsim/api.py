@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .entropy import shift_constant
 from .optimizer import IterationRecord, NewtonOutcome, SolveOptions, minimize
 from .problem import PhasePartition, RiemannProblem, normalize_orientation
@@ -54,7 +52,7 @@ def solve_riemann(
         # empty gradient meets any tolerance
         kind = KIND_SINGLE_ARC if partition.coefficients[0] > 0.0 else KIND_FROZEN_STEP
         outcome = NewtonOutcome(
-            x=np.empty(0), value=0.0, grad_norm=0.0, iterations=0,
+            x=(), value=0.0, grad_norm=0.0, iterations=0,
             converged=True, stop_reason="gradient", records=(),
         )
     else:

@@ -6,8 +6,12 @@ round-trip decimal representation of the double value, so identical inputs
 produce byte-identical files.
 
 Exit codes: 0 success; 1 invalid problem or non-convergence; 2 unusable
-config or arguments; 3 unexpected internal failure.  Whatever the failure,
-already-written output files of the failed run are removed.
+config, arguments or diffusion table, or unwritable output; 3 unexpected
+internal failure.  Whatever the failure, already-written output files of
+the failed run are removed.
+
+``solve``, ``evaluate`` and ``continuum`` run on Python floats; only
+``validate`` loads numpy, with the FD oracle.
 """
 
 from __future__ import annotations
@@ -18,14 +22,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .api import RiemannSolution, solve_riemann
-from .continuum import DiffusionFunction, convergence_study
+from .continuum import DiffusionFunction, _linspace, convergence_study
 from .entropy import entropy_value, sublevel_bounds
 from .optimizer import SolveOptions, initial_guess
-from .oracle import compare_profiles, fd_solve
 from .problem import PhasePartition
+from .profile import SelfSimilarProfile
 
 _PROFILE_POINTS = 2001
 
@@ -183,6 +185,13 @@ def _plot_halfwidth(solution: RiemannSolution) -> float:
     return 1.2 * radius
 
 
+def _profile_rows(profile: SelfSimilarProfile, halfwidth: float, scale: float):
+    # (x, v(x / scale)) on np.linspace(-halfwidth, halfwidth, _PROFILE_POINTS),
+    # each point's right limit, as ``sample`` takes it
+    for x in _linspace(-halfwidth, halfwidth, _PROFILE_POINTS):
+        yield x, profile.limits(x / scale)[1]
+
+
 def _cmd_solve(config: RunConfig, out: str, written: list[Path]) -> None:
     solution = _solve_from_config(config)
     _write_csv(
@@ -194,13 +203,10 @@ def _cmd_solve(config: RunConfig, out: str, written: list[Path]) -> None:
         ),
         written,
     )
-    halfwidth = _plot_halfwidth(solution)
-    grid = np.linspace(-halfwidth, halfwidth, _PROFILE_POINTS)
-    values = solution.profile.sample(grid)
     _write_csv(
         Path(f"{out}profile.csv"),
         ("xi", "v"),
-        ((float(g), float(v)) for g, v in zip(grid, values)),
+        _profile_rows(solution.profile, _plot_halfwidth(solution), 1.0),
         written,
     )
     _write_csv(
@@ -216,18 +222,19 @@ def _cmd_solve(config: RunConfig, out: str, written: list[Path]) -> None:
 
 def _cmd_evaluate(config: RunConfig, out: str, written: list[Path]) -> None:
     solution = _solve_from_config(config)
-    halfwidth = _plot_halfwidth(solution) * math.sqrt(config.t_final)
-    grid = np.linspace(-halfwidth, halfwidth, _PROFILE_POINTS)
-    values = solution.profile.sample(grid / math.sqrt(config.t_final))
+    scale = math.sqrt(config.t_final)
+    rows = _profile_rows(solution.profile, _plot_halfwidth(solution) * scale, scale)
     _write_csv(
         Path(f"{out}evaluate.csv"),
         ("t", "x", "u"),
-        ((config.t_final, float(x), float(v)) for x, v in zip(grid, values)),
+        ((config.t_final, x, v) for x, v in rows),
         written,
     )
 
 
 def _cmd_validate(config: RunConfig, out: str, written: list[Path]) -> None:
+    from .oracle import compare_profiles, fd_solve  # numpy, loaded for this command alone
+
     solution = _solve_from_config(config)
     # the integrator runs in the solver frame (increasing states)
     profile = (
@@ -333,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         written = run(config)
+    except ConfigError as exc:  # a diffusion table that cannot be read or used
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,25 +16,74 @@ Degenerate convention: where a vanishes the slope term is taken as zero
 (0 * ln = 0) and the quadratic term survives; a flat run of xi across such a
 band is the inverse picture of a jump, and ``minimize_variational_cost``
 makes that run exact by giving the band's nodes one position.
+
+Discretization and the refinement study run on Python floats, through
+``_linspace`` and ``_interp``, which give numpy's ``linspace`` and ``interp``
+bit for bit; numpy is loaded only by the array helpers behind
+``variational_cost``, ``euler_lagrange_residual`` and
+``minimize_variational_cost``, and by ``DiffusionFunction`` called on an
+array.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .entropy import feasible_values, shift_constant
 from .optimizer import SolveOptions, damped_newton, minimize
 from .problem import PhasePartition, normalize_orientation, require_valid
 from .special import heat_step_inverse
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _JITTER = 1e-12
 _GRID_TRIM = 0.05  # study grids keep off the ends, where xi(u) -> -+inf
 _GRID_POINTS = 101
 _CALLABLE_SAMPLES = 1025  # table points DiffusionFunction.from_callable takes
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """np.linspace(lo, hi, num) for num >= 2, as Python floats, bit for bit."""
+    lo, hi = float(lo), float(hi)
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:  # numpy's subnormal branch
+        points = [i / div * delta + lo for i in range(num)]
+    else:
+        points = [i * step + lo for i in range(num)]
+    points[-1] = hi
+    return points
+
+
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """np.interp(x, xp, fp) at one float x for strictly increasing xp, bit for bit.
+
+    Constant fp[0] left of xp[0] and fp[-1] from xp[-1] on; a node gives its
+    own fp; elsewhere the chord from the node at the left, and from the node
+    at the right where that is NaN.
+    """
+    if math.isnan(x):
+        return x
+    if x >= xp[-1]:
+        return fp[-1]
+    if x < xp[0]:
+        return fp[0]
+    j = bisect_right(xp, x) - 1
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    v = slope * (x - xp[j]) + fp[j]
+    if math.isnan(v):
+        v = slope * (x - xp[j + 1]) + fp[j + 1]
+        if math.isnan(v) and fp[j] == fp[j + 1]:
+            v = fp[j]
+    return v
 
 
 @dataclass(frozen=True)
@@ -45,23 +94,22 @@ class DiffusionFunction:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.states) < 2 or len(self.values) != len(self.states):
+        s, v = self.states, self.values
+        if len(s) < 2 or len(v) != len(s):
             raise ValueError("need matching state/value samples, at least two")
-        s = np.asarray(self.states, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+        if not all(map(math.isfinite, (*s, *v))):
             raise ValueError("samples must be finite")
-        if not np.all(np.diff(s) > 0.0):
+        if not all(b > a for a, b in zip(s, s[1:])):
             raise ValueError("sample states must be strictly increasing")
-        if np.any(v < 0.0):
+        if any(a < 0.0 for a in v):
             raise ValueError("diffusion values must be nonnegative")
 
     @classmethod
     def from_callable(
         cls, fn: Callable[[float], float], lo: float, hi: float
     ) -> "DiffusionFunction":
-        s = np.linspace(lo, hi, _CALLABLE_SAMPLES)
-        return cls(states=tuple(float(u) for u in s), values=tuple(float(fn(u)) for u in s))
+        s = _linspace(lo, hi, _CALLABLE_SAMPLES)
+        return cls(states=tuple(s), values=tuple(float(fn(u)) for u in s))
 
     @property
     def lo(self) -> float:
@@ -72,6 +120,11 @@ class DiffusionFunction:
         return self.states[-1]
 
     def __call__(self, u):
+        """a(u) at one state, or at each entry of an array of states."""
+        if isinstance(u, (int, float)):
+            return _interp(u, self.states, self.values)
+        import numpy as np
+
         return np.interp(u, self.states, self.values)
 
 
@@ -89,15 +142,14 @@ class InverseProfile:
     positions: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.states) < 2 or len(self.positions) != len(self.states):
+        s, p = self.states, self.positions
+        if len(s) < 2 or len(p) != len(s):
             raise ValueError("need matching state/position nodes, at least two")
-        s = np.asarray(self.states, dtype=float)
-        p = np.asarray(self.positions, dtype=float)
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(p))):
+        if not all(map(math.isfinite, (*s, *p))):
             raise ValueError("nodes must be finite")
-        if not np.all(np.diff(s) > 0.0):
+        if not all(b > a for a, b in zip(s, s[1:])):
             raise ValueError("states must be strictly increasing")
-        if np.any(np.diff(p) < 0.0):
+        if any(b < a for a, b in zip(p, p[1:])):
             raise ValueError("positions must be nondecreasing")
 
     def cells(self) -> int:
@@ -114,17 +166,16 @@ def discretize(f: DiffusionFunction, cells: int) -> PhasePartition:
     """
     if cells < 1:
         raise ValueError("need at least one cell")
-    edges = np.linspace(f.lo, f.hi, cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    raw = [float(f(m)) for m in mids]
-    bps: list[float] = [float(edges[0])]
+    edges = _linspace(f.lo, f.hi, cells + 1)
+    bps: list[float] = [edges[0]]
     cs: list[float] = []
-    for k, a in enumerate(raw):
+    for lo, hi in zip(edges, edges[1:]):
+        a = f(0.5 * (lo + hi))
         if cs and a == 0.0 and cs[-1] == 0.0:
-            bps[-1] = float(edges[k + 1])  # extend the degenerate cell
+            bps[-1] = hi  # extend the degenerate cell
         else:
             cs.append(a)
-            bps.append(float(edges[k + 1]))
+            bps.append(hi)
     for k in range(1, len(cs)):
         if cs[k] == cs[k - 1]:
             cs[k] = cs[k] * (1.0 + _JITTER)
@@ -134,6 +185,8 @@ def discretize(f: DiffusionFunction, cells: int) -> PhasePartition:
 
 
 def _cell_data(f: DiffusionFunction, profile: InverseProfile):
+    import numpy as np
+
     w = np.asarray(profile.states, dtype=float)
     xi = np.asarray(profile.positions, dtype=float)
     du = np.diff(w)
@@ -147,6 +200,8 @@ def _cell_data(f: DiffusionFunction, profile: InverseProfile):
 
 def _cost(xi: np.ndarray, du: np.ndarray, a: np.ndarray) -> float:
     # J at node positions xi: composite midpoint rule, forward-difference slopes
+    import numpy as np
+
     gap = np.diff(xi)
     mid = 0.5 * (xi[:-1] + xi[1:])
     pos = a > 0.0
@@ -168,6 +223,8 @@ def euler_lagrange_residual(f: DiffusionFunction, profile: InverseProfile) -> np
     a^2/slope across each node.  Endpoints and nodes touching a degenerate
     cell carry NaN: the pointwise equation only holds where a > 0.
     """
+    import numpy as np
+
     _, xi, du, gap, a = _cell_data(f, profile)
     n = du.size
     res = np.full(n + 1, math.nan)
@@ -206,6 +263,8 @@ def minimize_variational_cost(
     is unbounded below (the quadratic pins only the midpoint, so the gap
     grows without limit); two or more cells pin every node.
     """
+    import numpy as np
+
     if cells < 2:
         raise ValueError("need at least two cells: on one the cost is unbounded below")
     w = np.linspace(f.lo, f.hi, cells + 1)
@@ -253,7 +312,7 @@ def minimize_variational_cost(
     return CostMinimum(
         profile=InverseProfile(
             states=tuple(float(u) for u in w),
-            positions=tuple(outcome.x[slots].tolist()),
+            positions=tuple(np.asarray(outcome.x)[slots].tolist()),
         ),
         cost=outcome.value,
         grad_norm=outcome.grad_norm,
@@ -286,8 +345,8 @@ def convergence_study(f: DiffusionFunction, cell_counts: Sequence[int]) -> tuple
     if len(counts) < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("cell counts must be increasing and nonempty")
     width = f.hi - f.lo
-    grid = np.linspace(f.lo + _GRID_TRIM * width, f.hi - _GRID_TRIM * width, _GRID_POINTS)
-    partial: list[tuple[int, PhasePartition, tuple[float, ...], np.ndarray, float]] = []
+    grid = _linspace(f.lo + _GRID_TRIM * width, f.hi - _GRID_TRIM * width, _GRID_POINTS)
+    partial: list[tuple[int, PhasePartition, tuple[float, ...], list[float], float]] = []
     for cells in counts:
         partition = discretize(f, cells)
         if partition.n < 1:
@@ -298,8 +357,9 @@ def convergence_study(f: DiffusionFunction, cell_counts: Sequence[int]) -> tuple
             raise RuntimeError(
                 f"boundary solve did not converge at {cells} cells (stopped on {result.stop_reason})"
             )
-        nominal = problem.expand(result.x.tolist())
-        on_grid = np.interp(grid, partition.breakpoints[1:-1], nominal)
+        nominal = problem.expand(result.x)
+        inner = partition.breakpoints[1:-1]
+        on_grid = [_interp(u, inner, nominal) for u in grid]
         shifted = result.value + shift_constant(problem)
         partial.append((cells, partition, nominal, on_grid, shifted))
     finest = partial[-1][3]
@@ -310,12 +370,9 @@ def convergence_study(f: DiffusionFunction, cell_counts: Sequence[int]) -> tuple
                 cells=cells,
                 partition=partition,
                 boundaries=nominal,
-                inverse=InverseProfile(
-                    states=tuple(float(u) for u in grid),
-                    positions=tuple(float(v) for v in on_grid),
-                ),
+                inverse=InverseProfile(states=tuple(grid), positions=tuple(on_grid)),
                 shifted_entropy=shifted,
-                distance_to_finest=float(np.max(np.abs(on_grid - finest))),
+                distance_to_finest=max(abs(v - w) for v, w in zip(on_grid, finest)),
             )
         )
     return tuple(rows)

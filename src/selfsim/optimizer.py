@@ -33,10 +33,9 @@ the coefficients by c scales E by c^2 and the minimiser by c.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .entropy import entropy_pass, feasible_values
 from .problem import RiemannProblem
@@ -103,7 +102,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class NewtonOutcome:
-    x: np.ndarray  # the m free positions at the stop
+    x: tuple[float, ...]  # the m free positions at the stop
     value: float
     grad_norm: float
     iterations: int
@@ -119,7 +118,7 @@ DECREMENT_ULPS = 1e3
 # Armijo sufficient-decrease constant and the step shrink per backtrack
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _MIN_STEP = 1e-18
 
 
@@ -136,20 +135,21 @@ def _direction(hd, ho, grad) -> tuple[list[float], bool]:
 
 
 def damped_newton(
-    x0: np.ndarray,
+    x0: Sequence[float],
     value_fn: Callable[[list[float]], float],
     full_fn: Callable[[list[float]], tuple[float, list[float], list[float], list[float]]],
     feasible: Callable[[list[float]], bool],
     options: SolveOptions,
 ) -> NewtonOutcome:
-    """Minimize from ``x0``; see the module docstring for the stop tests.
+    """Minimize from ``x0``, any sequence of floats; see the module docstring
+    for the stop tests.
 
     The iterate is a list of Python floats: the callbacks take it and return
     the gradient and the Hessian's diagonal and off-diagonal as sequences of
     floats.  ``value_fn`` and ``full_fn`` are only called at points
     ``feasible`` accepts, so they need not check feasibility themselves.
     """
-    x = np.asarray(x0, dtype=float).tolist()
+    x = [float(v) for v in x0]
     if not feasible(x):
         raise ValueError(f"start point is not feasible: {x!r}")
     value, grad, hd, ho = full_fn(x)
@@ -194,7 +194,7 @@ def damped_newton(
             stop_reason = "decrement"
         prev_floor = at_floor
     return NewtonOutcome(
-        x=np.array(x),
+        x=tuple(x),
         value=value,
         grad_norm=gnorm,
         iterations=iterations,
@@ -204,7 +204,7 @@ def damped_newton(
     )
 
 
-def initial_guess(problem: RiemannProblem) -> np.ndarray:
+def initial_guess(problem: RiemannProblem) -> tuple[float, ...]:
     """Quantile start: slot j sits where the widest phase's profile would put
     the cumulative state fraction reached at that boundary."""
     if problem.m < 1:
@@ -224,13 +224,13 @@ def initial_guess(problem: RiemannProblem) -> np.ndarray:
         if vals and guess < vals[-1] + min_gap:
             guess = vals[-1] + min_gap
         vals.append(guess)
-    return np.array(vals)
+    return tuple(vals)
 
 
 def minimize(
     problem: RiemannProblem,
     options: SolveOptions | None = None,
-    start: np.ndarray | None = None,
+    start: Sequence[float] | None = None,
 ) -> NewtonOutcome:
     """Damped Newton on the objective from ``start`` (default ``initial_guess``)."""
     x0 = initial_guess(problem) if start is None else start

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .profile import SelfSimilarProfile
 from .special import log_heat_step_deriv, log_heat_step_diff
 
 _INF = math.inf
+_EPS = sys.float_info.epsilon
 
 # fd_solve's domain and time step, grid_search_min's lattice (see their docstrings)
 HALFWIDTH_FACTOR = 10.0
@@ -136,7 +138,7 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
 @dataclass(frozen=True)
 class ProfileDistance:
     l1: float
-    l1_relative: float  # l1 over the mass the profile moved from the step (0 when both vanish)
+    l1_relative: float  # l1 over the mass the profile moved from the step (0 when both round away)
     linf_away_from_jumps: float
 
 
@@ -145,7 +147,10 @@ def compare_profiles(fd: FDGrid, profile: SelfSimilarProfile) -> ProfileDistance
 
     L1 by the trapezoid rule on the grid; the sup-norm column excludes cells
     within one cell width of each discontinuity, where any fixed grid pays
-    an O(1) penalty for resolving a genuine jump.
+    an O(1) penalty for resolving a genuine jump.  An L1 distance or moved
+    mass within one cell of rounding, eps |u_+ - u_-| dx, is zero: a
+    profile that moved no more than that is matched when the distance is
+    that small too, and infinitely wrong otherwise.
     """
     scale = math.sqrt(fd.t_final)
     x = fd.positions
@@ -158,10 +163,10 @@ def compare_profiles(fd: FDGrid, profile: SelfSimilarProfile) -> ProfileDistance
     for jump in profile.jumps():
         keep &= np.abs(x - jump.location * scale) > fd.dx
     linf = float(np.max(diff[keep])) if np.any(keep) else 0.0
+    floor = _EPS * abs(profile.right_state - profile.left_state) * fd.dx
     return ProfileDistance(
         l1=l1,
-        # a profile that moved no mass is matched exactly or not at all
-        l1_relative=l1 / mass if mass > 0.0 else (math.inf if l1 > 0.0 else 0.0),
+        l1_relative=l1 / mass if mass > floor else (0.0 if l1 <= floor else math.inf),
         linf_away_from_jumps=linf,
     )
 
@@ -190,7 +195,7 @@ def grid_search_min(problem: RiemannProblem) -> GridSearchResult:
     if m > 3:
         raise ValueError(f"lattice search is limited to m <= 3, got m={m}")
 
-    best_x = tuple(initial_guess(problem).tolist())
+    best_x = initial_guess(problem)
     best_v = entropy_value(problem, best_x)
     radius = max(sublevel_bounds(problem, best_v).radius, 1e-6)
     step = radius / COARSE_CELLS

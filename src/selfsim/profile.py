@@ -26,7 +26,8 @@ no arc cancels or underflows however far into a Gaussian tail it lies.  The
 one-point ``limits`` does the same on arcs with both scaled ends on one side
 of 0, and takes plain heat_step differences, which cannot cancel there, on
 the one arc that may straddle 0.  Each arc is clipped to its own state
-interval.
+interval.  numpy is loaded by ``sample`` alone; the CLI writes its profile
+grids point by point through ``limits``, so a solve runs without it.
 """
 
 from __future__ import annotations
@@ -35,11 +36,15 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .problem import RiemannProblem, diffusion_antiderivative
 from .special import erfcx, erfcx_vec, heat_step, log_heat_step_deriv, log_heat_step_diff
+
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    import numpy as np
 
 _INF = math.inf
 
@@ -50,6 +55,8 @@ def _tail_ratio(t: float, log_norm: float) -> float:
 
 
 def _tail_ratio_vec(t: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return 0.5 * erfcx_vec(0.5 * t) * np.exp(-0.25 * t * t - log_norm)
 
 
@@ -168,6 +175,8 @@ class SelfSimilarProfile:
         with slope 0, so it takes its left state left of the jump and its
         right state from the jump on.
         """
+        import numpy as np
+
         cs, u = self.coefficients, self.states
         live = [a > 0.0 for a in cs]
         scale = np.array([a if ok else 1.0 for a, ok in zip(cs, live)])
@@ -183,6 +192,8 @@ class SelfSimilarProfile:
 
     def sample(self, xs) -> np.ndarray:
         """Values on a grid in one pass; exact junction points take the right limit."""
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise ValueError("xi must not be NaN")
@@ -216,10 +227,10 @@ class SelfSimilarProfile:
         )
 
 
-def build_profile(problem: RiemannProblem, x: np.ndarray) -> SelfSimilarProfile:
+def build_profile(problem: RiemannProblem, x: Sequence[float]) -> SelfSimilarProfile:
     """The profile of the m solved free positions ``x``, in the solver frame."""
     return SelfSimilarProfile(
-        boundaries=problem.expand(x.tolist()),
+        boundaries=problem.expand([float(v) for v in x]),
         states=problem.partition.breakpoints,
         coefficients=problem.partition.coefficients,
     )

@@ -22,7 +22,9 @@ for x >= 0 and both switching at x = 26 to the Laplace continued fraction:
   exactly (Dekker), so that exp sees no rounding of x^2;
 * ``erfcx_vec``, for arrays: below 26, the piecewise polynomials in
   4 / (4 + x) of S. G. Johnson's Faddeeva package, from the table that
-  ``scripts/erfcx_table.py`` writes into ``_erfcx_table.py``.
+  ``scripts/erfcx_table.py`` writes into ``_erfcx_table.py``.  numpy and
+  the table are loaded on its first call, so the scalar paths never pay
+  for them.
 
 The inverse starts from M. Giles' closed-form erfinv (single-precision
 version, "Approximating the erfinv function", 2010) and is polished by
@@ -31,11 +33,12 @@ Newton.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._erfcx_table import FIRST as _ERFCX_FIRST, TABLE as _ERFCX_TABLE
+if TYPE_CHECKING:
+    import numpy as np
 
 _LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
 _LN2 = math.log(2.0)
@@ -43,7 +46,6 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _CF_FROM = 26.0  # erfcx kernels switch to the continued fraction here
 _CF_TERMS = 6  # within about one ulp from 26 on
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
-_ERFCX_ROWS = np.array(_ERFCX_TABLE)
 # below this quantile the inverse works in log space; above it Giles' start
 # is close enough for a few Newton steps
 _LOG_TAIL_BELOW = 1e-10
@@ -72,13 +74,26 @@ def erfcx(x: float) -> float:
     return math.erfc(x) * math.exp(p) * (1.0 + e)
 
 
+@functools.cache
+def _erfcx_rows():
+    # erfcx_vec's coefficient rows as one array, and the piece of row 0
+    import numpy as np
+
+    from ._erfcx_table import FIRST, TABLE
+
+    return np.array(TABLE), FIRST
+
+
 def erfcx_vec(x) -> np.ndarray:
     """exp(x^2) erfc(x) on a 1-d array of x >= 0; the array twin of ``erfcx``."""
+    import numpy as np
+
+    table, first = _erfcx_rows()
     x = np.asarray(x, dtype=float)
     near = np.minimum(x, _CF_FROM)
     s = 4.0 + near
     # the piece floor(400 / s); the rows' polynomials hold slightly past their ends
-    rows = _ERFCX_ROWS.take((400.0 / s).astype(np.intp) - _ERFCX_FIRST, axis=0, mode="clip")
+    rows = table.take((400.0 / s).astype(np.intp) - first, axis=0, mode="clip")
     # u = 2 y_c (x_c - x) / (4 + x), columns (x_c, 2 y_c, c_0, ..., c_6)
     u = rows[:, 1] * (rows[:, 0] - near) / s
     out = rows[:, -1] * u  # Horner, c_6 down to c_0

@@ -116,7 +116,7 @@ def test_criterion_04_stationarity_equals_jump_conditions(record_property):
         assert all(abs(rec.rh_residual) <= 1e-9 for rec in sol.jumps)
         values = minimize(sol.problem).x
         for slot in range(sol.problem.m):
-            bumped = values.copy()
+            bumped = list(values)
             bumped[slot] += 1e-2
             profile = build_profile(sol.problem, bumped)
             records = jump_residuals(sol.problem, profile)

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsim import solve_riemann
 from selfsim.continuum import (
     DiffusionFunction,
     InverseProfile,
     _cell_data,
+    _interp,
+    _linspace,
     convergence_study,
     discretize,
     euler_lagrange_residual,
@@ -76,6 +80,49 @@ def test_diffusion_function_interpolates():
     assert f(0.5) == 1.0
     assert f(1.7) == 2.0
     assert f.lo == 0.0 and f.hi == 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(-1e300, 1e300),
+    hi=st.floats(-1e300, 1e300),
+    num=st.integers(2, 1025),
+)
+def test_linspace_is_numpy_bit_for_bit(lo, hi, num):
+    assert np.array(_linspace(lo, hi, num)).tobytes() == np.linspace(lo, hi, num).tobytes()
+
+
+def test_linspace_takes_numpys_subnormal_branch():
+    # (hi - lo) / (num - 1) rounds to 0: numpy scales by delta after dividing
+    for lo, hi, num in [(0.0, 5e-324, 3), (0.0, 1e-322, 1025), (-5e-324, 5e-324, 7)]:
+        assert np.array(_linspace(lo, hi, num)).tobytes() == np.linspace(lo, hi, num).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nodes=st.integers(2, 1025),
+    seed=st.integers(0, 2**32 - 1),
+    values=st.sampled_from(["distinct", "repeated", "infinite"]),
+    extra=st.lists(st.floats(allow_nan=False), max_size=20),
+)
+def test_interp_is_numpy_bit_for_bit(nodes, seed, values, extra):
+    rng = np.random.default_rng(seed)
+    xp = np.cumsum(rng.uniform(1e-3, 1.0, nodes)) + rng.uniform(-10.0, 10.0)
+    fp = rng.normal(size=nodes)
+    if values != "distinct":  # equal neighbours, as in a table's zero band
+        same = rng.random(nodes - 1) < 0.5
+        fp[1:][same] = fp[:-1][same]
+    if values == "infinite":
+        fp[rng.random(nodes) < 0.2] = rng.choice([math.inf, -math.inf])
+    xs = np.concatenate((
+        xp,  # every node, the two ends among them
+        xp[:-1] + rng.random(nodes - 1) * np.diff(xp),  # inside each interval
+        [xp[0] - 1.0, xp[-1] + 1.0, -math.inf, math.inf],  # out of range
+        extra,
+    ))
+    xp_t, fp_t = tuple(xp.tolist()), tuple(fp.tolist())
+    got = np.array([_interp(x, xp_t, fp_t) for x in xs.tolist()])
+    assert got.tobytes() == np.interp(xs, xp, fp).tobytes()
 
 
 def test_discretize_midpoint_rule():
