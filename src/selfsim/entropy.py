@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .problem import RiemannProblem
-from .special import heat_step_inverse, log_heat_step_deriv, log_heat_step_diff
+from .special import heat_step_inverse, heat_step_ratios, log_heat_step_diff
 
 _INF = math.inf
 
@@ -68,7 +68,10 @@ def entropy_pass(problem: RiemannProblem, values, derivatives: bool = True):
     ``values`` are the m free positions, a sequence of floats, and must
     already be feasible (``feasible_values``): this kernel does not check
     them.  Each interval takes ``log_heat_step_diff`` once and shares it
-    between all three pieces.
+    between all three pieces.  Where a coefficient rounds the quotients xi/a
+    of two distinct boundaries together, the arc is empty and the value
+    +inf, outside the domain, so a line search backtracks from it; the
+    derivatives are only defined where the value is finite.
     """
     full = _full_positions(problem, values)
     u = problem.partition.breakpoints
@@ -85,29 +88,26 @@ def entropy_pass(problem: RiemannProblem, values, derivatives: bool = True):
         du = u[k + 1] - u[k]
         a = cs[k]
         if a > 0.0:
-            logdf = log_heat_step_diff(full[k + 1] / a, full[k] / a)
+            x = full[k + 1] / a
+            y = full[k] / a
+            if not x > y:  # the quotients rounded together: outside the domain
+                return (_INF, g, hd, ho) if derivatives else _INF
+            logdf = log_heat_step_diff(x, y)
             total -= a * a * du * logdf
             if not derivatives:
                 continue
-            # With R(t) = H'(t)/dH (ratios as exp of log differences: stable
-            # far into the tails) and H'' = -(t/2) H', the term of interval k
-            # contributes, in the scaled ends x = xi_{k+1}/a, y = xi_k/a:
-            #   d/d(xi_k)        : +a du R(y)
-            #   d/d(xi_{k+1})    : -a du R(x)
-            #   d2/d(xi_{k+1})^2 : du * (R(x)^2 + (x/2) R(x))
-            #   d2/d(xi_k)^2     : du * (R(y)^2 - (y/2) R(y))
-            #   cross            : -du * R(x) R(y)
-            # (the a^2 prefactor cancels the chain rule in the second order)
+            # In the scaled ends, with R = H'/dH and the curvatures c of
+            # -ln dH from ``heat_step_ratios``, the term of interval k adds
+            # +a du R(y) and -a du R(x) to the gradient, du c_y and du c_x to
+            # the diagonal and -du R(x) R(y) to the off-diagonal (the a^2
+            # prefactor cancels the chain rule in the second order)
+            rx, ry, cx, cy = heat_step_ratios(x, y, logdf)
             if k >= 1:
-                ys = full[k] / a
-                ry = math.exp(log_heat_step_deriv(ys) - logdf)
                 g[slots[k - 1]] += a * du * ry
-                hd[slots[k - 1]] += du * (ry * ry - 0.5 * ys * ry)
+                hd[slots[k - 1]] += du * cy
             if k <= n - 1:
-                xs = full[k + 1] / a
-                rx = math.exp(log_heat_step_deriv(xs) - logdf)
                 g[slots[k]] -= a * du * rx
-                hd[slots[k]] += du * (rx * rx + 0.5 * xs * rx)
+                hd[slots[k]] += du * cx
             if 1 <= k <= n - 1:
                 # endpoints live in adjacent distinct slots by construction
                 ho[slots[k - 1]] -= du * rx * ry
@@ -157,12 +157,11 @@ class SublevelBox:
 
     Every feasible point with objective at most c has all boundaries within
     [-radius, radius] and any two distinct free positions at least ``gap``
-    apart.  ``delta`` is the underlying lower bound on each log-term argument.
+    apart.
     """
 
     radius: float
     gap: float
-    delta: float
 
 
 def sublevel_bounds(problem: RiemannProblem, c: float) -> SublevelBox:
@@ -193,4 +192,4 @@ def sublevel_bounds(problem: RiemannProblem, c: float) -> SublevelBox:
         r_right = 2.0 * math.sqrt(cpos / dun)
     inner_pos = [cs[k] for k in range(1, n) if cs[k] > 0.0]
     gap = delta * min(inner_pos) if inner_pos else 0.0
-    return SublevelBox(radius=max(r_left, r_right), gap=gap, delta=delta)
+    return SublevelBox(radius=max(r_left, r_right), gap=gap)

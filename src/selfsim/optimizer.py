@@ -17,11 +17,11 @@ Three tests end the iteration as converged or not:
   Convex Optimization 9.5.1) predicts a decrease lambda^2/2 of the objective
   no larger than its rounding floor, DECREMENT_ULPS * eps * |E|.  Armijo
   cannot certify such a step, but the Newton step is then exact to rounding,
-  so the full step (backtracked only for feasibility) is taken.  Where the
-  Hessian is large, lambda^2 reaches the floor while |g| still falls by
-  orders per step, so the solve stops on the decrement only after two such
-  floor steps in a row; the gradient test above is checked first after every
-  step;
+  so the full step is taken, backtracked only to stay feasible and to keep
+  the value finite.  Where the Hessian is large, lambda^2 reaches the floor
+  while |g| still falls by orders per step, so the solve stops on the
+  decrement only after two such floor steps in a row; the gradient test
+  above is checked first after every step;
 * no progress: the Armijo search fails above that floor (not converged).
 
 Otherwise the solve stops at ``max_iters`` (not converged).  Both converged
@@ -38,7 +38,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .entropy import entropy_pass, feasible_values
-from .problem import RiemannProblem
+from .problem import InvalidPartitionError, RiemannProblem
 from .special import heat_step_inverse
 
 
@@ -120,6 +120,11 @@ ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 _EPS = sys.float_info.epsilon
 _MIN_STEP = 1e-18
+# A live interior phase whose scaled width x - y is at most this many units
+# of rounding of its ends is not resolved: each end xi / a carries one
+# rounding of xi and one of the quotient, so the width is uncertain by about
+# two units, and the flux a du / (x - y) through the phase by half or more.
+UNRESOLVED_ULPS = 4.0
 
 
 def _direction(hd, ho, grad) -> tuple[list[float], bool]:
@@ -175,16 +180,24 @@ def damped_newton(
             if t < _MIN_STEP:
                 break
         at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * abs(value)
-        if not at_floor:  # Armijo; every shorter step stays feasible
-            while t >= _MIN_STEP:
-                if value_fn([xi + t * di for xi, di in zip(x, d)]) <= value + ARMIJO_C * t * slope:
+        # above the floor, Armijo on the value; at it, where the value cannot
+        # certify a step, the full pass at the step, backtracked only if that
+        # left the domain: a step that rounds two scaled ends of a phase
+        # together has the value +inf.  Every shorter step stays feasible
+        while t >= _MIN_STEP:
+            trial = [xi + t * di for xi, di in zip(x, d)]
+            if at_floor:
+                full = full_fn(trial)
+                if full[0] < math.inf:
                     break
-                t *= BACKTRACK_FACTOR
+            elif value_fn(trial) <= value + ARMIJO_C * t * slope:
+                break
+            t *= BACKTRACK_FACTOR
         if t < _MIN_STEP:
             stop_reason = "no_progress"
             break
-        x = [xi + t * di for xi, di in zip(x, d)]
-        value, grad, hd, ho = full_fn(x)
+        x = trial
+        value, grad, hd, ho = full if at_floor else full_fn(x)
         gnorm = max(map(abs, grad), default=0.0)
         records.append(IterationRecord(value, gnorm, t))
         iterations += 1
@@ -241,4 +254,27 @@ def minimize(
     def full_fn(x: list[float]):
         return entropy_pass(problem, x)
 
-    return damped_newton(x0, value_fn, full_fn, feasible_values, options or SolveOptions())
+    outcome = damped_newton(x0, value_fn, full_fn, feasible_values, options or SolveOptions())
+    _require_resolved(problem, outcome.x)
+    return outcome
+
+
+def _require_resolved(problem: RiemannProblem, x: tuple[float, ...]) -> None:
+    """Refuse a solve that left a live interior phase a few ulps wide.
+
+    Such a phase, whose coefficient lies many orders below its neighbours',
+    is narrower at the minimiser than double precision can place two
+    boundaries apart, so no floats balance its flux.
+    """
+    edges = problem.expand(x)
+    cs = problem.partition.coefficients
+    for k in range(1, problem.n):
+        a = cs[k]
+        if a > 0.0:
+            hi, lo = edges[k] / a, edges[k - 1] / a
+            width = (hi - lo) / math.ulp(max(abs(hi), abs(lo)))
+            if width <= UNRESOLVED_ULPS:
+                raise InvalidPartitionError(
+                    f"coefficient a_{k} = {a!r} is too small beside its neighbours to solve "
+                    f"in double precision: its phase is {width:.3g} ulps of its scaled ends wide"
+                )

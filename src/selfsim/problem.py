@@ -16,12 +16,23 @@ caller's states were flipped to make them increase.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
 
+# The objective squares each scaled boundary xi / a_k, which overflows once
+# it passes sqrt(max float), about 1.3e154.  The boundaries of a solve stay
+# within a few tens of the largest coefficient a_max (the quantile start
+# ``heat_step_inverse`` gives at most 55 a_max for any state fraction a float
+# can hold), so a live coefficient below this share of a_max is refused; the
+# factor 1e3 leaves room for Newton iterates that overshoot.
+MIN_COEFFICIENT_RATIO = 1e3 * 55.0 / math.sqrt(sys.float_info.max)
+
+
 class InvalidPartitionError(ValueError):
-    """Raised when a phase partition violates its construction rules."""
+    """Raised when a phase partition violates its construction rules, or
+    when one of its coefficients is too small to solve in double precision."""
 
 
 class ConstantStatesError(ValueError):
@@ -76,6 +87,14 @@ def validate(partition: PhasePartition) -> Violation | None:
     for k in range(1, len(cs)):
         if cs[k] == cs[k - 1]:
             return Violation(f"adjacent equal at k={k - 1}", k - 1)
+    floor = MIN_COEFFICIENT_RATIO * max(cs)
+    for k, c in enumerate(cs):
+        if 0.0 < c < floor:
+            return Violation(
+                f"coefficient a_{k} = {c!r} is below {floor:.3g}: beside the largest "
+                "coefficient, boundaries scaled by it overflow double precision",
+                k,
+            )
     return None
 
 

@@ -22,12 +22,15 @@ tail ratio R_k(s) = (1 - H(s)) / D_k = erfcx(s/2) exp(-s^2/4 - ln D_k) / 2
 t = xi/a_k >= 0 is anchored at the arc's right end,
 v = u_{k+1} - du (R_k(t) - R_k(xi_{k+1}/a_k)), and a point at t < 0 at its
 left end by the mirror image, v = u_k + du (R_k(-t) - R_k(-xi_k/a_k)), so
-no arc cancels or underflows however far into a Gaussian tail it lies.  The
-one-point ``limits`` does the same on arcs with both scaled ends on one side
-of 0, and takes plain heat_step differences, which cannot cancel there, on
-the one arc that may straddle 0.  Each arc is clipped to its own state
-interval.  numpy is loaded by ``sample`` alone; the CLI writes its profile
-grids point by point through ``limits``, so a solve runs without it.
+no arc underflows.  The exponent -s^2/4 - ln D_k keeps only eps s^2/4 of
+absolute accuracy, so an arc whose nearer scaled end is past
+``special.TAIL_FROM`` (52) takes ``special.heat_step_tail_fraction`` from
+that end instead, point by point.  The one-point ``limits`` does the same on
+arcs with both scaled ends on one side of 0, and takes plain heat_step
+differences, which cannot cancel there, on the one arc that may straddle 0.
+Each arc is clipped to its own state interval.  numpy is loaded by
+``sample`` alone; the CLI writes its profile grids point by point through
+``limits``, so a solve runs without it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,16 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .problem import RiemannProblem, diffusion_antiderivative
-from .special import erfcx, erfcx_vec, heat_step, log_heat_step_deriv, log_heat_step_diff
+from .special import (
+    TAIL_FROM,
+    erfcx,
+    erfcx_vec,
+    heat_step,
+    heat_step_deriv,
+    heat_step_ratios,
+    heat_step_tail_fraction,
+    log_heat_step_diff,
+)
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -47,6 +59,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 _INF = math.inf
+
+
+# t * t / 4 stays finite up to here; the ratio is 0 long before, so the
+# array form squares no larger t (numpy would warn of the overflow, which
+# Python floats take silently to inf)
+_SQUARE_CAP = 2.0**511
 
 
 def _tail_ratio(t: float, log_norm: float) -> float:
@@ -57,7 +75,8 @@ def _tail_ratio(t: float, log_norm: float) -> float:
 def _tail_ratio_vec(t: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    return 0.5 * erfcx_vec(0.5 * t) * np.exp(-0.25 * t * t - log_norm)
+    t_sq = np.minimum(t, _SQUARE_CAP)
+    return 0.5 * erfcx_vec(0.5 * t) * np.exp(-0.25 * t_sq * t_sq - log_norm)
 
 
 @dataclass(frozen=True)
@@ -93,18 +112,42 @@ class SelfSimilarProfile:
             for a, lo, hi in zip(self.coefficients, edges, edges[1:])
         )
 
+    @cached_property
+    def _end_ratios(self) -> tuple[tuple[float, float], ...]:
+        # R = H'/D at the right and the left end of each live phase, from
+        # the kernel; (0.0, 0.0) for a dead one
+        edges = (-_INF, *self.boundaries, _INF)
+        return tuple(
+            heat_step_ratios(hi / a, lo / a, log_norm)[:2] if a > 0.0 else (0.0, 0.0)
+            for a, lo, hi, log_norm in zip(self.coefficients, edges, edges[1:], self._log_norms)
+        )
+
     def _sides(self, i: int, j: int) -> tuple[float, float]:
         # the states on either side of a line where phase i ends and phase j begins
         u, cs = self.states, self.coefficients
         return (u[i + 1] if cs[i] > 0.0 else u[i]), (u[j] if cs[j] > 0.0 else u[j + 1])
 
     def _flux(self, k: int, xi: float) -> float:
-        # a^2 v' = a du H'(xi/a) / D in phase k; zero where a vanishes
+        # a^2 v' = a du R(xi/a) in phase k, R = H'/D; zero where a vanishes.
+        # At an arc end R is the kernel's.  Inside an arc that straddles 0,
+        # D is not small and R = H'(t)/D; inside a one-signed arc R is
+        # carried from the end nearer 0 by H'(t)/H'(end), so that no two
+        # logs of about -t^2/4 are subtracted
         a = self.coefficients[k]
         if a == 0.0:
             return 0.0
-        du = self.states[k + 1] - self.states[k]
-        return a * du * math.exp(log_heat_step_deriv(xi / a) - self._log_norms[k])
+        lo, hi = self._ends(k)
+        r_hi, r_lo = self._end_ratios[k]
+        if xi == hi:
+            r = r_hi
+        elif xi == lo:
+            r = r_lo
+        elif lo < 0.0 < hi:
+            r = heat_step_deriv(xi / a) * math.exp(-self._log_norms[k])
+        else:  # (end - t)(end + t) from differences of xi, as in the values
+            end, r_end = (lo, r_lo) if lo >= 0.0 else (hi, r_hi)
+            r = r_end * math.exp(0.25 * ((end - xi) / a) * ((end + xi) / a))
+        return a * (self.states[k + 1] - self.states[k]) * r
 
     def jumps(self) -> tuple[JumpPoint, ...]:
         u = self.states
@@ -150,6 +193,10 @@ class SelfSimilarProfile:
         if y < 0.0 < x:
             f_lo = heat_step(y)
             v = u0 + du / (heat_step(x) - f_lo) * (heat_step(t) - f_lo)
+        elif y >= TAIL_FROM:  # deep in the right tail: from the near end lo
+            v = u0 + du * heat_step_tail_fraction(lo, hi, xi, a)
+        elif x <= -TAIL_FROM:
+            v = u1 - du * heat_step_tail_fraction(hi, lo, xi, a)
         else:
             log_norm = self._log_norms[k]
             if y >= 0.0:  # right tail: anchored at hi
@@ -207,8 +254,14 @@ class SelfSimilarProfile:
             np.concatenate((log_norm[k], log_norm, log_norm)),
         )
         anchor = r[flat.size :]
-        v = base[row] + slope[row] * (r[: flat.size] - anchor[row])
-        return np.clip(v, low[k], high[k]).reshape(xs.shape)
+        v = np.clip(base[row] + slope[row] * (r[: flat.size] - anchor[row]), low[k], high[k])
+        # points on an arc deep in one tail take the scalar tail fraction
+        edges = (-_INF, *self.boundaries, _INF)
+        for phase, a in enumerate(self.coefficients):
+            if a > 0.0 and (edges[phase] / a >= TAIL_FROM or edges[phase + 1] / a <= -TAIL_FROM):
+                for i in np.flatnonzero(k == phase):
+                    v[i] = self._value(phase, float(flat[i]))
+        return v.reshape(xs.shape)
 
     @property
     def left_state(self) -> float:
@@ -279,10 +332,11 @@ def jump_residuals(problem: RiemannProblem, profile: SelfSimilarProfile) -> tupl
     ``limits`` and the fluxes from ``flux_limits`` at the boundary, so a
     fused pair reads the live phases beyond it.  It vanishes at the
     minimizer and is reported, not thrown, so perturbed profiles can be
-    inspected.  Each flux is a du exp(ln H'(xi/a) - ln D) with the profile's
-    ln D, so the residual is finite wherever the objective is.  The one-sided
-    states are nodes of ``diffusion_antiderivative``, so A is read from its
-    table exactly, in either orientation.
+    inspected.  Each flux is a du R(xi/a) with the ratio R = H'/D from
+    ``special.heat_step_ratios``, so the residual is finite wherever the
+    objective is.  The one-sided states are nodes of
+    ``diffusion_antiderivative``, so A is read from its table exactly, in
+    either orientation.
     """
     a_at = dict(zip(*diffusion_antiderivative(problem.partition)))
     b = profile.boundaries

@@ -26,6 +26,17 @@ for x >= 0 and both switching at x = 26 to the Laplace continued fraction:
   the table are loaded on its first call, so the scalar paths never pay
   for them.
 
+Every ratio R = H'/D of an arc [y, x], D = heat_step(x) - heat_step(y),
+and every curvature of -ln D comes from one kernel, ``heat_step_ratios``.
+Its fast branch is exp(ln H'(t) - ln D).  On a one-signed arc whose nearer
+scaled end is past 52 (2 * 26, so that erfcx runs on its continued fraction)
+both logs are about -t^2/4 and their difference keeps only eps t^2/4 of
+absolute accuracy, so the tail branch takes R and the curvatures from the
+continued fraction's q(s) = 1 / (sqrt(pi) erfcx(s)) - s and
+rho = erfc(far) / erfc(near) instead, with no subtraction of nearly equal
+numbers.  ``heat_step_tail_fraction`` gives the profile's values on such an
+arc from the same q and rho.
+
 The inverse starts from M. Giles' closed-form erfinv (single-precision
 version, "Approximating the erfinv function", 2010) and is polished by
 Newton.
@@ -45,20 +56,27 @@ _LN2 = math.log(2.0)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _CF_FROM = 26.0  # erfcx kernels switch to the continued fraction here
 _CF_TERMS = 6  # within about one ulp from 26 on
+TAIL_FROM = 2.0 * _CF_FROM  # tail branch of heat_step_ratios and heat_step_tail_fraction
+_INF = math.inf
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
 # below this quantile the inverse works in log space; above it Giles' start
 # is close enough for a few Newton steps
 _LOG_TAIL_BELOW = 1e-10
 
 
-def _erfcx_cf(x):
-    # exp(x^2) erfc(x) as the Laplace continued fraction
-    # 1 / (sqrt(pi) (x + (1/2) / (x + 1 / (x + (3/2) / (x + ...))))),
-    # summed from the bottom; converged to rounding for x >= 26, on floats or arrays
+def _cf_tail(x):
+    # q(x) = 1 / (sqrt(pi) erfcx(x)) - x without the subtraction: the Laplace
+    # continued fraction (1/2) / (x + 1 / (x + (3/2) / (x + ...))), summed
+    # from the bottom; converged to rounding for x >= 26, on floats or arrays
     r = x
-    for k in range(_CF_TERMS, 0, -1):
+    for k in range(_CF_TERMS, 1, -1):
         r = x + (0.5 * k) / r
-    return _INV_SQRT_PI / r
+    return 0.5 / r
+
+
+def _erfcx_cf(x):
+    # exp(x^2) erfc(x) = 1 / (sqrt(pi) (x + q(x))) for x >= 26
+    return _INV_SQRT_PI / (x + _cf_tail(x))
 
 
 def erfcx(x: float) -> float:
@@ -187,6 +205,76 @@ def log_heat_step_diff(x: float, y: float) -> float:
     return math.log(p)
 
 
+def _log_erfc_ratio(s: float, f: float, d: float, q_s: float) -> float:
+    # ln(erfc(f) / erfc(s)) for 26 <= s <= f <= inf, given d = s - f and
+    # q_s = q(s): (s - f)(s + f) from the Gaussian factors, which neither
+    # overflows nor cancels where s^2 - f^2 would, plus ln(erfcx(f) /
+    # erfcx(s)) from the continued fraction, so no step subtracts nearly
+    # equal numbers.  A caller that knows s - f better than the difference
+    # of the rounded s and f passes it as d
+    if f == _INF:
+        return -_INF
+    q_f = _cf_tail(f)
+    return d * (s + f) + math.log1p((d + (q_s - q_f)) / (f + q_f))
+
+
+def _tail_ratios(s: float, f: float) -> tuple[float, float, float, float]:
+    # (R_near, R_far, c_near, c_far) of a one-signed arc in half-scaled units
+    # 26 <= s < f <= inf, with rho = erfc(f) / erfc(s)
+    q = _cf_tail(s)
+    d = s - f
+    log_rho = _log_erfc_ratio(s, f, d, q)
+    rho = math.exp(log_rho)
+    spread = -math.expm1(log_rho)  # 1 - rho
+    r_near = (s + q) / spread
+    r_far = r_near * math.exp(d * (s + f))  # H'(far) / H'(near) = exp((s - f)(s + f))
+    return r_near, r_far, r_near * (q + s * rho) / spread, r_far * (r_far + f)
+
+
+def heat_step_ratios(x: float, y: float, log_d: float) -> tuple[float, float, float, float]:
+    """R = H'/D at both ends of the arc x > y, and the curvatures of -ln D.
+
+    D = heat_step(x) - heat_step(y) = exp(log_d), from ``log_heat_step_diff``.
+    Returns ``(r_x, r_y, c_x, c_y)``: r_x = H'(x)/D, r_y = H'(y)/D,
+    c_x = r_x (r_x + x/2) = d^2(-ln D)/dx^2 and c_y = r_y (r_y - y/2)
+    = d^2(-ln D)/dy^2 (-r_x r_y is the cross derivative).  An arc with both
+    scaled ends past 52 on one side of 0 takes the tail branch of the module
+    docstring, which does not read ``log_d``.  A curvature at an infinite
+    end is NaN.
+    """
+    if y >= TAIL_FROM:
+        r_y, r_x, c_y, c_x = _tail_ratios(0.5 * y, 0.5 * x)
+    elif x <= -TAIL_FROM:
+        r_x, r_y, c_x, c_y = _tail_ratios(-0.5 * x, -0.5 * y)
+    else:  # exp(log_heat_step_deriv(t) - log_d), inlined
+        r_x = math.exp(-0.25 * x * x - _LOG_2_SQRT_PI - log_d)
+        r_y = math.exp(-0.25 * y * y - _LOG_2_SQRT_PI - log_d)
+        c_x = r_x * r_x + 0.5 * x * r_x
+        c_y = r_y * r_y - 0.5 * y * r_y
+    return r_x, r_y, c_x, c_y
+
+
+def heat_step_tail_fraction(near: float, far: float, point: float, a: float) -> float:
+    """(H(point/a) - H(near/a)) / (H(far/a) - H(near/a)) on a tail arc.
+
+    The arc runs from ``near`` to ``far`` (``far`` may be infinite) on one
+    side of 0 with |near/a| >= ``TAIL_FROM``, and ``point`` lies on it.  The
+    ratio is (1 - P) / (1 - rho), with P = erfc(point/2a) / erfc(near/2a) and
+    rho the same at ``far``, each taken in log space by the tail branch's
+    continued fraction.  The differences near - point and near - far are
+    taken before dividing by a: in the tail the fraction turns over within
+    a few units of rounding of point/a, so the rounded quotients would not
+    place the point on it.
+    """
+    if near < 0.0:  # the left tail is the mirror image of the right one
+        near, far, point = -near, -far, -point
+    s = 0.5 * (near / a)
+    q = _cf_tail(s)
+    log_p = _log_erfc_ratio(s, 0.5 * (point / a), 0.5 * ((near - point) / a), q)
+    log_rho = _log_erfc_ratio(s, 0.5 * (far / a), 0.5 * ((near - far) / a), q)
+    return math.expm1(log_p) / math.expm1(log_rho)
+
+
 def _log_heat_step(x: float) -> float:
     # ln(heat_step(x)), accurate arbitrarily far into the left tail.
     return log_heat_step_diff(x, -math.inf)
@@ -201,11 +289,11 @@ def _inverse_log_tail(p: float) -> float:
     for _ in range(2):
         x = -2.0 * math.sqrt(max(-target - _LOG_2_SQRT_PI + math.log(2.0 / abs(x)), 1.0))
     for _ in range(80):
-        g = _log_heat_step(x) - target
+        log_h = _log_heat_step(x)
+        g = log_h - target
         if abs(g) <= 1e-13:
             break
-        slope = math.exp(log_heat_step_deriv(x) - _log_heat_step(x))
-        step = g / slope
+        step = g / heat_step_ratios(x, -_INF, log_h)[0]  # d ln(heat_step) / dx
         if step > 5.0:
             step = 5.0
         elif step < -5.0:

@@ -163,6 +163,22 @@ def test_discretize_merges_interior_zero_band():
     assert part.breakpoints[k + 1] == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize(
+    "fn, cells",
+    [(lambda u: max(0.0, u - 0.5) ** 2, 128), (lambda u: u * u, 256)],
+    ids=["dead-band-squared", "squared"],
+)
+def test_smoothly_vanishing_coefficient_discretizes_and_balances(fn, cells):
+    # the live cells next to the zero of a(u) sit 4 to 5 orders below the
+    # largest coefficient (a_1 = 3.4e-5 for u^2 at 256 cells): validation
+    # takes them, and the solve meets every interface balance
+    part = discretize(DiffusionFunction.from_callable(fn, 0.0, 1.0), cells)
+    assert min(c for c in part.coefficients if c > 0.0) < 1e-4 * max(part.coefficients)
+    sol = solve_riemann(0.0, 1.0, part)
+    assert sol.converged
+    assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9
+
+
 def test_discretize_needs_a_cell():
     with pytest.raises(ValueError):
         discretize(UNIT, 0)

@@ -84,6 +84,18 @@ def test_rejects_infeasible_points():
         entropy_value(prob, (1.0, -1.0))
 
 
+def test_value_is_inf_where_scaled_ends_round_together():
+    # two adjacent floats whose quotients by a = 1.9 round to one float: the
+    # arc between them is empty, outside the domain, and the value +inf
+    prob = problem_of(PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 1.9, 0.5)))
+    lo = 1.95
+    hi = math.nextafter(lo, math.inf)
+    assert lo / 1.9 == hi / 1.9
+    assert entropy_value(prob, (lo, hi)) == math.inf
+    assert entropy_pass(prob, (lo, hi))[0] == math.inf  # the full pass too, without derivatives
+    assert math.isfinite(entropy_value(prob, (lo, lo + 1e-3)))
+
+
 def test_gradient_matches_finite_differences(rng):
     checked = 0
     while checked < 100:

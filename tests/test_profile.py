@@ -1,6 +1,7 @@
 """Profile reconstruction, pointwise evaluation, and jump diagnostics."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -13,7 +14,7 @@ from selfsim.api import KIND_FROZEN_STEP, KIND_GENERAL, KIND_SINGLE_ARC
 from selfsim.cli import main
 from selfsim.problem import diffusion_antiderivative, validate
 from selfsim.profile import JumpPoint, SelfSimilarProfile, build_profile, flux, jump_residuals
-from selfsim.special import heat_step, heat_step_deriv
+from selfsim.special import TAIL_FROM, heat_step, heat_step_deriv
 
 from conftest import admissible, make_problem, part
 from jump_reference import reference_jump_residuals
@@ -507,18 +508,81 @@ def _record_bits(records):
     ]
 
 
+def _has_tail_arc(profile):
+    # a live arc on one side of 0 whose nearer scaled end is past TAIL_FROM
+    edges = (-math.inf, *profile.boundaries, math.inf)
+    return any(
+        a > 0.0 and (lo / a >= TAIL_FROM or hi / a <= -TAIL_FROM)
+        for a, lo, hi in zip(profile.coefficients, edges, edges[1:])
+    )
+
+
+def _mp_residuals(problem, profile):
+    """(rh_residual, its rounding scale) at each boundary, from 50-digit end
+    fluxes a du H'(t) / D at the profile's own scaled ends t = xi/a, with D
+    through erfc on the side of 0 the arc lies on; a fused pair reads the
+    live phases beyond it.  The scale is |[u] xi / 2| + both |fluxes|."""
+    b, u, cs = profile.boundaries, profile.states, profile.coefficients
+    n = len(b)
+    edges = (-math.inf, *b, math.inf)
+    at_lo = [mpmath.mpf(0)] * (n + 1)
+    at_hi = [mpmath.mpf(0)] * (n + 1)
+    with mpmath.workdps(50):
+        for k, a in enumerate(cs):
+            if a > 0.0:
+                x, y = mpmath.mpf(edges[k + 1] / a), mpmath.mpf(edges[k] / a)
+                if y >= 0:
+                    d = (mpmath.erfc(y / 2) - mpmath.erfc(x / 2)) / 2
+                elif x <= 0:
+                    d = (mpmath.erfc(-x / 2) - mpmath.erfc(-y / 2)) / 2
+                else:
+                    d = (mpmath.erf(x / 2) - mpmath.erf(y / 2)) / 2
+                scale = mpmath.mpf(a) * (u[k + 1] - u[k]) / (2 * mpmath.sqrt(mpmath.pi) * d)
+                at_lo[k] = scale * mpmath.exp(-y * y / 4)
+                at_hi[k] = scale * mpmath.exp(-x * x / 4)
+        out = []
+        for k in range(1, n + 1):
+            left = u[k] if cs[k - 1] > 0.0 else u[k - 1]
+            right = u[k] if cs[k] > 0.0 else u[k + 1]
+            p = k - 2 if k > 1 and cs[k - 1] == 0.0 else k - 1
+            q = k + 1 if k < n and cs[k] == 0.0 else k
+            jump = mpmath.mpf(right - left) * b[k - 1] / 2
+            residual = jump + (at_lo[q] - at_hi[p])
+            out.append((float(residual), float(abs(jump) + abs(at_lo[q]) + abs(at_hi[p]))))
+    return out
+
+
+def _assert_records_match(problem, profile, records):
+    expected = reference_jump_residuals(problem, profile)
+    if not _has_tail_arc(profile):
+        assert _record_bits(records) == _record_bits(expected)
+        return
+    # past TAIL_FROM the reference's exp(ln H'(t) - ln D) keeps only eps t^2/4
+    # of its exponent, so the residual is held to 50-digit end fluxes instead.
+    # Every flux is within eps TAIL_FROM^2 / 4 of them (the fast branch's
+    # exponent below TAIL_FROM; the tail branch's few units of rounding are
+    # less), and so is the residual, relative to the terms it sums
+    assert [bits[:-1] for bits in _record_bits(records)] == [bits[:-1] for bits in _record_bits(expected)]
+    bound = (0.25 * TAIL_FROM**2 + 64.0) * sys.float_info.epsilon
+    for rec, (residual, scale) in zip(records, _mp_residuals(problem, profile)):
+        assert abs(rec.rh_residual - residual) <= bound * scale
+
+
 @given(_partitions(0.05, 5.0), st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=17, max_size=17))
 @example(drawn=([0.5, 0.5], [0.0, 1.0], False), signs=[1.0] * 17)  # dead left edge
 @example(drawn=([0.5, 0.5], [1.0, 0.0], True), signs=[-1.0] * 17)  # dead right edge
 @example(drawn=([0.3, 0.4, 0.3], [1.0, 0.0, 2.0], False), signs=[1.0, -1.0] * 9)  # fused pair
 @example(drawn=([0.3, 0.4, 0.3, 0.2], [0.0, 1.0, 0.0, 2.0], True), signs=[-1.0, 1.0] * 9)
+# a dead run pushes the last live arcs past TAIL_FROM
+@example(drawn=([1.0] * 16 + [0.0625], [0.0] * 15 + [math.e, math.exp(-2.0)], False), signs=[-1.0] * 17)
 @settings(max_examples=150, deadline=None)
 def test_jump_records_match_the_end_flux_loop(drawn, signs):
     # the records read from limits/flux_limits are the per-phase end-flux
-    # loop's bit for bit, at the minimizer and with its slots moved by 1e-2
+    # loop's bit for bit, at the minimizer and with its slots moved by 1e-2;
+    # on an arc deep in one tail, their residuals are the 50-digit ones
     sol = _solve_drawn(drawn)
     problem = sol.problem
-    assert _record_bits(sol.jumps) == _record_bits(reference_jump_residuals(problem, sol.profile))
+    _assert_records_match(problem, sol.profile, sol.jumps)
     if problem.m == 0:
         return
     solved = sol.profile.mirrored() if problem.orientation_flipped else sol.profile
@@ -529,6 +593,4 @@ def test_jump_records_match_the_end_flux_loop(drawn, signs):
     profile = build_profile(problem, bumped)
     if problem.orientation_flipped:
         profile = profile.mirrored()
-    assert _record_bits(jump_residuals(problem, profile)) == _record_bits(
-        reference_jump_residuals(problem, profile)
-    )
+    _assert_records_match(problem, profile, jump_residuals(problem, profile))
