@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .api import RiemannSolution, solve_riemann
 from .continuum import DiffusionFunction, _linspace, convergence_study
-from .entropy import entropy_value, sublevel_bounds
-from .optimizer import SolveOptions, initial_guess
+from .entropy import sublevel_bounds
+from .optimizer import SolveOptions
 from .problem import PhasePartition
 from .profile import SelfSimilarProfile
 
@@ -177,9 +177,10 @@ def _solve_from_config(config: RunConfig) -> RiemannSolution:
 
 
 def _plot_halfwidth(solution: RiemannSolution) -> float:
+    # the first trace record holds the objective at the solve's start
     problem = solution.problem
     if problem.m >= 1:
-        radius = sublevel_bounds(problem, entropy_value(problem, initial_guess(problem))).radius
+        radius = sublevel_bounds(problem, solution.trace[0].value).radius
     else:
         radius = max(1.0, 10.0 * max(problem.partition.coefficients))
     return 1.2 * radius

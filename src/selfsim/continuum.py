@@ -277,10 +277,7 @@ def minimize_variational_cost(
     slots = np.concatenate(([0], np.cumsum(pos)))
     unknowns = int(slots[-1]) + 1
 
-    def value_fn(y: list[float]) -> float:
-        return _cost(np.asarray(y)[slots], du, a)
-
-    def full_fn(y: list[float]):
+    def objective(y: list[float]):
         x = np.asarray(y)[slots]
         gap = np.diff(x)
         mid = 0.5 * (x[:-1] + x[1:])
@@ -308,7 +305,7 @@ def minimize_variational_cost(
     fracs = (w - f.lo + 0.5 * float(np.min(du))) / (f.hi - f.lo + float(np.min(du)))
     start = a_max * np.array([heat_step_inverse(min(max(p, lo_frac), 1.0 - lo_frac)) for p in fracs])
     start = np.bincount(slots, weights=start) / np.bincount(slots)  # each unknown's mean
-    outcome = damped_newton(start, value_fn, full_fn, feasible_values, options or SolveOptions())
+    outcome = damped_newton(start, objective, feasible_values, options or SolveOptions())
     return CostMinimum(
         profile=InverseProfile(
             states=tuple(float(u) for u in w),

@@ -59,31 +59,29 @@ def _anchor(k: int, n: int) -> int:
     return k
 
 
-def entropy_pass(problem: RiemannProblem, values, derivatives: bool = True):
+def entropy_pass(problem: RiemannProblem, values):
     """The objective at ``values`` in one pass over the intervals.
 
-    Returns the value alone when ``derivatives`` is false; otherwise
-    ``(value, gradient, hess_diag, hess_off)``, three lists of floats with
-    the symmetric tridiagonal Hessian as its diagonal and first off-diagonal.
-    ``values`` are the m free positions, a sequence of floats, and must
-    already be feasible (``feasible_values``): this kernel does not check
-    them.  Each interval takes ``log_heat_step_diff`` once and shares it
-    between all three pieces.  Where a coefficient rounds the quotients xi/a
-    of two distinct boundaries together, the arc is empty and the value
-    +inf, outside the domain, so a line search backtracks from it; the
-    derivatives are only defined where the value is finite.
+    Returns ``(value, gradient, hess_diag, hess_off)``, three lists of floats
+    with the symmetric tridiagonal Hessian as its diagonal and first
+    off-diagonal.  ``values`` are the m free positions, a sequence of
+    floats, and must already be feasible (``feasible_values``): this kernel
+    does not check them.  Each interval takes ``log_heat_step_diff`` once
+    and shares it between all three pieces.  Where a coefficient rounds the
+    quotients xi/a of two distinct boundaries together, the arc is empty and
+    the value +inf, outside the domain, so a line search backtracks from it;
+    the gradient and Hessian are only defined where the value is finite.
     """
     full = _full_positions(problem, values)
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
     n = problem.n
+    m = problem.m
     slots = problem.slots
     total = 0.0
-    if derivatives:
-        m = problem.m
-        g = [0.0] * m
-        hd = [0.0] * m
-        ho = [0.0] * max(m - 1, 0)
+    g = [0.0] * m
+    hd = [0.0] * m
+    ho = [0.0] * max(m - 1, 0)
     for k in range(n + 1):
         du = u[k + 1] - u[k]
         a = cs[k]
@@ -91,11 +89,9 @@ def entropy_pass(problem: RiemannProblem, values, derivatives: bool = True):
             x = full[k + 1] / a
             y = full[k] / a
             if not x > y:  # the quotients rounded together: outside the domain
-                return (_INF, g, hd, ho) if derivatives else _INF
+                return _INF, g, hd, ho
             logdf = log_heat_step_diff(x, y)
             total -= a * a * du * logdf
-            if not derivatives:
-                continue
             # In the scaled ends, with R = H'/dH and the curvatures c of
             # -ln dH from ``heat_step_ratios``, the term of interval k adds
             # +a du R(y) and -a du R(x) to the gradient, du c_y and du c_x to
@@ -116,23 +112,24 @@ def entropy_pass(problem: RiemannProblem, values, derivatives: bool = True):
             b = _anchor(k, n)
             s = full[b]
             total += 0.25 * du * s * s
-            if derivatives:
-                g[slots[b - 1]] += 0.5 * du * s
-                hd[slots[b - 1]] += 0.5 * du
-    if not derivatives:
-        return total
+            g[slots[b - 1]] += 0.5 * du * s
+            hd[slots[b - 1]] += 0.5 * du
     return total, g, hd, ho
 
 
 def entropy_value(problem: RiemannProblem, values: Sequence[float]) -> float:
-    """The objective at the m free positions ``values``, checked for feasibility."""
+    """The objective at the m free positions ``values``, checked for feasibility.
+
+    The positions are read as Python floats: numpy scalars would warn where
+    the pass takes the unused NaN curvature at an infinite end.
+    """
     if len(values) != problem.m:
         raise ValueError(f"expected {problem.m} free boundaries, got {len(values)}")
     if problem.m == 0:
         raise ValueError("problem has no free boundaries (n = 0)")
     if not feasible_values(values):
         raise InfeasibleBoundariesError(f"boundaries must be strictly increasing and finite, got {values!r}")
-    return entropy_pass(problem, values, derivatives=False)
+    return entropy_pass(problem, [float(v) for v in values])[0]
 
 
 def shift_constant(problem: RiemannProblem) -> float:

@@ -5,7 +5,9 @@ set, so each Newton direction costs one LDL^T sweep.  Steps are backtracked
 first to stay strictly feasible (boundaries strictly increasing; the set is
 convex, so one feasible trial point makes every shorter step feasible) and
 then to satisfy an Armijo decrease, which makes the iteration globally
-convergent from any feasible start.  The iterate, gradient, Hessian and
+convergent from any feasible start.  Each trial point costs one pass of the
+objective, which returns value, gradient and Hessian together; the accepted
+trial's pass is the next iterate's.  The iterate, gradient, Hessian and
 direction are lists of Python floats: on a few unknowns numpy's per-call
 dispatch costs more than the arithmetic, and the operations (hence the
 bits) are the same.
@@ -141,23 +143,24 @@ def _direction(hd, ho, grad) -> tuple[list[float], bool]:
 
 def damped_newton(
     x0: Sequence[float],
-    value_fn: Callable[[list[float]], float],
-    full_fn: Callable[[list[float]], tuple[float, list[float], list[float], list[float]]],
+    objective: Callable[[list[float]], tuple[float, list[float], list[float], list[float]]],
     feasible: Callable[[list[float]], bool],
     options: SolveOptions,
 ) -> NewtonOutcome:
     """Minimize from ``x0``, any sequence of floats; see the module docstring
     for the stop tests.
 
-    The iterate is a list of Python floats: the callbacks take it and return
-    the gradient and the Hessian's diagonal and off-diagonal as sequences of
-    floats.  ``value_fn`` and ``full_fn`` are only called at points
-    ``feasible`` accepts, so they need not check feasibility themselves.
+    The iterate is a list of Python floats.  ``objective`` takes it and
+    returns the value, the gradient and the Hessian's diagonal and
+    off-diagonal, the last three as sequences of floats.  It is called once
+    per trial point, and only at points ``feasible`` accepts, so it need not
+    check feasibility itself; the accepted trial's evaluation is the next
+    iterate's.
     """
     x = [float(v) for v in x0]
     if not feasible(x):
         raise ValueError(f"start point is not feasible: {x!r}")
-    value, grad, hd, ho = full_fn(x)
+    value, grad, hd, ho = objective(x)
     gnorm = max(map(abs, grad), default=0.0)
     tol = options.grad_tol * gnorm
     records = [IterationRecord(value, gnorm, 0.0)]
@@ -181,23 +184,23 @@ def damped_newton(
                 break
         at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * abs(value)
         # above the floor, Armijo on the value; at it, where the value cannot
-        # certify a step, the full pass at the step, backtracked only if that
-        # left the domain: a step that rounds two scaled ends of a phase
-        # together has the value +inf.  Every shorter step stays feasible
+        # certify a step, backtracked only if the step left the domain: a
+        # step that rounds two scaled ends of a phase together has the value
+        # +inf.  Every shorter step stays feasible
         while t >= _MIN_STEP:
             trial = [xi + t * di for xi, di in zip(x, d)]
+            evaluation = objective(trial)
             if at_floor:
-                full = full_fn(trial)
-                if full[0] < math.inf:
+                if evaluation[0] < math.inf:
                     break
-            elif value_fn(trial) <= value + ARMIJO_C * t * slope:
+            elif evaluation[0] <= value + ARMIJO_C * t * slope:
                 break
             t *= BACKTRACK_FACTOR
         if t < _MIN_STEP:
             stop_reason = "no_progress"
             break
         x = trial
-        value, grad, hd, ho = full if at_floor else full_fn(x)
+        value, grad, hd, ho = evaluation
         gnorm = max(map(abs, grad), default=0.0)
         records.append(IterationRecord(value, gnorm, t))
         iterations += 1
@@ -247,14 +250,9 @@ def minimize(
 ) -> NewtonOutcome:
     """Damped Newton on the objective from ``start`` (default ``initial_guess``)."""
     x0 = initial_guess(problem) if start is None else start
-
-    def value_fn(x: list[float]) -> float:
-        return entropy_pass(problem, x, derivatives=False)
-
-    def full_fn(x: list[float]):
-        return entropy_pass(problem, x)
-
-    outcome = damped_newton(x0, value_fn, full_fn, feasible_values, options or SolveOptions())
+    outcome = damped_newton(
+        x0, lambda x: entropy_pass(problem, x), feasible_values, options or SolveOptions()
+    )
     _require_resolved(problem, outcome.x)
     return outcome
 

@@ -7,7 +7,7 @@ function itself:
   conservative scheme on the antiderivative form u_t = A(u)_xx, starting
   from the sharp step; the self-similar profile must emerge on its own.
 * ``grid_search_min`` minimizes the boundary objective by exhaustive lattice
-  scan plus local refinement, no derivatives involved.
+  scan plus local refinement, derivative-free.
 * ``stefan_bisection`` solves single-boundary degenerate-edge problems from
   the interface balance law alone, written out by hand, via bisection on a
   monotone residual.

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -58,6 +59,7 @@ _CF_FROM = 26.0  # erfcx kernels switch to the continued fraction here
 _CF_TERMS = 6  # within about one ulp from 26 on
 TAIL_FROM = 2.0 * _CF_FROM  # tail branch of heat_step_ratios and heat_step_tail_fraction
 _INF = math.inf
+_MIN_NORMAL = sys.float_info.min
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
 # below this quantile the inverse works in log space; above it Giles' start
 # is close enough for a few Newton steps
@@ -192,17 +194,19 @@ def log_heat_step_diff(x: float, y: float) -> float:
         return 0.0
     a = 0.5 * x
     b = 0.5 * y
-    if b >= 0.0:
+    # by the signs of x and y: halving rounds the smallest subnormal to 0
+    if y >= 0.0:
         return _log_upper_tail_diff(a, b, x, y)
-    if a <= 0.0:
+    if x <= 0.0:
         return _log_upper_tail_diff(-b, -a, -y, -x)
     # arguments straddle zero: a sum of two positive terms
     p = 0.5 * (math.erf(a) + math.erf(-b))
-    if p <= 0.0:  # both arguments subnormal
+    if p < _MIN_NORMAL:  # a subnormal sum has lost the digits x - y keeps
         return _log_flat_diff(x, y)
-    if p >= 1.0:
-        return 0.0
-    return math.log(p)
+    if p <= 0.5:
+        return math.log(p)
+    # near p = 1, ln p from its complement, which erfc keeps to full precision
+    return math.log1p(-0.5 * (math.erfc(a) + math.erfc(-b)))
 
 
 def _log_erfc_ratio(s: float, f: float, d: float, q_s: float) -> float:

@@ -90,11 +90,7 @@ def test_floor_steps_keep_the_value_finite(flip):
     u_minus, u_plus, partition = _oriented(breakpoints, coefficients, flip)
     problem = normalize_orientation(u_minus, u_plus, partition)
     outcome = damped_newton(
-        initial_guess(problem),
-        lambda x: entropy_pass(problem, x, derivatives=False),
-        lambda x: entropy_pass(problem, x),
-        feasible_values,
-        SolveOptions(),
+        initial_guess(problem), lambda x: entropy_pass(problem, x), feasible_values, SolveOptions()
     )
     assert outcome.converged
     assert all(math.isfinite(record.value) for record in outcome.records)

@@ -92,7 +92,7 @@ def test_value_is_inf_where_scaled_ends_round_together():
     hi = math.nextafter(lo, math.inf)
     assert lo / 1.9 == hi / 1.9
     assert entropy_value(prob, (lo, hi)) == math.inf
-    assert entropy_pass(prob, (lo, hi))[0] == math.inf  # the full pass too, without derivatives
+    assert entropy_pass(prob, (lo, hi))[0] == math.inf  # the unchecked pass too
     assert math.isfinite(entropy_value(prob, (lo, lo + 1e-3)))
 
 
@@ -288,7 +288,6 @@ def test_fused_pass_bit_identical_to_reference(seed, zeros, center, spread):
     ref_hd, ref_ho = reference_hessian(prob, point)
     bits = np.float64(value).tobytes()
     assert bits == np.float64(reference_value(prob, point)).tobytes()
-    assert bits == np.float64(entropy_pass(prob, point, derivatives=False)).tobytes()
     assert np.array(grad).tobytes() == reference_gradient(prob, point).tobytes()
     assert np.array(hd).tobytes() == ref_hd.tobytes()
     assert np.array(ho).tobytes() == ref_ho.tobytes()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -112,6 +113,29 @@ def test_log_diff_deep_tail_oracle(x, y):
         diff = (mpmath.erfc(mpmath.mpf(yy) / 2) - mpmath.erfc(mpmath.mpf(xx) / 2)) / 2
         oracle = float(mpmath.log(diff))
     assert log_heat_step_diff(x, y) == pytest.approx(oracle, rel=1e-12)
+
+
+_TINY = 2.2250738585072014e-308  # the smallest normal float
+
+
+@given(
+    st.just(math.inf) | st.floats(0.0, 60.0, exclude_min=True),
+    st.just(-math.inf) | st.floats(-60.0, 0.0, exclude_max=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_log_diff_straddling_within_4_eps(x, y):
+    # D = (erf(x/2) + erf(-y/2)) / 2 = 1 - (erfc(x/2) + erfc(-y/2)) / 2; ln of
+    # the erf sum rounds ln D to 0 long before the erfc form runs out of digits
+    with mpmath.workdps(60):
+        ends = [mpmath.mpf(abs(t)) / 2 for t in (x, y)]
+        d = sum(mpmath.erf(e) for e in ends) / 2
+        if d < 0.5:
+            oracle = mpmath.log(d)
+        else:
+            oracle = mpmath.log1p(-sum(mpmath.erfc(e) for e in ends) / 2)
+        out = log_heat_step_diff(x, y)
+        if abs(oracle) >= _TINY:
+            assert abs((out - oracle) / oracle) <= 4.0 * sys.float_info.epsilon, (x, y, out)
 
 
 def test_log_diff_rejects_bad_order():
