@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .problem import RiemannProblem
-from .special import heat_step_inverse, heat_step_ratios, log_heat_step_diff
+from .special import heat_step_arc, heat_step_inverse
 
 _INF = math.inf
 
@@ -66,11 +66,12 @@ def entropy_pass(problem: RiemannProblem, values):
     with the symmetric tridiagonal Hessian as its diagonal and first
     off-diagonal.  ``values`` are the m free positions, a sequence of
     floats, and must already be feasible (``feasible_values``): this kernel
-    does not check them.  Each interval takes ``log_heat_step_diff`` once
-    and shares it between all three pieces.  Where a coefficient rounds the
-    quotients xi/a of two distinct boundaries together, the arc is empty and
-    the value +inf, outside the domain, so a line search backtracks from it;
-    the gradient and Hessian are only defined where the value is finite.
+    does not check them.  Each interval takes one ``heat_step_arc`` call,
+    whose ln D and end ratios all three pieces share.  Where a coefficient
+    rounds the quotients xi/a of two distinct boundaries together, the arc
+    is empty and the value +inf, outside the domain, so a line search
+    backtracks from it; the gradient and Hessian are only defined where the
+    value is finite.
     """
     full = _full_positions(problem, values)
     u = problem.partition.breakpoints
@@ -90,14 +91,13 @@ def entropy_pass(problem: RiemannProblem, values):
             y = full[k] / a
             if not x > y:  # the quotients rounded together: outside the domain
                 return _INF, g, hd, ho
-            logdf = log_heat_step_diff(x, y)
-            total -= a * a * du * logdf
             # In the scaled ends, with R = H'/dH and the curvatures c of
-            # -ln dH from ``heat_step_ratios``, the term of interval k adds
+            # -ln dH from ``heat_step_arc``, the term of interval k adds
             # +a du R(y) and -a du R(x) to the gradient, du c_y and du c_x to
             # the diagonal and -du R(x) R(y) to the off-diagonal (the a^2
             # prefactor cancels the chain rule in the second order)
-            rx, ry, cx, cy = heat_step_ratios(x, y, logdf)
+            logdf, rx, ry, cx, cy = heat_step_arc(x, y)
+            total -= a * a * du * logdf
             if k >= 1:
                 g[slots[k - 1]] += a * du * ry
                 hd[slots[k - 1]] += du * cy

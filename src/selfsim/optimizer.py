@@ -172,8 +172,14 @@ def damped_newton(
             stop_reason = "max_iters"
             break
         d, newton = _direction(hd, ho, grad)
-        slope = sum(gi * di for gi, di in zip(grad, d))  # -lambda^2 for a Newton direction
-        if not slope < 0.0:
+        # g.d (-lambda^2 for a Newton direction) from g / 2^e, 2^e near
+        # |g|_inf: a subnormal g.d rounds to 0 but keeps its sign here, so
+        # the floor test below still sees a Newton step.  The scaling is
+        # exact wherever g / 2^e and g.d stay normal
+        e = math.frexp(gnorm)[1]
+        scaled = sum(math.ldexp(gi, -e) * di for gi, di in zip(grad, d))
+        slope = math.ldexp(scaled, e)
+        if not scaled < 0.0:
             d = [-g for g in grad]
             slope = -sum(g * g for g in grad)
             newton = False

@@ -26,7 +26,7 @@ from .entropy import entropy_value, sublevel_bounds
 from .optimizer import initial_guess
 from .problem import RiemannProblem, diffusion_antiderivative
 from .profile import SelfSimilarProfile
-from .special import heat_step_ratios, log_heat_step_diff
+from .special import heat_step_arc
 
 _INF = math.inf
 _EPS = sys.float_info.epsilon
@@ -234,16 +234,14 @@ def _interface_residual(problem: RiemannProblem, xi: float) -> float:
     a0, a1 = problem.partition.coefficients
     if a0 > 0.0:
         s = xi / a0
-        r, _, _, _ = heat_step_ratios(s, -_INF, log_heat_step_diff(s, -_INF))
-        flux_left = a0 * (u1 - u0) * r
+        flux_left = a0 * (u1 - u0) * heat_step_arc(s, -_INF)[1]
         left = u1
     else:
         flux_left = 0.0
         left = u0
     if a1 > 0.0:
         s = xi / a1
-        _, r, _, _ = heat_step_ratios(_INF, s, log_heat_step_diff(_INF, s))
-        flux_right = a1 * (u2 - u1) * r
+        flux_right = a1 * (u2 - u1) * heat_step_arc(_INF, s)[2]
         right = u1
     else:
         flux_right = 0.0

@@ -12,20 +12,21 @@ A live phase (a_k > 0) is the error-function arc
 and a dead phase (a_k = 0) is a jump from u_k to u_{k+1}: at xi_1 on the
 left edge, at xi_n on the right edge, at its fused position inside, and at 0
 when it is the only phase.  Values, one-sided limits, fluxes, jumps and the
-mirror image are all derived from those three tuples; each live phase's
-ln D_k is taken once per profile, and ``jump_residuals`` reads its balance
-from the one-sided ``limits`` and ``flux_limits``.
+mirror image are all derived from those three tuples through one cached
+table with a row per phase, whose ln D_k and end ratios come from one
+``special.heat_step_arc`` call per live phase; ``jump_residuals`` reads its
+balance from the one-sided ``limits`` and ``flux_limits``.
 
 ``sample`` takes every arc value in one pass, in complement form, from the
 tail ratio R_k(s) = (1 - H(s)) / D_k = erfcx(s/2) exp(-s^2/4 - ln D_k) / 2
-(s >= 0, ln D_k from ``special.log_heat_step_diff``): a point at
-t = xi/a_k >= 0 is anchored at the arc's right end,
+(s >= 0): a point at t = xi/a_k >= 0 is anchored at the arc's right end,
 v = u_{k+1} - du (R_k(t) - R_k(xi_{k+1}/a_k)), and a point at t < 0 at its
 left end by the mirror image, v = u_k + du (R_k(-t) - R_k(-xi_k/a_k)), so
-no arc underflows.  The exponent -s^2/4 - ln D_k keeps only eps s^2/4 of
-absolute accuracy, so an arc whose nearer scaled end is past
-``special.TAIL_FROM`` (52) takes ``special.heat_step_tail_fraction`` from
-that end instead, point by point.  The one-point ``limits`` does the same on
+no arc underflows; ln D_k and the anchors R_k(|end|/a_k) are the table's.
+The exponent -s^2/4 - ln D_k keeps only eps s^2/4 of absolute accuracy, so
+an arc whose nearer scaled end is past ``special.TAIL_FROM`` (52), flagged
+``deep`` in the table, takes ``special.heat_step_tail_fraction`` from that
+end instead, point by point.  The one-point ``limits`` does the same on
 arcs with both scaled ends on one side of 0, and takes plain heat_step
 differences, which cannot cancel there, on the one arc that may straddle 0.
 Each arc is clipped to its own state interval.  numpy is loaded by
@@ -39,7 +40,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .problem import RiemannProblem, diffusion_antiderivative
 from .special import (
@@ -47,10 +48,9 @@ from .special import (
     erfcx,
     erfcx_vec,
     heat_step,
+    heat_step_arc,
     heat_step_deriv,
-    heat_step_ratios,
     heat_step_tail_fraction,
-    log_heat_step_diff,
 )
 
 if TYPE_CHECKING:
@@ -79,6 +79,22 @@ def _tail_ratio_vec(t: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
     return 0.5 * erfcx_vec(0.5 * t) * np.exp(-0.25 * t_sq * t_sq - log_norm)
 
 
+class _Arc(NamedTuple):
+    # one phase of a profile; a dead phase has scale 1, slope 0 and zero
+    # ratios, and pivots at its jump
+    lo: float  # xi_k
+    hi: float  # xi_{k+1}
+    scale: float  # a_k
+    log_norm: float  # ln D_k
+    r_lo: float  # H'/D_k at lo / a_k
+    r_hi: float  # and at hi / a_k
+    anchor_lo: float  # R_k(|lo| / a_k), 0 on a deep arc
+    anchor_hi: float  # R_k(|hi| / a_k)
+    pivot: float  # points left of it are anchored at lo, the others at hi
+    slope: float  # u_{k+1} - u_k
+    deep: bool  # both scaled ends past TAIL_FROM on one side of 0
+
+
 @dataclass(frozen=True)
 class JumpPoint:
     location: float
@@ -94,33 +110,28 @@ class SelfSimilarProfile:
     states: tuple[float, ...]  # u_0..u_{n+1}, in the caller's order
     coefficients: tuple[float, ...]  # a_0..a_n
 
-    def _ends(self, k: int) -> tuple[float, float]:
-        b = self.boundaries
-        return (b[k - 1] if k > 0 else -_INF), (b[k] if k < len(b) else _INF)
-
-    def _jump_location(self, k: int) -> float:
-        # of dead phase k: xi_1 on the left edge, else xi_k
-        return self.boundaries[max(k - 1, 0)] if self.boundaries else 0.0
-
     @cached_property
-    def _log_norms(self) -> tuple[float, ...]:
-        # ln D_k of each live phase, 0.0 for a dead one; the cache lives in
-        # the instance dict, so ==, hash and repr still see the three fields
-        edges = (-_INF, *self.boundaries, _INF)
-        return tuple(
-            log_heat_step_diff(hi / a, lo / a) if a > 0.0 else 0.0
-            for a, lo, hi in zip(self.coefficients, edges, edges[1:])
-        )
-
-    @cached_property
-    def _end_ratios(self) -> tuple[tuple[float, float], ...]:
-        # R = H'/D at the right and the left end of each live phase, from
-        # the kernel; (0.0, 0.0) for a dead one
-        edges = (-_INF, *self.boundaries, _INF)
-        return tuple(
-            heat_step_ratios(hi / a, lo / a, log_norm)[:2] if a > 0.0 else (0.0, 0.0)
-            for a, lo, hi, log_norm in zip(self.coefficients, edges, edges[1:], self._log_norms)
-        )
+    def _table(self) -> tuple[_Arc, ...]:
+        # one row per phase; the cache lives in the instance dict, so ==,
+        # hash and repr still see the three fields
+        b, u = self.boundaries, self.states
+        edges = (-_INF, *b, _INF)
+        rows = []
+        for k, a in enumerate(self.coefficients):
+            lo, hi = edges[k], edges[k + 1]
+            if a > 0.0:
+                x, y = hi / a, lo / a
+                log_norm, r_hi, r_lo = heat_step_arc(x, y)[:3]
+                deep = y >= TAIL_FROM or x <= -TAIL_FROM
+                if deep:  # no anchors: the values take the tail fraction
+                    at_lo = at_hi = 0.0
+                else:  # at |end|: erfcx overflows at a negative argument
+                    at_lo, at_hi = _tail_ratio(abs(y), log_norm), _tail_ratio(abs(x), log_norm)
+                rows.append(_Arc(lo, hi, a, log_norm, r_lo, r_hi, at_lo, at_hi, 0.0, u[k + 1] - u[k], deep))
+            else:  # the jump sits at xi_1 on the left edge, else at xi_k
+                pivot = b[max(k - 1, 0)] if b else 0.0
+                rows.append(_Arc(lo, hi, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, pivot, 0.0, False))
+        return tuple(rows)
 
     def _sides(self, i: int, j: int) -> tuple[float, float]:
         # the states on either side of a line where phase i ends and phase j begins
@@ -136,24 +147,24 @@ class SelfSimilarProfile:
         a = self.coefficients[k]
         if a == 0.0:
             return 0.0
-        lo, hi = self._ends(k)
-        r_hi, r_lo = self._end_ratios[k]
+        arc = self._table[k]
+        lo, hi = arc.lo, arc.hi
         if xi == hi:
-            r = r_hi
+            r = arc.r_hi
         elif xi == lo:
-            r = r_lo
+            r = arc.r_lo
         elif lo < 0.0 < hi:
-            r = heat_step_deriv(xi / a) * math.exp(-self._log_norms[k])
+            r = heat_step_deriv(xi / a) * math.exp(-arc.log_norm)
         else:  # (end - t)(end + t) from differences of xi, as in the values
-            end, r_end = (lo, r_lo) if lo >= 0.0 else (hi, r_hi)
+            end, r_end = (lo, arc.r_lo) if lo >= 0.0 else (hi, arc.r_hi)
             r = r_end * math.exp(0.25 * ((end - xi) / a) * ((end + xi) / a))
-        return a * (self.states[k + 1] - self.states[k]) * r
+        return a * arc.slope * r
 
     def jumps(self) -> tuple[JumpPoint, ...]:
         u = self.states
         return tuple(
-            JumpPoint(self._jump_location(k), u[k], u[k + 1])
-            for k, a in enumerate(self.coefficients)
+            JumpPoint(arc.pivot, u[k], u[k + 1])
+            for k, (a, arc) in enumerate(zip(self.coefficients, self._table))
             if a == 0.0
         )
 
@@ -173,7 +184,7 @@ class SelfSimilarProfile:
         if i < j:
             return self._sides(i, j)
         if self.coefficients[i] == 0.0:  # a constant tail, or the frozen step
-            u, loc = self.states, self._jump_location(i)
+            u, loc = self.states, self._table[i].pivot
             return (u[i] if xi <= loc else u[i + 1]), (u[i] if xi < loc else u[i + 1])
         v = self._value(i, xi)
         return v, v
@@ -186,23 +197,22 @@ class SelfSimilarProfile:
         u_0 + (u_1 - u_0) H(xi/a).
         """
         u0, u1 = self.states[k], self.states[k + 1]
-        a = self.coefficients[k]
-        lo, hi = self._ends(k)
-        x, y, t = hi / a, lo / a, xi / a
-        du = u1 - u0
-        if y < 0.0 < x:
+        arc = self._table[k]
+        a = arc.scale
+        x, y, t = arc.hi / a, arc.lo / a, xi / a
+        du = arc.slope
+        if arc.deep:  # from the end nearer 0
+            if y > 0.0:
+                v = u0 + du * heat_step_tail_fraction(arc.lo, arc.hi, xi, a)
+            else:
+                v = u1 - du * heat_step_tail_fraction(arc.hi, arc.lo, xi, a)
+        elif y < 0.0 < x:
             f_lo = heat_step(y)
             v = u0 + du / (heat_step(x) - f_lo) * (heat_step(t) - f_lo)
-        elif y >= TAIL_FROM:  # deep in the right tail: from the near end lo
-            v = u0 + du * heat_step_tail_fraction(lo, hi, xi, a)
-        elif x <= -TAIL_FROM:
-            v = u1 - du * heat_step_tail_fraction(hi, lo, xi, a)
-        else:
-            log_norm = self._log_norms[k]
-            if y >= 0.0:  # right tail: anchored at hi
-                v = u1 - du * (_tail_ratio(t, log_norm) - _tail_ratio(x, log_norm))
-            else:  # left tail: the mirror image, anchored at lo
-                v = u0 + du * (_tail_ratio(-t, log_norm) - _tail_ratio(-y, log_norm))
+        elif y >= 0.0:  # right tail: anchored at hi
+            v = u1 - du * (_tail_ratio(t, arc.log_norm) - arc.anchor_hi)
+        else:  # left tail: the mirror image, anchored at lo
+            v = u0 + du * (_tail_ratio(-t, arc.log_norm) - arc.anchor_lo)
         return min(max(v, min(u0, u1)), max(u0, u1))
 
     def flux_limits(self, xi: float) -> tuple[float, float]:
@@ -211,56 +221,34 @@ class SelfSimilarProfile:
         right = self._flux(j, xi)
         return (self._flux(i, xi) if i < j else right), right
 
-    def _arcs(self) -> tuple[np.ndarray, ...]:
-        """Per-phase scalars of ``sample``.
-
-        Phase k has one row k for points left of its pivot and one row
-        n + 1 + k for points right of it; a point's value is
-        base + slope * (R_k(|xi| / scale) - R_k(end)), clipped to [low, high],
-        with end the row's scaled phase end.  A live phase pivots at 0, so
-        each side is anchored at its own end; a dead phase pivots at its jump
-        with slope 0, so it takes its left state left of the jump and its
-        right state from the jump on.
-        """
-        import numpy as np
-
-        cs, u = self.coefficients, self.states
-        live = [a > 0.0 for a in cs]
-        scale = np.array([a if ok else 1.0 for a, ok in zip(cs, live)])
-        log_norm = np.array(self._log_norms)
-        pivot = np.array([0.0 if ok else self._jump_location(k) for k, ok in enumerate(live)])
-        edges = np.array((-_INF, *self.boundaries, _INF))
-        ends = np.abs(np.concatenate((edges[:-1], edges[1:])) / np.tile(scale, 2))
-        du = np.array([u[k + 1] - u[k] if ok else 0.0 for k, ok in enumerate(live)])
-        base = np.array(u[:-1] + u[1:])
-        low = np.minimum(base[: len(cs)], base[len(cs) :])
-        high = np.maximum(base[: len(cs)], base[len(cs) :])
-        return scale, log_norm, pivot, ends, base, np.concatenate((du, -du)), low, high
-
     def sample(self, xs) -> np.ndarray:
-        """Values on a grid in one pass; exact junction points take the right limit."""
+        """Values on a grid in one pass; exact junction points take the right limit.
+
+        A point in phase k is u_k + slope (R_k(|xi| / scale) - anchor_lo)
+        left of the pivot and u_{k+1} - slope (R_k(|xi| / scale) - anchor_hi)
+        from it on, clipped to the phase's state interval: a live phase
+        pivots at 0, so each side is anchored at its own end, and a dead one
+        at its jump with slope 0.
+        """
         import numpy as np
 
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise ValueError("xi must not be NaN")
-        scale, log_norm, pivot, ends, base, slope, low, high = self._arcs()
+        arcs = _Arc(*np.array(self._table).T)  # the table's columns
         flat = xs.ravel()
         k = np.searchsorted(self.boundaries, flat, side="right")
-        row = np.where(flat >= pivot[k], k + len(scale), k)
-        # the points' tail ratios and the rows' anchors in one kernel pass
-        r = _tail_ratio_vec(
-            np.concatenate((np.abs(flat / scale[k]), ends)),
-            np.concatenate((log_norm[k], log_norm, log_norm)),
+        u = np.array(self.states)
+        u_lo, u_hi, slope = u[k], u[k + 1], arcs.slope[k]
+        r = _tail_ratio_vec(np.abs(flat / arcs.scale[k]), arcs.log_norm[k])
+        v = np.where(
+            flat < arcs.pivot[k],
+            u_lo + slope * (r - arcs.anchor_lo[k]),
+            u_hi - slope * (r - arcs.anchor_hi[k]),
         )
-        anchor = r[flat.size :]
-        v = np.clip(base[row] + slope[row] * (r[: flat.size] - anchor[row]), low[k], high[k])
-        # points on an arc deep in one tail take the scalar tail fraction
-        edges = (-_INF, *self.boundaries, _INF)
-        for phase, a in enumerate(self.coefficients):
-            if a > 0.0 and (edges[phase] / a >= TAIL_FROM or edges[phase + 1] / a <= -TAIL_FROM):
-                for i in np.flatnonzero(k == phase):
-                    v[i] = self._value(phase, float(flat[i]))
+        v = np.clip(v, np.minimum(u_lo, u_hi), np.maximum(u_lo, u_hi))
+        for i in np.flatnonzero(arcs.deep[k]):  # the scalar tail fraction
+            v[i] = self._value(int(k[i]), float(flat[i]))
         return v.reshape(xs.shape)
 
     @property
@@ -333,7 +321,7 @@ def jump_residuals(problem: RiemannProblem, profile: SelfSimilarProfile) -> tupl
     fused pair reads the live phases beyond it.  It vanishes at the
     minimizer and is reported, not thrown, so perturbed profiles can be
     inspected.  Each flux is a du R(xi/a) with the ratio R = H'/D from
-    ``special.heat_step_ratios``, so the residual is finite wherever the
+    ``special.heat_step_arc``, so the residual is finite wherever the
     objective is.  The one-sided states are nodes of
     ``diffusion_antiderivative``, so A is read from its table exactly, in
     either orientation.

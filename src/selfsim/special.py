@@ -26,12 +26,13 @@ for x >= 0 and both switching at x = 26 to the Laplace continued fraction:
   the table are loaded on its first call, so the scalar paths never pay
   for them.
 
-Every ratio R = H'/D of an arc [y, x], D = heat_step(x) - heat_step(y),
-and every curvature of -ln D comes from one kernel, ``heat_step_ratios``.
-Its fast branch is exp(ln H'(t) - ln D).  On a one-signed arc whose nearer
-scaled end is past 52 (2 * 26, so that erfcx runs on its continued fraction)
-both logs are about -t^2/4 and their difference keeps only eps t^2/4 of
-absolute accuracy, so the tail branch takes R and the curvatures from the
+Every arc [y, x] takes one call of one kernel, ``heat_step_arc``, for its
+ln D, D = heat_step(x) - heat_step(y) (from ``log_heat_step_diff``), its
+ratios R = H'/D at both ends and the curvatures of -ln D.  Its fast branch
+is exp(ln H'(t) - ln D).  On a one-signed arc whose nearer scaled end is
+past 52 (2 * 26, so that erfcx runs on its continued fraction) both logs
+are about -t^2/4 and their difference keeps only eps t^2/4 of absolute
+accuracy, so the tail branch takes R and the curvatures from the
 continued fraction's q(s) = 1 / (sqrt(pi) erfcx(s)) - s and
 rho = erfc(far) / erfc(near) instead, with no subtraction of nearly equal
 numbers.  ``heat_step_tail_fraction`` gives the profile's values on such an
@@ -57,9 +58,10 @@ _LN2 = math.log(2.0)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _CF_FROM = 26.0  # erfcx kernels switch to the continued fraction here
 _CF_TERMS = 6  # within about one ulp from 26 on
-TAIL_FROM = 2.0 * _CF_FROM  # tail branch of heat_step_ratios and heat_step_tail_fraction
+TAIL_FROM = 2.0 * _CF_FROM  # tail branch of heat_step_arc and heat_step_tail_fraction
 _INF = math.inf
 _MIN_NORMAL = sys.float_info.min
+_EXP_ZERO = -1075.0 * _LN2  # math.exp rounds anything below this to 0
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
 # below this quantile the inverse works in log space; above it Giles' start
 # is close enough for a few Newton steps
@@ -215,11 +217,14 @@ def _log_erfc_ratio(s: float, f: float, d: float, q_s: float) -> float:
     # overflows nor cancels where s^2 - f^2 would, plus ln(erfcx(f) /
     # erfcx(s)) from the continued fraction, so no step subtracts nearly
     # equal numbers.  A caller that knows s - f better than the difference
-    # of the rounded s and f passes it as d
-    if f == _INF:
+    # of the rounded s and f passes it as d.  Once the Gaussian factor alone
+    # is below what exp can return, the ratio is 0: the log1p argument, which
+    # is negative, tends to -1 there (log1p(-1) past f ~ 2 s / eps)
+    gauss = d * (s + f)
+    if gauss < _EXP_ZERO:
         return -_INF
     q_f = _cf_tail(f)
-    return d * (s + f) + math.log1p((d + (q_s - q_f)) / (f + q_f))
+    return gauss + math.log1p((d + (q_s - q_f)) / (f + q_f))
 
 
 def _tail_ratios(s: float, f: float) -> tuple[float, float, float, float]:
@@ -235,17 +240,18 @@ def _tail_ratios(s: float, f: float) -> tuple[float, float, float, float]:
     return r_near, r_far, r_near * (q + s * rho) / spread, r_far * (r_far + f)
 
 
-def heat_step_ratios(x: float, y: float, log_d: float) -> tuple[float, float, float, float]:
-    """R = H'/D at both ends of the arc x > y, and the curvatures of -ln D.
+def heat_step_arc(x: float, y: float) -> tuple[float, float, float, float, float]:
+    """ln D and R = H'/D at both ends of the arc x > y, and the curvatures of -ln D.
 
-    D = heat_step(x) - heat_step(y) = exp(log_d), from ``log_heat_step_diff``.
-    Returns ``(r_x, r_y, c_x, c_y)``: r_x = H'(x)/D, r_y = H'(y)/D,
+    D = heat_step(x) - heat_step(y), and ln D is ``log_heat_step_diff(x, y)``.
+    Returns ``(ln D, r_x, r_y, c_x, c_y)``: r_x = H'(x)/D, r_y = H'(y)/D,
     c_x = r_x (r_x + x/2) = d^2(-ln D)/dx^2 and c_y = r_y (r_y - y/2)
     = d^2(-ln D)/dy^2 (-r_x r_y is the cross derivative).  An arc with both
     scaled ends past 52 on one side of 0 takes the tail branch of the module
-    docstring, which does not read ``log_d``.  A curvature at an infinite
-    end is NaN.
+    docstring for its ratios and curvatures.  A curvature at an infinite end
+    is NaN.
     """
+    log_d = log_heat_step_diff(x, y)
     if y >= TAIL_FROM:
         r_y, r_x, c_y, c_x = _tail_ratios(0.5 * y, 0.5 * x)
     elif x <= -TAIL_FROM:
@@ -255,7 +261,7 @@ def heat_step_ratios(x: float, y: float, log_d: float) -> tuple[float, float, fl
         r_y = math.exp(-0.25 * y * y - _LOG_2_SQRT_PI - log_d)
         c_x = r_x * r_x + 0.5 * x * r_x
         c_y = r_y * r_y - 0.5 * y * r_y
-    return r_x, r_y, c_x, c_y
+    return log_d, r_x, r_y, c_x, c_y
 
 
 def heat_step_tail_fraction(near: float, far: float, point: float, a: float) -> float:
@@ -279,11 +285,6 @@ def heat_step_tail_fraction(near: float, far: float, point: float, a: float) -> 
     return math.expm1(log_p) / math.expm1(log_rho)
 
 
-def _log_heat_step(x: float) -> float:
-    # ln(heat_step(x)), accurate arbitrarily far into the left tail.
-    return log_heat_step_diff(x, -math.inf)
-
-
 def _inverse_log_tail(p: float) -> float:
     # Quantiles far below working precision: Newton on ln(heat_step) with an
     # asymptotic start from heat_step(x) ~ heat_step'(x) * 2/|x| as x -> -inf.
@@ -293,11 +294,13 @@ def _inverse_log_tail(p: float) -> float:
     for _ in range(2):
         x = -2.0 * math.sqrt(max(-target - _LOG_2_SQRT_PI + math.log(2.0 / abs(x)), 1.0))
     for _ in range(80):
-        log_h = _log_heat_step(x)
+        # ln(heat_step(x)), accurate arbitrarily far into the left tail, and
+        # its derivative
+        log_h, r = heat_step_arc(x, -_INF)[:2]
         g = log_h - target
         if abs(g) <= 1e-13:
             break
-        step = g / heat_step_ratios(x, -_INF, log_h)[0]  # d ln(heat_step) / dx
+        step = g / r
         if step > 5.0:
             step = 5.0
         elif step < -5.0:

@@ -96,6 +96,16 @@ def test_value_is_inf_where_scaled_ends_round_together():
     assert math.isfinite(entropy_value(prob, (lo, lo + 1e-3)))
 
 
+def test_value_with_an_end_past_the_tail_ratio_range():
+    # the middle arc's scaled far end, -5e19, is past 2 / eps times its near
+    # end, -100, so erfc(far) / erfc(near) is 0 and the pass must take it so
+    prob = problem_of(PhasePartition((0.0, 0.3, 0.6, 1.0), (1.0, 2.0, 1.0)))
+    value, grad, hd, _ = entropy_pass(prob, [-1e20, -200.0])
+    assert entropy_value(prob, (-1e20, -200.0)) == value
+    assert value == pytest.approx(0.3 * 0.25 * 1e40, rel=1e-12)  # -ln H(x) ~ x^2 / 4
+    assert all(map(math.isfinite, grad + hd))
+
+
 def test_gradient_matches_finite_differences(rng):
     checked = 0
     while checked < 100:

@@ -272,11 +272,17 @@ def test_converges_at_the_rounding_floor(n, seed):
 
 @pytest.mark.parametrize(
     "breakpoints, coefficients",
-    [((0.0, 1e-12, 1.0), (0.0, 1.0)), ((0.0, 1.0 - 1e-16, 1.0), (1.0, 2.0))],
+    [
+        ((0.0, 1e-12, 1.0), (0.0, 1.0)),
+        ((0.0, 1.0 - 1e-16, 1.0), (1.0, 2.0)),
+        ((0.0, 1e-300, 1.0), (1.0, 2.0)),
+    ],
 )
 def test_extreme_state_fraction_converges(breakpoints, coefficients):
     # one phase holds all but 1e-12 (1e-16) of the state range, so ln D of the
-    # straddling arc lies that close to 0: ln of the erf sum rounded it to 0
+    # straddling arc lies that close to 0: ln of the erf sum rounded it to 0.
+    # With 1e-300 the objective and its gradient are subnormal and g.d rounds
+    # to 0, so the Newton step must be told by the sign of g.d at scale
     partition = PhasePartition(breakpoints, coefficients)
     sol = solve_riemann(breakpoints[0], breakpoints[-1], partition)
     assert sol.converged, (sol.stop_reason, sol.iterations)

@@ -99,7 +99,7 @@ def test_profile_is_its_three_tuples():
     prof.sample(np.linspace(-3.0, 3.0, 7))
     jump_residuals(sol.problem, prof)
     fresh = SelfSimilarProfile(sol.boundaries, (0.0, 1.0, 2.0), (0.0, 1.0))
-    assert "_log_norms" in vars(prof) and "_log_norms" not in vars(fresh)
+    assert "_table" in vars(prof) and "_table" not in vars(fresh)
     assert prof == fresh and hash(prof) == hash(fresh) and repr(prof) == repr(fresh)
 
 

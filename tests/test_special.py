@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfsim import special
 from selfsim._erfcx_table import FIRST, TABLE
 from selfsim.special import (
     erfcx,
     erfcx_vec,
     heat_step,
+    heat_step_arc,
     heat_step_deriv,
     heat_step_inverse,
     log_heat_step_diff,
@@ -136,6 +138,48 @@ def test_log_diff_straddling_within_4_eps(x, y):
         out = log_heat_step_diff(x, y)
         if abs(oracle) >= _TINY:
             assert abs((out - oracle) / oracle) <= 4.0 * sys.float_info.epsilon, (x, y, out)
+
+
+def test_log_diff_flat_fallback_within_2_eps(monkeypatch):
+    # on an arc one to three ulps wide erfc(x/2) / erfc(y/2) mostly rounds to
+    # 1, and ln D falls back to the one-point rectangle at the midpoint
+    flat = special._log_flat_diff
+    reached = []
+
+    def counted(x, y):
+        reached.append((x, y))
+        return flat(x, y)
+
+    monkeypatch.setattr(special, "_log_flat_diff", counted)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        y = math.exp(rng.uniform(math.log(1e-8), math.log(10.0)))
+        x = y
+        for _ in range(rng.integers(1, 4)):
+            x = math.nextafter(x, math.inf)
+        before = len(reached)
+        out = log_heat_step_diff(x, y)
+        if len(reached) > before:
+            with mpmath.workdps(60):
+                xx, yy = mpmath.mpf(x) / 2, mpmath.mpf(y) / 2
+                oracle = mpmath.log((mpmath.erfc(yy) - mpmath.erfc(xx)) / 2)
+                assert abs((out - oracle) / oracle) <= 2.0 * sys.float_info.epsilon, (x, y, out)
+    assert len(reached) >= 1500
+
+
+@pytest.mark.parametrize("x, y", [(-164.0, -1e19), (1e19, 164.0)])
+def test_arc_with_its_far_end_past_the_tail_ratio_range(x, y):
+    # far / near > 2 / eps, where ln(erfc(far) / erfc(near)) must be -inf
+    # without a log1p(-1); the near end's ratio is H'(near) / D with
+    # D = erfc(82) / 2
+    log_d, r_x, r_y, c_x, c_y = heat_step_arc(x, y)
+    r_near, r_far, c_far = (r_x, r_y, c_y) if x < 0.0 else (r_y, r_x, c_x)
+    with mpmath.workdps(60):
+        d = mpmath.erfc(82) / 2
+        assert log_d == pytest.approx(float(mpmath.log(d)), rel=1e-14)
+        oracle = mpmath.exp(-mpmath.mpf(164) ** 2 / 4) / (2 * mpmath.sqrt(mpmath.pi) * d)
+    assert r_near == pytest.approx(float(oracle), rel=1e-13)
+    assert r_far == 0.0 and c_far == 0.0
 
 
 def test_log_diff_rejects_bad_order():
