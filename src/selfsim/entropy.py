@@ -67,11 +67,11 @@ def entropy_pass(problem: RiemannProblem, values):
     off-diagonal.  ``values`` are the m free positions, a sequence of
     floats, and must already be feasible (``feasible_values``): this kernel
     does not check them.  Each interval takes one ``heat_step_arc`` call,
-    whose ln D and end ratios all three pieces share.  Where a coefficient
-    rounds the quotients xi/a of two distinct boundaries together, the arc
-    is empty and the value +inf, outside the domain, so a line search
-    backtracks from it; the gradient and Hessian are only defined where the
-    value is finite.
+    whose ln D and end ratios all three pieces share.  Where a trial point
+    rounds the two boundaries of a live interval together, or their
+    distance divided by a underflows to 0, the value is +inf, outside the
+    domain, so a line search backtracks from it; the gradient and Hessian
+    are only defined where the value is finite.
     """
     full = _full_positions(problem, values)
     u = problem.partition.breakpoints
@@ -87,16 +87,16 @@ def entropy_pass(problem: RiemannProblem, values):
         du = u[k + 1] - u[k]
         a = cs[k]
         if a > 0.0:
-            x = full[k + 1] / a
-            y = full[k] / a
-            if not x > y:  # the quotients rounded together: outside the domain
+            lo = full[k]
+            hi = full[k + 1]
+            if not lo < hi:  # the boundaries rounded together: outside the domain
                 return _INF, g, hd, ho
-            # In the scaled ends, with R = H'/dH and the curvatures c of
-            # -ln dH from ``heat_step_arc``, the term of interval k adds
-            # +a du R(y) and -a du R(x) to the gradient, du c_y and du c_x to
-            # the diagonal and -du R(x) R(y) to the off-diagonal (the a^2
-            # prefactor cancels the chain rule in the second order)
-            logdf, rx, ry, cx, cy = heat_step_arc(x, y)
+            # In the scaled ends x = hi/a, y = lo/a, with R = H'/dH and the
+            # curvatures c of -ln dH from ``heat_step_arc``, the term of
+            # interval k adds +a du R(y) and -a du R(x) to the gradient, du c_y
+            # and du c_x to the diagonal and -du R(x) R(y) to the off-diagonal
+            # (the a^2 prefactor cancels the chain rule in the second order)
+            logdf, rx, ry, cx, cy = heat_step_arc(lo, hi, a)
             total -= a * a * du * logdf
             if k >= 1:
                 g[slots[k - 1]] += a * du * ry
@@ -118,11 +118,7 @@ def entropy_pass(problem: RiemannProblem, values):
 
 
 def entropy_value(problem: RiemannProblem, values: Sequence[float]) -> float:
-    """The objective at the m free positions ``values``, checked for feasibility.
-
-    The positions are read as Python floats: numpy scalars would warn where
-    the pass takes the unused NaN curvature at an infinite end.
-    """
+    """The objective at the m free positions ``values``, checked for feasibility."""
     if len(values) != problem.m:
         raise ValueError(f"expected {problem.m} free boundaries, got {len(values)}")
     if problem.m == 0:

@@ -123,9 +123,9 @@ BACKTRACK_FACTOR = 0.5
 _EPS = sys.float_info.epsilon
 _MIN_STEP = 1e-18
 # A live interior phase whose scaled width x - y is at most this many units
-# of rounding of its ends is not resolved: each end xi / a carries one
-# rounding of xi and one of the quotient, so the width is uncertain by about
-# two units, and the flux a du / (x - y) through the phase by half or more.
+# of rounding of its ends is not resolved: each end xi carries one rounding,
+# so the width is uncertain by about two units, and the flux a du / (x - y)
+# through the phase by half or more.
 UNRESOLVED_ULPS = 4.0
 
 
@@ -191,8 +191,8 @@ def damped_newton(
         at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * abs(value)
         # above the floor, Armijo on the value; at it, where the value cannot
         # certify a step, backtracked only if the step left the domain: a
-        # step that rounds two scaled ends of a phase together has the value
-        # +inf.  Every shorter step stays feasible
+        # step that rounds the two ends of a live phase together has the
+        # value +inf.  Every shorter step stays feasible
         while t >= _MIN_STEP:
             trial = [xi + t * di for xi, di in zip(x, d)]
             evaluation = objective(trial)

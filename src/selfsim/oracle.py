@@ -233,15 +233,13 @@ def _interface_residual(problem: RiemannProblem, xi: float) -> float:
     u0, u1, u2 = problem.partition.breakpoints
     a0, a1 = problem.partition.coefficients
     if a0 > 0.0:
-        s = xi / a0
-        flux_left = a0 * (u1 - u0) * heat_step_arc(s, -_INF)[1]
+        flux_left = a0 * (u1 - u0) * heat_step_arc(-_INF, xi, a0)[1]
         left = u1
     else:
         flux_left = 0.0
         left = u0
     if a1 > 0.0:
-        s = xi / a1
-        flux_right = a1 * (u2 - u1) * heat_step_arc(_INF, s)[2]
+        flux_right = a1 * (u2 - u1) * heat_step_arc(xi, _INF, a1)[2]
         right = u1
     else:
         flux_right = 0.0

@@ -120,8 +120,8 @@ class SelfSimilarProfile:
         for k, a in enumerate(self.coefficients):
             lo, hi = edges[k], edges[k + 1]
             if a > 0.0:
+                log_norm, r_hi, r_lo = heat_step_arc(lo, hi, a)[:3]
                 x, y = hi / a, lo / a
-                log_norm, r_hi, r_lo = heat_step_arc(x, y)[:3]
                 deep = y >= TAIL_FROM or x <= -TAIL_FROM
                 if deep:  # no anchors: the values take the tail fraction
                     at_lo = at_hi = 0.0

@@ -9,11 +9,10 @@ the self-similar shape taken by the constant-diffusivity heat equation with
 unit step data; ``heat_step(x / a)`` is the same shape for diffusivity a^2.
 Everything transcendental in the solver reduces to this function, its
 derivative, and logarithms of its differences, so those live here once with
-tail-safe branches: differences of nearly-equal tail values are computed in
-log space from the ratio of their erfc values rather than by naive
-subtraction, which keeps objective gradients finite far into the Gaussian
-tails.  Past x = 26, where erfc underflows (and exp(x^2) overflows), the
-scaled complementary error function erfcx(x) = exp(x^2) erfc(x) takes over.
+tail-safe branches that never subtract nearly equal numbers, which keeps
+objective gradients finite far into the Gaussian tails.  Past x = 26, where
+erfc underflows (and exp(x^2) overflows), the scaled complementary error
+function erfcx(x) = exp(x^2) erfc(x) takes over.
 
 Scalars use ``math.erf`` and ``math.erfc``.  erfcx has two kernels, both
 for x >= 0 and both switching at x = 26 to the Laplace continued fraction:
@@ -26,17 +25,25 @@ for x >= 0 and both switching at x = 26 to the Laplace continued fraction:
   the table are loaded on its first call, so the scalar paths never pay
   for them.
 
-Every arc [y, x] takes one call of one kernel, ``heat_step_arc``, for its
-ln D, D = heat_step(x) - heat_step(y) (from ``log_heat_step_diff``), its
-ratios R = H'/D at both ends and the curvatures of -ln D.  Its fast branch
-is exp(ln H'(t) - ln D).  On a one-signed arc whose nearer scaled end is
-past 52 (2 * 26, so that erfcx runs on its continued fraction) both logs
-are about -t^2/4 and their difference keeps only eps t^2/4 of absolute
-accuracy, so the tail branch takes R and the curvatures from the
-continued fraction's q(s) = 1 / (sqrt(pi) erfcx(s)) - s and
-rho = erfc(far) / erfc(near) instead, with no subtraction of nearly equal
-numbers.  ``heat_step_tail_fraction`` gives the profile's values on such an
-arc from the same q and rho.
+Every arc takes one call of one kernel, ``heat_step_arc(lo, hi, a)``, for
+its ln D, D = heat_step(hi/a) - heat_step(lo/a), its ratios R = H'/D at both
+ends and the curvatures of -ln D.  It takes the width w = (hi - lo)/a from
+the ends, so an arc a few ulps wide keeps it, and mirrors a one-signed arc
+onto [n, n + w], n >= 0, across which ln H' falls by z = w (2n + w) / 4.
+Up to z = 0.3, ln D = ln H'(n) + ln(w M) with
+M = int_0^1 exp(-(nw/2) t - (w^2/4) t^2) dt from a 7-point Gauss-Legendre
+rule; past it D = (erfc(s) - erfc(f)) / 2, s = n/2, f = s + w/2, whose
+terms are then 26 % apart, with erfc(f) times exp((f - s)(f + s) - z) to
+take the rounding of f out (erfc(s) exp(-z) erfcx(f) / erfcx(s) past
+f = 26).  A straddling arc adds two positive erf values.  The ratios are
+exp(ln H'(t) - ln D).  On a one-signed arc whose nearer scaled end is past
+52 (2 * 26, so that erfcx runs on its continued fraction) both logs are
+about -t^2/4 and their difference keeps only eps t^2/4 of absolute
+accuracy, so the tail branch takes R and the curvatures from 1 / (w M), or
+from the continued fraction's q(s) = 1 / (sqrt(pi) erfcx(s)) - s and
+rho = erfc(f) / erfc(s), with no subtraction of nearly equal numbers.
+``heat_step_tail_fraction`` gives the profile's values on such an arc from
+the same q and rho.
 
 The inverse starts from M. Giles' closed-form erfinv (single-precision
 version, "Approximating the erfinv function", 2010) and is polished by
@@ -63,6 +70,9 @@ _INF = math.inf
 _MIN_NORMAL = sys.float_info.min
 _EXP_ZERO = -1075.0 * _LN2  # math.exp rounds anything below this to 0
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
+# heat_step_arc's 7-point Gauss-Legendre rule on [0, 1] is within about an
+# ulp of M while z <= 0.3
+_RULE_UP_TO = 0.3
 # below this quantile the inverse works in log space; above it Giles' start
 # is close enough for a few Newton steps
 _LOG_TAIL_BELOW = 1e-10
@@ -152,65 +162,6 @@ def log_heat_step_deriv(x: float) -> float:
     return -0.25 * x * x - _LOG_2_SQRT_PI
 
 
-def _log_erfc(t: float) -> float:
-    # ln(erfc(t)) for finite t; past _CF_FROM, where erfc underflows, through erfcx
-    if t < _CF_FROM:
-        return math.log(math.erfc(t))
-    return -t * t + math.log(_erfcx_cf(t))
-
-
-def _log_flat_diff(x: float, y: float) -> float:
-    # Arguments one or two floats apart: one-point rectangle at the midpoint.
-    return log_heat_step_deriv(0.5 * (x + y)) + math.log(x - y)
-
-
-def _log_upper_tail_diff(a: float, b: float, x: float, y: float) -> float:
-    # ln((erfc(b) - erfc(a)) / 2) for 0 <= b < a.  (x, y) kept for fallback.
-    log_eb = _log_erfc(b)
-    if math.isinf(a):
-        return log_eb - _LN2
-    # s = ln(erfc(a)/erfc(b)) < 0, from erfc while it does not underflow and
-    # else from well-scaled erfcx pieces; -expm1(s) is then
-    # 1 - erfc(a)/erfc(b) without cancellation.
-    if a < _CF_FROM:
-        s = math.log(math.erfc(a) / math.erfc(b))
-    else:
-        s = (b * b - a * a) + math.log(erfcx(a)) - math.log(erfcx(b))
-    if s >= 0.0:
-        return _log_flat_diff(x, y)
-    return log_eb + math.log(-math.expm1(s)) - _LN2
-
-
-def log_heat_step_diff(x: float, y: float) -> float:
-    """ln(heat_step(x) - heat_step(y)) for x > y, finite for all finite x > y.
-
-    Same-sign arguments are handled entirely in log space through erfc (and
-    erfcx once erfc underflows), so the result stays accurate when both
-    points sit far out in one Gaussian tail; straddling arguments add two
-    positive erf values and cannot cancel.
-    Infinite arguments are allowed on their natural side.  Always <= 0.
-    """
-    if not x > y:
-        raise ValueError(f"log_heat_step_diff requires x > y, got x={x!r}, y={y!r}")
-    if math.isinf(x) and math.isinf(y):
-        return 0.0
-    a = 0.5 * x
-    b = 0.5 * y
-    # by the signs of x and y: halving rounds the smallest subnormal to 0
-    if y >= 0.0:
-        return _log_upper_tail_diff(a, b, x, y)
-    if x <= 0.0:
-        return _log_upper_tail_diff(-b, -a, -y, -x)
-    # arguments straddle zero: a sum of two positive terms
-    p = 0.5 * (math.erf(a) + math.erf(-b))
-    if p < _MIN_NORMAL:  # a subnormal sum has lost the digits x - y keeps
-        return _log_flat_diff(x, y)
-    if p <= 0.5:
-        return math.log(p)
-    # near p = 1, ln p from its complement, which erfc keeps to full precision
-    return math.log1p(-0.5 * (math.erfc(a) + math.erfc(-b)))
-
-
 def _log_erfc_ratio(s: float, f: float, d: float, q_s: float) -> float:
     # ln(erfc(f) / erfc(s)) for 26 <= s <= f <= inf, given d = s - f and
     # q_s = q(s): (s - f)(s + f) from the Gaussian factors, which neither
@@ -227,40 +178,83 @@ def _log_erfc_ratio(s: float, f: float, d: float, q_s: float) -> float:
     return gauss + math.log1p((d + (q_s - q_f)) / (f + q_f))
 
 
-def _tail_ratios(s: float, f: float) -> tuple[float, float, float, float]:
-    # (R_near, R_far, c_near, c_far) of a one-signed arc in half-scaled units
-    # 26 <= s < f <= inf, with rho = erfc(f) / erfc(s)
-    q = _cf_tail(s)
-    d = s - f
-    log_rho = _log_erfc_ratio(s, f, d, q)
-    rho = math.exp(log_rho)
-    spread = -math.expm1(log_rho)  # 1 - rho
-    r_near = (s + q) / spread
-    r_far = r_near * math.exp(d * (s + f))  # H'(far) / H'(near) = exp((s - f)(s + f))
-    return r_near, r_far, r_near * (q + s * rho) / spread, r_far * (r_far + f)
+def heat_step_arc(lo: float, hi: float, a: float) -> tuple[float, float, float, float, float]:
+    """ln D and R = H'/D at both ends of an arc, and the curvatures of -ln D.
 
-
-def heat_step_arc(x: float, y: float) -> tuple[float, float, float, float, float]:
-    """ln D and R = H'/D at both ends of the arc x > y, and the curvatures of -ln D.
-
-    D = heat_step(x) - heat_step(y), and ln D is ``log_heat_step_diff(x, y)``.
-    Returns ``(ln D, r_x, r_y, c_x, c_y)``: r_x = H'(x)/D, r_y = H'(y)/D,
-    c_x = r_x (r_x + x/2) = d^2(-ln D)/dx^2 and c_y = r_y (r_y - y/2)
-    = d^2(-ln D)/dy^2 (-r_x r_y is the cross derivative).  An arc with both
-    scaled ends past 52 on one side of 0 takes the tail branch of the module
-    docstring for its ratios and curvatures.  A curvature at an infinite end
-    is NaN.
+    The arc runs from y = lo/a to x = hi/a, lo < hi (either may be
+    infinite), a > 0, and D = heat_step(x) - heat_step(y); it is read as in
+    the module docstring.  Returns ``(ln D, r_x, r_y, c_x, c_y)``:
+    r_x = H'(x)/D, r_y = H'(y)/D, c_x = r_x (r_x + x/2) = d^2(-ln D)/dx^2
+    and c_y = r_y (r_y - y/2) = d^2(-ln D)/dy^2 (-r_x r_y is the cross
+    derivative), each ratio and curvature 0 at an infinite end.  A width
+    (hi - lo)/a that underflows to 0 gives ln D = -inf and infinite ratios.
     """
-    log_d = log_heat_step_diff(x, y)
-    if y >= TAIL_FROM:
-        r_y, r_x, c_y, c_x = _tail_ratios(0.5 * y, 0.5 * x)
-    elif x <= -TAIL_FROM:
-        r_x, r_y, c_x, c_y = _tail_ratios(-0.5 * x, -0.5 * y)
-    else:  # exp(log_heat_step_deriv(t) - log_d), inlined
-        r_x = math.exp(-0.25 * x * x - _LOG_2_SQRT_PI - log_d)
-        r_y = math.exp(-0.25 * y * y - _LOG_2_SQRT_PI - log_d)
-        c_x = r_x * r_x + 0.5 * x * r_x
-        c_y = r_y * r_y - 0.5 * y * r_y
+    if not lo < hi:
+        raise ValueError(f"heat_step_arc requires lo < hi, got lo={lo!r}, hi={hi!r}")
+    x = hi / a
+    y = lo / a
+    w = (hi - lo) / a
+    if w < _MIN_NORMAL:  # both ends within 2^-969 of 0, where H' is H'(0): D = w H'(0)
+        if w == 0.0:
+            return -_INF, _INF, _INF, _INF, _INF
+        r = 1.0 / w  # inf once it overflows
+        return math.log(w) - _LOG_2_SQRT_PI, r, r, r * r, r * r
+    if y >= 0.0 or x <= 0.0:  # mirrored onto [n, n + w]
+        n = y if y >= 0.0 else -x
+        s = 0.5 * n
+        z = 0.25 * w * (2.0 * n + w)
+        tail = n >= TAIL_FROM
+        if z <= _RULE_UP_TO:  # D = w H'(n) M, M = int_0^1 exp(-(nw/2) t - (w^2/4) t^2) dt
+            b1 = 0.5 * n * w
+            b2 = 0.25 * w * w
+            exp = math.exp  # the rule's weights times exp(-t (b1 + b2 t)) at its nodes t
+            wm = w * (
+                0.06474248308443485 * exp(-0.025446043828620736 * (b1 + b2 * 0.025446043828620736))
+                + 0.13985269574463832 * exp(-0.12923440720030277 * (b1 + b2 * 0.12923440720030277))
+                + 0.19091502525255946 * exp(-0.2970774243113014 * (b1 + b2 * 0.2970774243113014))
+                + 0.2089795918367347 * exp(-0.5 * (b1 + b2 * 0.5))
+                + 0.19091502525255946 * exp(-0.7029225756886985 * (b1 + b2 * 0.7029225756886985))
+                + 0.13985269574463832 * exp(-0.8707655927996972 * (b1 + b2 * 0.8707655927996972))
+                + 0.06474248308443485 * exp(-0.9745539561713793 * (b1 + b2 * 0.9745539561713793))
+            )
+            log_d = -s * s - _LOG_2_SQRT_PI + math.log(wm)
+            if tail:  # H'(n) / D = 1 / wm, with no subtraction of logs
+                r_near = 1.0 / wm
+                c_near = r_near * (r_near - s)
+        elif tail:  # from q(s) and rho = erfc(s - d) / erfc(s), d = -w/2
+            d = -0.5 * w
+            q = _cf_tail(s)
+            log_rho = _log_erfc_ratio(s, s - d, d, q)
+            spread = -math.expm1(log_rho)  # 1 - rho
+            r_near = (s + q) / spread
+            c_near = r_near * (q + s * math.exp(log_rho)) / spread
+            log_d = -s * s - _LOG_2_SQRT_PI - math.log(r_near)
+        else:  # D = (erfc(s) - erfc(f)) / 2, f = s + w/2
+            f = s + 0.5 * w
+            e_s = math.erfc(s)
+            if f < _CF_FROM:  # exp((f - s)(f + s) - z) undoes the rounding of f
+                e_f = math.erfc(f) * math.exp((f - s) * (f + s) - z)
+            elif -z > _EXP_ZERO:
+                e_f = e_s * math.exp(-z) * erfcx(f) / erfcx(s)
+            else:  # exp(-z) rounds to 0, at an infinite far end too
+                e_f = 0.0
+            log_d = math.log(e_s - e_f) - _LN2
+        if tail:
+            r_far = r_near * math.exp(-z)  # H'(n + w) / H'(n)
+            c_far = r_far * (r_far + s + 0.5 * w) if r_far else 0.0
+            if y >= 0.0:
+                return log_d, r_far, r_near, c_far, c_near
+            return log_d, r_near, r_far, c_near, c_far
+    else:  # the arc straddles 0: a sum of two positive terms
+        p = 0.5 * (math.erf(0.5 * x) + math.erf(-0.5 * y))
+        if p <= 0.5:
+            log_d = math.log(p)
+        else:  # near p = 1, ln p from its complement, which erfc keeps to full precision
+            log_d = math.log1p(-0.5 * (math.erfc(0.5 * x) + math.erfc(-0.5 * y)))
+    r_x = math.exp(-0.25 * x * x - _LOG_2_SQRT_PI - log_d)
+    r_y = math.exp(-0.25 * y * y - _LOG_2_SQRT_PI - log_d)
+    c_x = r_x * r_x + 0.5 * x * r_x if r_x else 0.0
+    c_y = r_y * r_y - 0.5 * y * r_y if r_y else 0.0
     return log_d, r_x, r_y, c_x, c_y
 
 
@@ -296,7 +290,7 @@ def _inverse_log_tail(p: float) -> float:
     for _ in range(80):
         # ln(heat_step(x)), accurate arbitrarily far into the left tail, and
         # its derivative
-        log_h, r = heat_step_arc(x, -_INF)[:2]
+        log_h, r = heat_step_arc(-_INF, x, 1.0)[:2]
         g = log_h - target
         if abs(g) <= 1e-13:
             break

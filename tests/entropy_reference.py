@@ -1,9 +1,10 @@
 """Reference objective: one scalar loop per quantity.
 
 These are the three loops the fused ``selfsim.entropy.entropy_pass``
-replaced.  Each recomputes ``log_heat_step_diff`` per interval on its own,
-so it is slow, but it is the plain transcription of the objective's terms
-and serves as the oracle the fused pass must reproduce bit for bit.
+replaced.  Each takes ln D per interval on its own from the kernel
+``heat_step_arc`` and forms its own ratios, so it is slow, but it is the
+plain transcription of the objective's terms and serves as the oracle the
+fused pass must reproduce bit for bit.
 Points must be feasible; nothing is checked here.
 """
 
@@ -13,12 +14,17 @@ import math
 
 import numpy as np
 
-from selfsim.special import log_heat_step_deriv, log_heat_step_diff
+from selfsim.special import heat_step_arc, log_heat_step_deriv
 
 
 def _full(problem, values):
     # xi_0 .. xi_{n+1} with the infinite sentinels attached
     return (-math.inf,) + problem.expand(tuple(values)) + (math.inf,)
+
+
+def _log_d(full, k, a):
+    # ln D of interval k, read by the kernel from the interval's own ends
+    return heat_step_arc(full[k], full[k + 1], a)[0]
 
 
 def _anchor(k, n):
@@ -40,7 +46,7 @@ def reference_value(problem, values) -> float:
         du = u[k + 1] - u[k]
         a = cs[k]
         if a > 0.0:
-            total -= a * a * du * log_heat_step_diff(full[k + 1] / a, full[k] / a)
+            total -= a * a * du * _log_d(full, k, a)
         else:
             s = full[_anchor(k, n)]
             total += 0.25 * du * s * s
@@ -58,7 +64,7 @@ def reference_shifted_value(problem, values) -> float:
         du = u[k + 1] - u[k]
         a = cs[k]
         if a > 0.0:
-            total -= a * a * du * (log_heat_step_diff(full[k + 1] / a, full[k] / a) + math.log(a / du))
+            total -= a * a * du * (_log_d(full, k, a) + math.log(a / du))
         else:
             s = full[_anchor(k, n)]
             total += 0.25 * du * s * s
@@ -78,7 +84,7 @@ def reference_gradient(problem, values) -> np.ndarray:
         if a > 0.0:
             # d/d(xi_k)      [-a^2 du ln dH] = +a du H'(xi_k/a) / dH
             # d/d(xi_{k+1})  [-a^2 du ln dH] = -a du H'(xi_{k+1}/a) / dH
-            logdf = log_heat_step_diff(full[k + 1] / a, full[k] / a)
+            logdf = _log_d(full, k, a)
             if k >= 1:
                 g[slots[k - 1]] += a * du * math.exp(log_heat_step_deriv(full[k] / a) - logdf)
             if k <= n - 1:
@@ -106,7 +112,7 @@ def reference_hessian(problem, values) -> tuple[np.ndarray, np.ndarray]:
             #   d2/d(xi_{k+1})^2 : du * (R(x)^2 + (x/2) R(x))
             #   d2/d(xi_k)^2     : du * (R(y)^2 - (y/2) R(y))
             #   cross            : -du * R(x) R(y)
-            logdf = log_heat_step_diff(full[k + 1] / a, full[k] / a)
+            logdf = _log_d(full, k, a)
             if k <= n - 1:
                 xs = full[k + 1] / a
                 rx = math.exp(log_heat_step_deriv(xs) - logdf)

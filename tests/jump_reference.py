@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from selfsim.profile import JumpRecord
-from selfsim.special import log_heat_step_deriv, log_heat_step_diff
+from selfsim.special import heat_step_arc, log_heat_step_deriv
 
 
 def reference_jump_residuals(problem, profile) -> tuple[JumpRecord, ...]:
@@ -26,7 +26,7 @@ def reference_jump_residuals(problem, profile) -> tuple[JumpRecord, ...]:
     for k, a in enumerate(cs):
         if a > 0.0:
             lo, hi = edges[k], edges[k + 1]
-            log_norm = log_heat_step_diff(hi / a, lo / a)
+            log_norm = heat_step_arc(lo, hi, a)[0]
             scale = a * (u[k + 1] - u[k])
             at_lo[k] = scale * math.exp(log_heat_step_deriv(lo / a) - log_norm)
             at_hi[k] = scale * math.exp(log_heat_step_deriv(hi / a) - log_norm)

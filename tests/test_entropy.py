@@ -4,7 +4,10 @@ and directly coded matching conditions."""
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -84,16 +87,42 @@ def test_rejects_infeasible_points():
         entropy_value(prob, (1.0, -1.0))
 
 
-def test_value_is_inf_where_scaled_ends_round_together():
+def test_value_where_scaled_ends_round_together_is_the_true_arcs():
     # two adjacent floats whose quotients by a = 1.9 round to one float: the
-    # arc between them is empty, outside the domain, and the value +inf
+    # kernel reads the arc between them from its ends, one ulp wide, so the
+    # value is finite and is the 60-digit objective of those ends
     prob = problem_of(PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 1.9, 0.5)))
     lo = 1.95
     hi = math.nextafter(lo, math.inf)
     assert lo / 1.9 == hi / 1.9
-    assert entropy_value(prob, (lo, hi)) == math.inf
-    assert entropy_pass(prob, (lo, hi))[0] == math.inf  # the unchecked pass too
-    assert math.isfinite(entropy_value(prob, (lo, lo + 1e-3)))
+    with mpmath.workdps(60):
+        lo_mp, hi_mp = mpmath.mpf(lo), mpmath.mpf(hi)
+        arcs = (  # (a, D) of each phase; every phase has du = 1
+            (1, mpmath.erfc(-lo_mp / 2) / 2),
+            (mpmath.mpf(1.9), (mpmath.erfc(lo_mp / 3.8) - mpmath.erfc(hi_mp / 3.8)) / 2),
+            (mpmath.mpf(0.5), mpmath.erfc(hi_mp) / 2),
+        )
+        oracle = float(-sum(a * a * mpmath.log(d) for a, d in arcs))
+    assert entropy_value(prob, (lo, hi)) == pytest.approx(oracle, rel=4 * sys.float_info.epsilon)
+
+
+def test_value_is_inf_where_a_trial_leaves_the_domain():
+    # a shortened Newton trial that rounds two boundaries together, or a live
+    # phase whose width (hi - lo) / a underflows to 0, is outside the domain:
+    # the unchecked pass returns +inf, and raises nothing
+    prob = problem_of(PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 0.5)))
+    assert entropy_pass(prob, [1.95, 1.95])[0] == math.inf
+    assert entropy_pass(prob, [0.0, 5e-324])[0] == math.inf
+    assert math.isfinite(entropy_pass(prob, [0.0, 1e-300])[0])
+
+
+def test_pass_on_numpy_scalars_warns_of_nothing():
+    # the curvature at an infinite end is its limit 0, not 0 * inf
+    prob = problem_of(TWO_PHASE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad, hd, _ = entropy_pass(prob, [np.float64(200.0)])
+    assert all(map(math.isfinite, [value, *grad, *hd]))
 
 
 def test_value_with_an_end_past_the_tail_ratio_range():

@@ -519,9 +519,9 @@ def _has_tail_arc(profile):
 
 def _mp_residuals(problem, profile):
     """(rh_residual, its rounding scale) at each boundary, from 50-digit end
-    fluxes a du H'(t) / D at the profile's own scaled ends t = xi/a, with D
-    through erfc on the side of 0 the arc lies on; a fused pair reads the
-    live phases beyond it.  The scale is |[u] xi / 2| + both |fluxes|."""
+    fluxes a du H'(t) / D at the arc's exact ends t = xi/a, with D through
+    erfc on the side of 0 the arc lies on; a fused pair reads the live
+    phases beyond it.  The scale is |[u] xi / 2| + both |fluxes|."""
     b, u, cs = profile.boundaries, profile.states, profile.coefficients
     n = len(b)
     edges = (-math.inf, *b, math.inf)
@@ -530,7 +530,7 @@ def _mp_residuals(problem, profile):
     with mpmath.workdps(50):
         for k, a in enumerate(cs):
             if a > 0.0:
-                x, y = mpmath.mpf(edges[k + 1] / a), mpmath.mpf(edges[k] / a)
+                x, y = mpmath.mpf(edges[k + 1]) / a, mpmath.mpf(edges[k]) / a
                 if y >= 0:
                     d = (mpmath.erfc(y / 2) - mpmath.erfc(x / 2)) / 2
                 elif x <= 0:

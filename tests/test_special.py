@@ -1,5 +1,5 @@
-"""Checks for the smoothed-step kernel, its stable log-difference and the
-erf family under them."""
+"""Checks for the smoothed-step kernel, its arc kernel ``heat_step_arc`` and
+the erf family under them."""
 
 from __future__ import annotations
 
@@ -11,10 +11,9 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsim import special
 from selfsim._erfcx_table import FIRST, TABLE
 from selfsim.special import (
     erfcx,
@@ -23,7 +22,6 @@ from selfsim.special import (
     heat_step_arc,
     heat_step_deriv,
     heat_step_inverse,
-    log_heat_step_diff,
 )
 
 
@@ -86,13 +84,17 @@ def test_second_derivative_identity(x):
     assert fd == pytest.approx(-0.5 * x * heat_step_deriv(x), abs=5e-11)
 
 
+def _log_d(lo, hi, a=1.0):
+    return heat_step_arc(lo, hi, a)[0]
+
+
 def test_log_diff_whole_line():
-    assert log_heat_step_diff(float("inf"), float("-inf")) == 0.0
+    assert _log_d(-math.inf, math.inf) == 0.0
 
 
 def test_log_diff_symmetric_interval():
     expected = math.log(2.0 * heat_step(1.0) - 1.0)
-    assert log_heat_step_diff(1.0, -1.0) == pytest.approx(expected, rel=1e-14)
+    assert _log_d(-1.0, 1.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_log_diff_tail_quadrature_oracle():
@@ -103,7 +105,7 @@ def test_log_diff_tail_quadrature_oracle():
             [29, 30],
         )
         oracle = float(mpmath.log(diff))
-    assert log_heat_step_diff(30.0, 29.0) == pytest.approx(oracle, rel=1e-10)
+    assert _log_d(29.0, 30.0) == pytest.approx(oracle, rel=1e-10)
 
 
 @pytest.mark.parametrize("x, y", [(30.0, 29.0), (45.0, 44.0), (-29.0, -30.0), (120.0, 119.0)])
@@ -114,10 +116,54 @@ def test_log_diff_deep_tail_oracle(x, y):
         xx, yy = (x, y) if y >= 0 else (-y, -x)
         diff = (mpmath.erfc(mpmath.mpf(yy) / 2) - mpmath.erfc(mpmath.mpf(xx) / 2)) / 2
         oracle = float(mpmath.log(diff))
-    assert log_heat_step_diff(x, y) == pytest.approx(oracle, rel=1e-12)
+    assert _log_d(y, x) == pytest.approx(oracle, rel=1e-12)
 
 
 _TINY = 2.2250738585072014e-308  # the smallest normal float
+
+
+def _mp_log_erfc(s):
+    if s < 1e8:
+        return mpmath.log(mpmath.erfc(s))
+    # the asymptotic series, whose next term is below 1e-63 here
+    t = 1 / (2 * s * s)
+    return -s * s - mpmath.log(s * mpmath.sqrt(mpmath.pi)) + mpmath.log1p(-t + 3 * t * t - 15 * t**3)
+
+
+def _mp_log_d(lo, hi, a):
+    """ln D at 60 digits or more.  A one-signed arc is taken at its exact
+    ends lo/a and hi/a, D = (erfc(s) - erfc(f)) / 2 on its mirror image
+    0 <= s < f, with the digits that difference cancels added; a straddling
+    arc at the rounded quotients, which its erf sum reads."""
+    y, x = lo / a, hi / a
+    if y < 0.0 < x:
+        with mpmath.workdps(60):
+            ends = [mpmath.mpf(abs(t)) / 2 for t in (x, y)]
+            d = sum(mpmath.erf(e) for e in ends) / 2
+            if d < 0.5:
+                return mpmath.log(d)
+            return mpmath.log1p(-sum(mpmath.exp(_mp_log_erfc(e)) for e in ends) / 2)
+    near = lo if y >= 0.0 else -hi
+    with mpmath.workdps(30):
+        s = mpmath.mpf(near) / (2 * mpmath.mpf(a))
+        half_width = (mpmath.mpf(hi) - mpmath.mpf(lo)) / (2 * mpmath.mpf(a))
+        z = half_width * (2 * s + half_width)  # ln(H'(near) / H'(far))
+    if z > 200:  # erfc(f) / erfc(s) < e^-200: ln D = ln(erfc(s) / 2) to 60 digits
+        with mpmath.workdps(60):
+            s = mpmath.mpf(near) / (2 * mpmath.mpf(a))
+            return _mp_log_erfc(s) - mpmath.log(2)
+    extra = int(mpmath.log10(1 + s * s)) + max(0, int(-mpmath.log10(z)))
+    with mpmath.workdps(60 + extra):
+        s = mpmath.mpf(near) / (2 * mpmath.mpf(a))
+        f = s + (mpmath.mpf(hi) - mpmath.mpf(lo)) / (2 * mpmath.mpf(a))
+        return mpmath.log((mpmath.erfc(s) - mpmath.erfc(f)) / 2)
+
+
+def _assert_log_d_within(lo, hi, a, ulps):
+    out = _log_d(lo, hi, a)
+    oracle = _mp_log_d(lo, hi, a)
+    if _TINY <= abs(oracle) <= sys.float_info.max:  # a normal float
+        assert abs((out - oracle) / oracle) <= ulps * sys.float_info.epsilon, (lo, hi, a, out)
 
 
 @given(
@@ -128,43 +174,72 @@ _TINY = 2.2250738585072014e-308  # the smallest normal float
 def test_log_diff_straddling_within_4_eps(x, y):
     # D = (erf(x/2) + erf(-y/2)) / 2 = 1 - (erfc(x/2) + erfc(-y/2)) / 2; ln of
     # the erf sum rounds ln D to 0 long before the erfc form runs out of digits
-    with mpmath.workdps(60):
-        ends = [mpmath.mpf(abs(t)) / 2 for t in (x, y)]
-        d = sum(mpmath.erf(e) for e in ends) / 2
-        if d < 0.5:
-            oracle = mpmath.log(d)
-        else:
-            oracle = mpmath.log1p(-sum(mpmath.erfc(e) for e in ends) / 2)
-        out = log_heat_step_diff(x, y)
-        if abs(oracle) >= _TINY:
-            assert abs((out - oracle) / oracle) <= 4.0 * sys.float_info.epsilon, (x, y, out)
+    _assert_log_d_within(y, x, 1.0, 4.0)
 
 
-def test_log_diff_flat_fallback_within_2_eps(monkeypatch):
-    # on an arc one to three ulps wide erfc(x/2) / erfc(y/2) mostly rounds to
-    # 1, and ln D falls back to the one-point rectangle at the midpoint
-    flat = special._log_flat_diff
-    reached = []
-
-    def counted(x, y):
-        reached.append((x, y))
-        return flat(x, y)
-
-    monkeypatch.setattr(special, "_log_flat_diff", counted)
+def test_log_diff_flat_fallback_within_2_eps():
+    # arcs one to three ulps wide: ln D = ln H'(y) + ln(w M) from the width,
+    # where erfc(x/2) / erfc(y/2) mostly rounds to 1
     rng = np.random.default_rng(0)
     for _ in range(2000):
         y = math.exp(rng.uniform(math.log(1e-8), math.log(10.0)))
         x = y
         for _ in range(rng.integers(1, 4)):
             x = math.nextafter(x, math.inf)
-        before = len(reached)
-        out = log_heat_step_diff(x, y)
-        if len(reached) > before:
-            with mpmath.workdps(60):
-                xx, yy = mpmath.mpf(x) / 2, mpmath.mpf(y) / 2
-                oracle = mpmath.log((mpmath.erfc(yy) - mpmath.erfc(xx)) / 2)
-                assert abs((out - oracle) / oracle) <= 2.0 * sys.float_info.epsilon, (x, y, out)
-    assert len(reached) >= 1500
+        out = _log_d(y, x)
+        with mpmath.workdps(60):
+            xx, yy = mpmath.mpf(x) / 2, mpmath.mpf(y) / 2
+            oracle = mpmath.log((mpmath.erfc(yy) - mpmath.erfc(xx)) / 2)
+            assert abs((out - oracle) / oracle) <= 2.0 * sys.float_info.epsilon, (x, y, out)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (60.0, 60.0 + 1e-9),  # a narrow arc past the erfcx switch
+        (0.0, 1e-6),  # a narrow arc at 0
+        (-(60.0 + 1e-9), -60.0),
+        (29.0, 29.5),  # ln H' falls by more than the rule's range: the erfc ratio
+        (56.0, 56.02),  # and its continued fraction
+    ],
+)
+def test_one_signed_arcs_within_4_eps(lo, hi):
+    _assert_log_d_within(lo, hi, 1.0, 4.0)
+
+
+_END_MAGNITUDES = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def _arcs(draw):
+    """(lo, hi, a): ends over +-[1e-300, 1e300] and +-inf, a in [1e-3, 1e3],
+    from two drawn ends or from one end and a width of 1 to 1e3 ulps or a
+    relative width down to 1e-16."""
+    a = draw(st.floats(1e-3, 1e3))
+    end = draw(st.sampled_from([-1.0, 1.0])) * draw(_END_MAGNITUDES)
+    how = draw(st.sampled_from(["two ends", "infinite", "ulps", "relative"]))
+    if how == "two ends":
+        other = draw(st.sampled_from([-1.0, 1.0])) * draw(_END_MAGNITUDES)
+    elif how == "infinite":
+        other = draw(st.sampled_from([-math.inf, math.inf]))
+    elif how == "ulps":
+        other = end + draw(st.integers(1, 1000)) * math.ulp(end)
+    else:
+        other = end * (1.0 + draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-16.0, 0.0)))
+    lo, hi = min(end, other), max(end, other)
+    assume(lo < hi and (hi - lo) / a >= _TINY)
+    return lo, hi, a
+
+
+@given(_arcs())
+@settings(max_examples=150, deadline=None)
+def test_arc_within_4_eps_of_mpmath(arc):
+    # one-signed and straddling arcs over the whole float range; every one
+    # returns, and ln D is within 4 eps of 60 digits wherever that is a
+    # normal float
+    lo, hi, a = arc
+    assert len(heat_step_arc(lo, hi, a)) == 5
+    _assert_log_d_within(lo, hi, a, 4.0)
 
 
 @pytest.mark.parametrize("x, y", [(-164.0, -1e19), (1e19, 164.0)])
@@ -172,7 +247,7 @@ def test_arc_with_its_far_end_past_the_tail_ratio_range(x, y):
     # far / near > 2 / eps, where ln(erfc(far) / erfc(near)) must be -inf
     # without a log1p(-1); the near end's ratio is H'(near) / D with
     # D = erfc(82) / 2
-    log_d, r_x, r_y, c_x, c_y = heat_step_arc(x, y)
+    log_d, r_x, r_y, c_x, c_y = heat_step_arc(y, x, 1.0)
     r_near, r_far, c_far = (r_x, r_y, c_y) if x < 0.0 else (r_y, r_x, c_x)
     with mpmath.workdps(60):
         d = mpmath.erfc(82) / 2
@@ -182,18 +257,43 @@ def test_arc_with_its_far_end_past_the_tail_ratio_range(x, y):
     assert r_far == 0.0 and c_far == 0.0
 
 
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (1.0, math.inf), (-math.inf, -60.0), (60.0, math.inf),
+                                    (-math.inf, math.inf)])
+def test_ratio_and_curvature_are_0_at_an_infinite_end(lo, hi):
+    _, r_x, r_y, c_x, c_y = heat_step_arc(lo, hi, 1.0)
+    for end, r, c in ((hi, r_x, c_x), (lo, r_y, c_y)):
+        if math.isinf(end):
+            assert r == 0.0 and c == 0.0
+        else:
+            assert r > 0.0 and c > 0.0
+
+
 def test_log_diff_rejects_bad_order():
     with pytest.raises(ValueError):
-        log_heat_step_diff(1.0, 1.0)
+        heat_step_arc(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        log_heat_step_diff(-2.0, 3.0)
+        heat_step_arc(3.0, -2.0, 1.0)
+
+
+def test_a_width_that_underflows_to_0_is_empty():
+    # (hi - lo) / a rounds to 0: ln D = -inf, not log(0)
+    assert heat_step_arc(0.0, 5e-324, 2.0) == (-math.inf,) + (math.inf,) * 4
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e-310), (-5e-324, 5e-324), (1e-300, 1e-300 + 2e-316)])
+def test_a_subnormal_width_is_read_at_0(lo, hi):
+    # D = w H'(0) to rounding; the ratios 1/w overflow to inf, not an error
+    log_d, r_x, r_y, c_x, c_y = heat_step_arc(lo, hi, 1.0)
+    w = hi - lo
+    assert log_d == pytest.approx(float(mpmath.log(mpmath.mpf(w) / (2 * mpmath.sqrt(mpmath.pi)))), rel=1e-15)
+    assert r_x == r_y == 1.0 / w and c_x == c_y == math.inf
 
 
 @given(st.floats(-39.0, 39.0), st.floats(0.001, 2.0))
 @settings(max_examples=200, deadline=None)
 def test_log_diff_consistency(y, width):
     x = y + width
-    out = log_heat_step_diff(x, y)
+    out = _log_d(y, x)
     assert out <= 0.0
     direct = heat_step(x) - heat_step(y)
     if direct > 1e-280:
@@ -211,7 +311,7 @@ def test_monotone_and_symmetric(x, y):
     if hi - lo > 1e-9:
         if max(abs(lo), abs(hi)) <= 11.0:
             assert heat_step(lo) < heat_step(hi)
-        assert math.isfinite(log_heat_step_diff(hi, lo))
+        assert math.isfinite(_log_d(lo, hi))
     assert abs(heat_step(-x) - (1.0 - heat_step(x))) <= 1e-14
 
 
