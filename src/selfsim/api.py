@@ -7,7 +7,7 @@ invariant under x -> -x), with jump diagnostics recomputed in their frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .entropy import shift_constant
 from .optimizer import IterationRecord, NewtonOutcome, SolveOptions, minimize
@@ -19,8 +19,7 @@ KIND_FROZEN_STEP = "frozen-step"
 KIND_GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class RiemannSolution:
+class RiemannSolution(NamedTuple):
     """Solved step problem in the caller's orientation."""
 
     problem: RiemannProblem
@@ -33,11 +32,15 @@ class RiemannSolution:
     iterations: int
     converged: bool
     stop_reason: str  # gradient, decrement, no_progress or max_iters (optimizer)
-    trace: tuple[IterationRecord, ...] = field(repr=False)
+    trace: tuple[IterationRecord, ...]  # left out of the repr
 
     @property
     def boundaries(self) -> tuple[float, ...]:
         return self.profile.boundaries
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"{type(self).__name__}({shown})"
 
 
 def solve_riemann(

@@ -10,8 +10,11 @@ config, arguments or diffusion table, or unwritable output; 3 unexpected
 internal failure.  Whatever the failure, already-written output files of
 the failed run are removed.
 
-``solve``, ``evaluate`` and ``continuum`` run on Python floats; only
-``validate`` loads numpy, with the FD oracle.
+Each command loads only the modules it runs.  ``solve`` and ``evaluate``
+load the solve path alone (problem, special, entropy, optimizer, profile,
+api), on Python floats.  ``continuum`` adds ``selfsim.continuum``, still
+without numpy; ``validate`` adds numpy and the FD oracle.  The package's
+records are NamedTuples, which take next to no start-up time to define.
 """
 
 from __future__ import annotations
@@ -19,15 +22,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .api import RiemannSolution, solve_riemann
-from .continuum import DiffusionFunction, _linspace, convergence_study
 from .entropy import sublevel_bounds
 from .optimizer import SolveOptions
 from .problem import PhasePartition
-from .profile import SelfSimilarProfile
+from .profile import SelfSimilarProfile, _linspace
+
+if TYPE_CHECKING:
+    from .continuum import DiffusionFunction
 
 _PROFILE_POINTS = 2001
 
@@ -36,15 +41,14 @@ class ConfigError(ValueError):
     """Unusable configuration text or argument."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     out_prefix: str = ""
     u_minus: float | None = None
     u_plus: float | None = None
     interior_breakpoints: tuple[float, ...] | None = None
     coefficients: tuple[float, ...] | None = None
-    grad_tol: float = SolveOptions.grad_tol
+    grad_tol: float = SolveOptions._field_defaults["grad_tol"]
     t_final: float = 1.0
     dx_values: tuple[float, ...] = (0.02, 0.01)
     cell_counts: tuple[int, ...] = (2, 4, 8, 16, 32)
@@ -257,6 +261,8 @@ def _cmd_validate(config: RunConfig, out: str, written: list[Path]) -> None:
 
 
 def _read_diffusion_table(path: str) -> DiffusionFunction:
+    from .continuum import DiffusionFunction  # loaded for the continuum command alone
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -283,6 +289,8 @@ def _read_diffusion_table(path: str) -> DiffusionFunction:
 
 
 def _cmd_continuum(config: RunConfig, out: str, written: list[Path]) -> None:
+    from .continuum import convergence_study
+
     f = _read_diffusion_table(config.diffusion_path)
     rows = convergence_study(f, config.cell_counts)
     _write_csv(

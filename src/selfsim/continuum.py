@@ -18,11 +18,11 @@ band is the inverse picture of a jump, and ``minimize_variational_cost``
 makes that run exact by giving the band's nodes one position.
 
 Discretization and the refinement study run on Python floats, through
-``_linspace`` and ``_interp``, which give numpy's ``linspace`` and ``interp``
-bit for bit; numpy is loaded only by the array helpers behind
-``variational_cost``, ``euler_lagrange_residual`` and
+``profile._linspace`` and this module's ``_interp``, which give numpy's
+``linspace`` and ``interp`` bit for bit; numpy is loaded only by the array
+helpers behind ``variational_cost``, ``euler_lagrange_residual`` and
 ``minimize_variational_cost``, and by ``DiffusionFunction`` called on an
-array.
+array.  The CLI imports this module for ``selfsim continuum`` alone.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .entropy import feasible_values, shift_constant
 from .optimizer import SolveOptions, damped_newton, minimize
 from .problem import PhasePartition, normalize_orientation, require_valid
+from .profile import _linspace
 from .special import heat_step_inverse
 
 if TYPE_CHECKING:
@@ -45,20 +45,6 @@ _JITTER = 1e-12
 _GRID_TRIM = 0.05  # study grids keep off the ends, where xi(u) -> -+inf
 _GRID_POINTS = 101
 _CALLABLE_SAMPLES = 1025  # table points DiffusionFunction.from_callable takes
-
-
-def _linspace(lo: float, hi: float, num: int) -> list[float]:
-    """np.linspace(lo, hi, num) for num >= 2, as Python floats, bit for bit."""
-    lo, hi = float(lo), float(hi)
-    div = num - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0.0:  # numpy's subnormal branch
-        points = [i / div * delta + lo for i in range(num)]
-    else:
-        points = [i * step + lo for i in range(num)]
-    points[-1] = hi
-    return points
 
 
 def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
@@ -86,14 +72,18 @@ def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class DiffusionFunction:
-    """Tabulated a(u) >= 0 on [states[0], states[-1]], linear between samples."""
-
+class _DiffusionSamples(NamedTuple):
     states: tuple[float, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+
+class DiffusionFunction(_DiffusionSamples):
+    """Tabulated a(u) >= 0 on [states[0], states[-1]], linear between samples."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         s, v = self.states, self.values
         if len(s) < 2 or len(v) != len(s):
             raise ValueError("need matching state/value samples, at least two")
@@ -103,6 +93,7 @@ class DiffusionFunction:
             raise ValueError("sample states must be strictly increasing")
         if any(a < 0.0 for a in v):
             raise ValueError("diffusion values must be nonnegative")
+        return self
 
     @classmethod
     def from_callable(
@@ -128,8 +119,12 @@ class DiffusionFunction:
         return np.interp(u, self.states, self.values)
 
 
-@dataclass(frozen=True)
-class InverseProfile:
+class _InverseNodes(NamedTuple):
+    states: tuple[float, ...]
+    positions: tuple[float, ...]
+
+
+class InverseProfile(_InverseNodes):
     """xi as a function of the state: nodes (states[i], positions[i]).
 
     Positions are nondecreasing; a flat run marks a jump of the forward
@@ -138,10 +133,10 @@ class InverseProfile:
     the positions must be strictly increasing for slopes to make sense.
     """
 
-    states: tuple[float, ...]
-    positions: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         s, p = self.states, self.positions
         if len(s) < 2 or len(p) != len(s):
             raise ValueError("need matching state/position nodes, at least two")
@@ -151,6 +146,7 @@ class InverseProfile:
             raise ValueError("states must be strictly increasing")
         if any(b < a for a, b in zip(p, p[1:])):
             raise ValueError("positions must be nondecreasing")
+        return self
 
     def cells(self) -> int:
         return len(self.states) - 1
@@ -237,8 +233,7 @@ def euler_lagrange_residual(f: DiffusionFunction, profile: InverseProfile) -> np
     return res
 
 
-@dataclass(frozen=True)
-class CostMinimum:
+class CostMinimum(NamedTuple):
     profile: InverseProfile
     cost: float
     grad_norm: float
@@ -318,8 +313,7 @@ def minimize_variational_cost(
     )
 
 
-@dataclass(frozen=True)
-class StudyRow:
+class StudyRow(NamedTuple):
     cells: int
     partition: PhasePartition
     boundaries: tuple[float, ...]  # solved nominal positions, fused repeated

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .problem import RiemannProblem
 from .special import heat_step_arc, heat_step_inverse
@@ -144,8 +144,7 @@ def shift_constant(problem: RiemannProblem) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class SublevelBox:
+class SublevelBox(NamedTuple):
     """Certified bounds on the sublevel set {E <= c}.
 
     Every feasible point with objective at most c has all boundaries within

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .entropy import entropy_pass, feasible_values
 from .problem import InvalidPartitionError, RiemannProblem
@@ -80,30 +80,33 @@ def solve_spd_tridiagonal(diag, off, rhs) -> list[float]:
     return x
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class _SolveOptionsFields(NamedTuple):
     # stop once |grad|_inf <= grad_tol * |grad at start|_inf; the
     # Newton-decrement stop (module docstring) ends solves whose rounding
     # floor lies above that threshold
     grad_tol: float = 1e-12
     max_iters: int = 200
 
-    def __post_init__(self) -> None:
+
+class SolveOptions(_SolveOptionsFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        return self
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     value: float
     grad_norm: float
     step_length: float
 
 
-@dataclass(frozen=True)
-class NewtonOutcome:
+class NewtonOutcome(NamedTuple):
     x: tuple[float, ...]  # the m free positions at the stop
     value: float
     grad_norm: float

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ REFINE_FACTOR = 10
 BISECTION_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class FDGrid:
+class FDGrid(NamedTuple):
     """State of the explicit integrator at the final time.
 
     Cell i sits at x_i = -half_width + i*dx; the initial jump fell between
@@ -135,8 +134,7 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     return FDGrid(half_width=half_width, dx=dx, dt=dt, t_final=t_final, cells=u, steps=steps)
 
 
-@dataclass(frozen=True)
-class ProfileDistance:
+class ProfileDistance(NamedTuple):
     l1: float
     l1_relative: float  # l1 over the mass the profile moved from the step (0 when both round away)
     linf_away_from_jumps: float
@@ -171,8 +169,7 @@ def compare_profiles(fd: FDGrid, profile: SelfSimilarProfile) -> ProfileDistance
     )
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
+class GridSearchResult(NamedTuple):
     minimizer: tuple[float, ...]
     value: float
     round_values: tuple[float, ...]  # best objective after each round

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 
 # The objective squares each scaled boundary xi / a_k, which overflows once
@@ -39,8 +39,7 @@ class ConstantStatesError(ValueError):
     """Raised when both step states coincide (solution is the constant)."""
 
 
-@dataclass(frozen=True)
-class PhasePartition:
+class PhasePartition(NamedTuple):
     """Piecewise-constant diffusion: a(u) = coefficients[k] on (breakpoints[k], breakpoints[k+1])."""
 
     breakpoints: tuple[float, ...]
@@ -52,8 +51,7 @@ class PhasePartition:
         return len(self.breakpoints) - 2
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     message: str
     index: int
 
@@ -117,8 +115,7 @@ def diffusion_antiderivative(partition: PhasePartition) -> tuple[tuple[float, ..
     return nodes, tuple(accumulate(terms, initial=0.0))
 
 
-@dataclass(frozen=True)
-class RiemannProblem:
+class RiemannProblem(NamedTuple):
     """Step data in the solver frame: states increase from u_0 to u_{n+1}.
 
     The far-field states are the partition's end breakpoints.  ``slots[k-1]``

@@ -31,14 +31,15 @@ arcs with both scaled ends on one side of 0, and takes plain heat_step
 differences, which cannot cancel there, on the one arc that may straddle 0.
 Each arc is clipped to its own state interval.  numpy is loaded by
 ``sample`` alone; the CLI writes its profile grids point by point through
-``limits``, so a solve runs without it.
+``limits``, on ``_linspace``, numpy's ``linspace`` in Python floats bit for
+bit, so a solve runs without it.  ``continuum`` takes its grids from
+``_linspace`` too.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -79,6 +80,20 @@ def _tail_ratio_vec(t: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
     return 0.5 * erfcx_vec(0.5 * t) * np.exp(-0.25 * t_sq * t_sq - log_norm)
 
 
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """np.linspace(lo, hi, num) for num >= 2, as Python floats, bit for bit."""
+    lo, hi = float(lo), float(hi)
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:  # numpy's subnormal branch
+        points = [i / div * delta + lo for i in range(num)]
+    else:
+        points = [i * step + lo for i in range(num)]
+    points[-1] = hi
+    return points
+
+
 class _Arc(NamedTuple):
     # one phase of a profile; a dead phase has scale 1, slope 0 and zero
     # ratios, and pivots at its jump
@@ -95,20 +110,22 @@ class _Arc(NamedTuple):
     deep: bool  # both scaled ends past TAIL_FROM on one side of 0
 
 
-@dataclass(frozen=True)
-class JumpPoint:
+class JumpPoint(NamedTuple):
     location: float
     left: float
     right: float
 
 
-@dataclass(frozen=True)
-class SelfSimilarProfile:
-    """v(xi) as boundaries, states and coefficients; phase k is [xi_k, xi_{k+1})."""
-
+class _ProfileFields(NamedTuple):
     boundaries: tuple[float, ...]  # nominal xi_1..xi_n, fused pairs repeated
     states: tuple[float, ...]  # u_0..u_{n+1}, in the caller's order
     coefficients: tuple[float, ...]  # a_0..a_n
+
+
+class SelfSimilarProfile(_ProfileFields):
+    """v(xi) as boundaries, states and coefficients; phase k is [xi_k, xi_{k+1})."""
+
+    # no __slots__: the instance dict holds the cached table
 
     @cached_property
     def _table(self) -> tuple[_Arc, ...]:
@@ -300,8 +317,7 @@ def flux(profile: SelfSimilarProfile, xi: float):
     return right
 
 
-@dataclass(frozen=True)
-class JumpRecord:
+class JumpRecord(NamedTuple):
     boundary: int  # nominal index, 1-based
     slot: int  # free-variable index, 0-based
     location: float

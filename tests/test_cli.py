@@ -47,7 +47,7 @@ def test_parse_minimal_solve_config():
     assert config.u_minus == 0.0 and config.u_plus == 2.0
     assert config.interior_breakpoints == (1.0,)
     assert config.coefficients == (1.0, 2.0)
-    assert config.grad_tol == 1e-12  # default
+    assert config.grad_tol == 1e-12 and type(config.grad_tol) is float  # default
 
 
 def test_parse_reports_arity_mismatch():
@@ -382,8 +382,9 @@ def test_console_script_runs(tmp_path):
 
 def test_cli_imports_and_solves_without_scipy(tmp_path):
     # the README problem and a 65-row banded table, run in one fresh process:
-    # scipy is never loaded, and numpy, the FD oracle and the erfcx_vec table
-    # stay out of solve, evaluate and continuum
+    # scipy is never loaded, numpy, the FD oracle and the erfcx_vec table stay
+    # out of solve, evaluate and continuum, selfsim.continuum out of solve and
+    # evaluate, and selfsim loads neither dataclasses nor inspect in any of them
     config_path = tmp_path / "problem.cfg"
     config_path.write_text(
         "u_minus = 0\nu_plus = 3\nbreakpoints = [1, 2]\ncoefficients = [1, 0, 2]\n",
@@ -401,17 +402,21 @@ def test_cli_imports_and_solves_without_scipy(tmp_path):
     src = str(Path(selfsim.__file__).resolve().parents[1])  # the child imports this checkout
     code = (
         "import sys\n"
+        "site = set(sys.modules)\n"
         "import selfsim.cli\n"
-        "def absent(stage):\n"
-        "    for name in ('scipy', 'numpy', 'selfsim.oracle', 'selfsim._erfcx_table'):\n"
+        "def absent(stage, *names):\n"
+        "    for name in names + ('scipy', 'numpy', 'selfsim.oracle', 'selfsim._erfcx_table'):\n"
         "        assert name not in sys.modules, f'{name} imported by {stage}'\n"
-        "absent('import selfsim.cli')\n"
+        "    for name in ('dataclasses', 'inspect'):  # unless the site loaded it\n"
+        "        assert name in site or name not in sys.modules, f'{name} imported by {stage}'\n"
+        "absent('import selfsim.cli', 'selfsim.continuum')\n"
         "out, problem, table = sys.argv[1:]\n"
         "for command in ('solve', 'evaluate', 'continuum'):\n"
         "    config = table if command == 'continuum' else problem\n"
         "    argv = [command, '--config', config, '--out', out]\n"
         "    assert selfsim.cli.main(argv) == 0, command\n"
-        "    absent(f'selfsim {command}')\n"
+        "    absent(f'selfsim {command}', *(() if command == 'continuum' else ('selfsim.continuum',)))\n"
+        "assert 'selfsim.continuum' in sys.modules\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "s_"), str(config_path), str(continuum_path)],

@@ -1,14 +1,17 @@
-"""Partition validation, orientation handling, and fused-boundary slots."""
+"""Partition validation, orientation handling, fused-boundary slots, and the
+public records' value semantics."""
 
 from __future__ import annotations
 
-import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 import selfsim.problem
-from selfsim import solve_riemann
+from selfsim import SolveOptions, solve_riemann
+from selfsim.cli import parse_config
+from selfsim.continuum import DiffusionFunction
 from selfsim.problem import (
     ConstantStatesError,
     InvalidPartitionError,
@@ -82,8 +85,42 @@ def test_normalize_keeps_increasing_data():
 
 
 def test_problem_is_partition_slots_and_orientation():
-    fields = [f.name for f in dataclasses.fields(RiemannProblem)]
-    assert fields == ["partition", "slots", "orientation_flipped"]
+    assert RiemannProblem._fields == ("partition", "slots", "orientation_flipped")
+
+
+README_PARTITION = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
+README_CONFIG = "u_minus = 0\nu_plus = 3\nbreakpoints = [1, 2]\ncoefficients = [1, 0, 2]\n"
+
+# each public record, built afresh per call
+RECORDS = {
+    "PhasePartition": lambda: PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0)),
+    "SolveOptions": lambda: SolveOptions(grad_tol=1e-10),
+    "RiemannSolution": lambda: solve_riemann(0.0, 3.0, README_PARTITION),
+    "JumpRecord": lambda: solve_riemann(0.0, 3.0, README_PARTITION).jumps[0],
+    "SelfSimilarProfile": lambda: solve_riemann(3.0, 0.0, README_PARTITION).profile,
+    "DiffusionFunction": lambda: DiffusionFunction(states=(0.0, 0.5, 1.0), values=(1.0, 0.0, 2.0)),
+    "RunConfig": lambda: parse_config(README_CONFIG, "solve"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen_values(name):
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert type(record).__name__ == name
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(twin, field))
+    assert record == twin and hash(record) == hash(twin)
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_solution_repr_leaves_out_the_trace():
+    solution = solve_riemann(0.0, 3.0, README_PARTITION)
+    assert len(solution.trace) > 1
+    text = repr(solution)
+    assert text.startswith("RiemannSolution(problem=RiemannProblem(partition=PhasePartition(")
+    assert text.endswith(f"stop_reason={solution.stop_reason!r})")
+    assert "trace=" not in text and "IterationRecord" not in text
 
 
 def test_solve_validates_the_partition_once(monkeypatch):
