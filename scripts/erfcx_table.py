@@ -52,17 +52,16 @@ def render() -> str:
         '"""Coefficient table of ``special.erfcx_vec``.',
         "",
         "Written by scripts/erfcx_table.py, which documents the layout; do not edit.",
+        "TABLE holds one row per line, COLUMNS doubles each, in ``repr`` digits:",
+        "parsing the string gives the same doubles as compiling them as literals.",
         '"""',
         "",
         f"FIRST = {FIRST}  # row r is the piece floor(400 / (4 + x)) = FIRST + r",
-        "TABLE = (",
+        f"COLUMNS = {DEGREE + 3}  # x_c, 2 y_c, c_0, ..., c_{DEGREE}",
+        'TABLE = """',
     ]
-    for j in range(FIRST, LAST + 1):
-        row = [repr(v) for v in piece(j)]
-        lines.append("    (")
-        lines.extend(f"        {', '.join(row[i:i + 3])}," for i in range(0, len(row), 3))
-        lines.append("    ),")
-    lines.append(")")
+    lines.extend(" ".join(repr(v) for v in piece(j)) for j in range(FIRST, LAST + 1))
+    lines.append('"""')
     return "\n".join(lines) + "\n"
 
 

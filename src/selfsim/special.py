@@ -111,9 +111,9 @@ def _erfcx_rows():
     # erfcx_vec's coefficient rows as one array, and the piece of row 0
     import numpy as np
 
-    from ._erfcx_table import FIRST, TABLE
+    from ._erfcx_table import COLUMNS, FIRST, TABLE
 
-    return np.array(TABLE), FIRST
+    return np.array(TABLE.split(), dtype=float).reshape(-1, COLUMNS), FIRST
 
 
 def erfcx_vec(x) -> np.ndarray:

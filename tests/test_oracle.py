@@ -248,6 +248,9 @@ def _fd_partitions():
 # heat from 1e4 to 1e4 + 1: lam*A(u) as slope*u + intercept, without the
 # phase's node subtracted first, is 1e-11 of the jump off here
 @example(drawn=(1e4, [1.0], [1.0], False), t_final=0.25, dx=0.0625)
+# the benchmark's validate problem: the README three-phase partition on the
+# grid and horizon of the cli workload
+@example(drawn=(0.0, [1.0, 1.0, 1.0], [1.0, 0.0, 2.0], False), t_final=1.0, dx=0.025)
 @settings(max_examples=60, deadline=None)
 def test_fd_matches_the_interp_loop(drawn, t_final, dx):
     start, gaps, coefficients, flip = drawn
