@@ -1,0 +1,77 @@
+"""Print one SHA-256 digest over a fixed set of solves, to show a change keeps every bit.
+
+Each solve contributes the ``float.hex`` of its boundaries, of every trace
+record's value, gradient norm and step length, and of every jump's
+``rh_residual``, then its iteration count and stop reason; a refused or
+failed solve contributes its exception type instead.  The solves are:
+
+* the benchmark's ``small`` pool at seed 1: for n = 1..8, 32 partitions
+  ``part(n, s, 0.5, 2.0)``, s drawn by ``default_rng(1).integers(0, 2**31,
+  size=(32, 8))``, 256 in all;
+* ``part(n, s)`` of ROADMAP.md for n in 4, 8, 16, 64, 256 and s in 0..3;
+* ``ratio_sweep.draw`` at (seed, lo) = (7, -8) and (11, -30) for i < N.
+
+Two checkouts that print the same digest solve this set bit for bit alike.
+
+Usage:
+    python scripts/solve_digest.py [--draws N]
+"""
+
+import argparse
+import hashlib
+
+import numpy as np
+from ratio_sweep import draw
+from selfsim import PhasePartition, solve_riemann
+
+
+def part(n: int, s: int, lo: float = 0.2, hi: float = 2.0) -> tuple[float, float, PhasePartition]:
+    rng = np.random.default_rng(s)
+    cs = rng.uniform(lo, hi, n + 1)
+    cs[rng.random(n + 1) < 0.2] = 0.0
+    for k in range(1, n + 1):
+        if cs[k] == cs[k - 1]:
+            cs[k] = 0.5
+    return 0.0, 1.0, PhasePartition(tuple(np.linspace(0.0, 1.0, n + 2).tolist()), tuple(cs.tolist()))
+
+
+def solves(draws: int):
+    seeds = np.random.default_rng(1).integers(0, 2**31, size=(32, 8))
+    for j in range(32):
+        for n in range(1, 9):
+            yield part(n, int(seeds[j, n - 1]), 0.5, 2.0)
+    for n in (4, 8, 16, 64, 256):
+        for s in range(4):
+            yield part(n, s)
+    for seed, lo in ((7, -8.0), (11, -30.0)):
+        for i in range(draws):
+            yield draw(seed, i, lo)
+
+
+def record(u_minus: float, u_plus: float, partition: PhasePartition) -> str:
+    try:
+        sol = solve_riemann(u_minus, u_plus, partition)
+    except Exception as exc:  # a refusal is part of the outcome
+        return type(exc).__name__
+    floats = [*sol.boundaries]
+    for rec in sol.trace:
+        floats += (rec.value, rec.grad_norm, rec.step_length)
+    floats += (jump.rh_residual for jump in sol.jumps)
+    return " ".join([*map(float.hex, floats), str(sol.iterations), sol.stop_reason])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--draws", type=int, default=1500, help="ratio-sweep draws per (seed, lo)")
+    args = parser.parse_args()
+
+    digest = hashlib.sha256()
+    count = 0
+    for problem in solves(args.draws):
+        digest.update(record(*problem).encode() + b"\n")
+        count += 1
+    print(f"{digest.hexdigest()}  ({count} solves)")
+
+
+if __name__ == "__main__":
+    main()

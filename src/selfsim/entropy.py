@@ -25,9 +25,10 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .problem import RiemannProblem
-from .special import heat_step_arc, heat_step_inverse
+from .special import heat_step_arc, log_heat_step_inverse
 
 _INF = math.inf
+_LN2 = math.log(2.0)
 
 
 class InfeasibleBoundariesError(ValueError):
@@ -167,21 +168,21 @@ def sublevel_bounds(problem: RiemannProblem, c: float) -> SublevelBox:
         du = u[k + 1] - u[k]
         weights.append(a * a * du if a > 0.0 else 0.25 * du)
     m_const = min(weights)
-    delta = math.exp(-c / m_const) if c > 0.0 else 1.0
+    log_delta = -c / m_const if c > 0.0 else 0.0
     # every positive term is at most c, so each log argument is at least
-    # delta and each quadratic boundary obeys du s^2/4 <= c
-    delta_eff = min(max(delta, 1e-320), 0.5)
+    # delta = exp(log_delta) and each quadratic boundary obeys du s^2/4 <= c.
+    # An edge arc's scaled boundary is then at least H^-1(min(delta, 1/2)),
+    # taken from ln delta, which does not underflow; where c / m overflows,
+    # -2 sqrt(c / m) bounds it, as H(-2 sqrt(L)) < exp(-L) for L > 1/(4 pi)
+    if log_delta > -_INF:
+        x_edge = log_heat_step_inverse(min(log_delta, -_LN2))
+    else:
+        x_edge = -2.0 * math.sqrt(c) / math.sqrt(m_const)
     du0 = u[1] - u[0]
     dun = u[n + 1] - u[n]
     cpos = max(c, 0.0)
-    if cs[0] > 0.0:
-        r_left = -cs[0] * heat_step_inverse(delta_eff)
-    else:
-        r_left = 2.0 * math.sqrt(cpos / du0)
-    if cs[-1] > 0.0:
-        r_right = -cs[-1] * heat_step_inverse(delta_eff)
-    else:
-        r_right = 2.0 * math.sqrt(cpos / dun)
+    r_left = -cs[0] * x_edge if cs[0] > 0.0 else 2.0 * math.sqrt(cpos / du0)
+    r_right = -cs[-1] * x_edge if cs[-1] > 0.0 else 2.0 * math.sqrt(cpos / dun)
     inner_pos = [cs[k] for k in range(1, n) if cs[k] > 0.0]
-    gap = delta * min(inner_pos) if inner_pos else 0.0
+    gap = math.exp(log_delta) * min(inner_pos) if inner_pos else 0.0
     return SublevelBox(radius=max(r_left, r_right), gap=gap)

@@ -1,16 +1,16 @@
 """Damped Newton minimization of the boundary objective.
 
 The Hessian is symmetric tridiagonal and positive definite on the feasible
-set, so each Newton direction costs one LDL^T sweep.  Steps are backtracked
-first to stay strictly feasible (boundaries strictly increasing; the set is
-convex, so one feasible trial point makes every shorter step feasible) and
-then to satisfy an Armijo decrease, which makes the iteration globally
-convergent from any feasible start.  Each trial point costs one pass of the
-objective, which returns value, gradient and Hessian together; the accepted
-trial's pass is the next iterate's.  The iterate, gradient, Hessian and
-direction are lists of Python floats: on a few unknowns numpy's per-call
-dispatch costs more than the arithmetic, and the operations (hence the
-bits) are the same.
+set, so each Newton direction costs one LDL^T sweep.  One backtracking
+loop halves the step until the trial point is strictly feasible
+(boundaries strictly increasing) and satisfies an Armijo decrease, which
+makes the iteration globally convergent from any feasible start.  The
+feasibility test is cheap and comes first; each feasible trial point costs
+one pass of the objective, which returns value, gradient and Hessian
+together, and the accepted trial's pass is the next iterate's.  The
+iterate, gradient, Hessian and direction are lists of Python floats: on a
+few unknowns numpy's per-call dispatch costs more than the arithmetic, and
+the operations (hence the bits) are the same.
 
 Three tests end the iteration as converged or not:
 
@@ -57,10 +57,9 @@ def solve_spd_tridiagonal(diag, off, rhs) -> list[float]:
     accident.
     """
     # on Python floats: indexing numpy arrays one element at a time costs more
-    # than the arithmetic, and the operations (hence the bits) are the same
-    if not all(map(math.isfinite, diag)) or not all(map(math.isfinite, off)):
-        raise TridiagonalFactorizationError("non-finite matrix entry")
-    if diag[0] <= 0.0:
+    # than the arithmetic, and the operations (hence the bits) are the same.
+    # A non-finite entry makes some pivot inf or NaN, which fails its test
+    if not 0.0 < diag[0] < math.inf:
         raise TridiagonalFactorizationError("nonpositive pivot at 0")
     d = list(diag)
     x = list(rhs)
@@ -156,8 +155,8 @@ def damped_newton(
     The iterate is a list of Python floats.  ``objective`` takes it and
     returns the value, the gradient and the Hessian's diagonal and
     off-diagonal, the last three as sequences of floats.  It is called once
-    per trial point, and only at points ``feasible`` accepts, so it need not
-    check feasibility itself; the accepted trial's evaluation is the next
+    per trial point that ``feasible`` accepts, and at no other, so it need
+    not check feasibility itself; the accepted trial's evaluation is the next
     iterate's.
     """
     x = [float(v) for v in x0]
@@ -186,24 +185,21 @@ def damped_newton(
             d = [-g for g in grad]
             slope = -sum(g * g for g in grad)
             newton = False
-        t = 1.0
-        while not feasible([xi + t * di for xi, di in zip(x, d)]):
-            t *= BACKTRACK_FACTOR
-            if t < _MIN_STEP:
-                break
         at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * abs(value)
-        # above the floor, Armijo on the value; at it, where the value cannot
-        # certify a step, backtracked only if the step left the domain: a
-        # step that rounds the two ends of a live phase together has the
-        # value +inf.  Every shorter step stays feasible
+        # a feasible trial is evaluated and tested: above the floor by Armijo
+        # on the value; at it, where the value cannot certify a step, only
+        # for staying in the domain: a step that rounds the two ends of a
+        # live phase together has the value +inf
+        t = 1.0
         while t >= _MIN_STEP:
             trial = [xi + t * di for xi, di in zip(x, d)]
-            evaluation = objective(trial)
-            if at_floor:
-                if evaluation[0] < math.inf:
+            if feasible(trial):
+                evaluation = objective(trial)
+                if at_floor:
+                    if evaluation[0] < math.inf:
+                        break
+                elif evaluation[0] <= value + ARMIJO_C * t * slope:
                     break
-            elif evaluation[0] <= value + ARMIJO_C * t * slope:
-                break
             t *= BACKTRACK_FACTOR
         if t < _MIN_STEP:
             stop_reason = "no_progress"

@@ -51,55 +51,38 @@ class PhasePartition(NamedTuple):
         return len(self.breakpoints) - 2
 
 
-class Violation(NamedTuple):
-    message: str
-    index: int
-
-
-def validate(partition: PhasePartition) -> Violation | None:
-    """Check a partition against its construction rules.
-
-    Returns None when the partition is admissible and a Violation naming the
-    offending entry otherwise.
-    """
+def require_valid(partition: PhasePartition) -> None:
+    """Check a partition against its construction rules; raise
+    ``InvalidPartitionError`` naming the first offending entry."""
     bps = partition.breakpoints
     cs = partition.coefficients
     if len(bps) < 2:
-        return Violation("need at least two breakpoints", 0)
+        raise InvalidPartitionError("need at least two breakpoints")
     if len(cs) != len(bps) - 1:
-        return Violation(
-            f"expected {len(bps) - 1} coefficients for {len(bps)} breakpoints, got {len(cs)}",
-            len(cs),
+        raise InvalidPartitionError(
+            f"expected {len(bps) - 1} coefficients for {len(bps)} breakpoints, got {len(cs)}"
         )
     for i, b in enumerate(bps):
         if not math.isfinite(b):
-            return Violation(f"breakpoint not finite at index {i}", i)
+            raise InvalidPartitionError(f"breakpoint not finite at index {i}")
     for i in range(1, len(bps)):
         if not bps[i] > bps[i - 1]:
-            return Violation(f"breakpoints not increasing at index {i}", i)
+            raise InvalidPartitionError(f"breakpoints not increasing at index {i}")
     for k, c in enumerate(cs):
         if not math.isfinite(c):
-            return Violation(f"coefficient not finite at k={k}", k)
+            raise InvalidPartitionError(f"coefficient not finite at k={k}")
         if c < 0.0:
-            return Violation(f"negative coefficient at k={k}", k)
+            raise InvalidPartitionError(f"negative coefficient at k={k}")
     for k in range(1, len(cs)):
         if cs[k] == cs[k - 1]:
-            return Violation(f"adjacent equal at k={k - 1}", k - 1)
+            raise InvalidPartitionError(f"adjacent equal at k={k - 1}")
     floor = MIN_COEFFICIENT_RATIO * max(cs)
     for k, c in enumerate(cs):
         if 0.0 < c < floor:
-            return Violation(
+            raise InvalidPartitionError(
                 f"coefficient a_{k} = {c!r} is below {floor:.3g}: beside the largest "
-                "coefficient, boundaries scaled by it overflow double precision",
-                k,
+                "coefficient, boundaries scaled by it overflow double precision"
             )
-    return None
-
-
-def require_valid(partition: PhasePartition) -> None:
-    v = validate(partition)
-    if v is not None:
-        raise InvalidPartitionError(v.message)
 
 
 def diffusion_antiderivative(partition: PhasePartition) -> tuple[tuple[float, ...], tuple[float, ...]]:

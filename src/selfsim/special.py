@@ -45,9 +45,17 @@ rho = erfc(f) / erfc(s), with no subtraction of nearly equal numbers.
 ``heat_step_tail_fraction`` gives the profile's values on such an arc from
 the same q and rho.
 
-The inverse starts from M. Giles' closed-form erfinv (single-precision
-version, "Approximating the erfinv function", 2010) and is polished by
-Newton.
+The inverse ``heat_step_inverse(p)`` starts from M. Giles' closed-form
+erfinv (single-precision version, "Approximating the erfinv function",
+2010) and is polished by Newton.  Below p = 1e-10 it hands ln p to
+``log_heat_step_inverse``, which takes the quantile by its logarithm, so
+that any finite ln p < 0 is in reach, far below the smallest float (the
+certified box of ``entropy.sublevel_bounds`` needs such quantiles).  That
+is Newton on ln heat_step, whose values ``heat_step_arc`` keeps arbitrarily
+far into the left tail, from the asymptotic start heat_step(x) ~
+heat_step'(x) * 2/|x|, stopped once |ln heat_step(x) - ln p| is within
+max(1e-13, 4 eps |ln p|): a few units of rounding of ln p, which a fixed
+1e-13 undercuts far enough out.
 """
 
 from __future__ import annotations
@@ -76,6 +84,8 @@ _RULE_UP_TO = 0.3
 # below this quantile the inverse works in log space; above it Giles' start
 # is close enough for a few Newton steps
 _LOG_TAIL_BELOW = 1e-10
+_LN_TAIL_BELOW = math.log(_LOG_TAIL_BELOW)
+_EPS = sys.float_info.epsilon
 
 
 def _cf_tail(x):
@@ -279,27 +289,29 @@ def heat_step_tail_fraction(near: float, far: float, point: float, a: float) -> 
     return math.expm1(log_p) / math.expm1(log_rho)
 
 
-def _inverse_log_tail(p: float) -> float:
-    # Quantiles far below working precision: Newton on ln(heat_step) with an
-    # asymptotic start from heat_step(x) ~ heat_step'(x) * 2/|x| as x -> -inf.
-    target = math.log(p)
-    t = max(-target - _LOG_2_SQRT_PI, 1.0)
+def log_heat_step_inverse(log_p: float) -> float:
+    """x such that ln heat_step(x) = log_p, for finite log_p < 0.
+
+    Above ln ``_LOG_TAIL_BELOW`` this is ``heat_step_inverse(exp(log_p))``;
+    below it the log-space Newton of the module docstring.
+    """
+    if log_p > _LN_TAIL_BELOW:
+        return heat_step_inverse(math.exp(log_p))
+    if not log_p > -_INF:
+        raise ValueError(f"log_heat_step_inverse requires -inf < log_p < 0, got {log_p!r}")
+    tol = max(1e-13, 4.0 * _EPS * -log_p)
+    t = max(-log_p - _LOG_2_SQRT_PI, 1.0)
     x = -2.0 * math.sqrt(t)
     for _ in range(2):
-        x = -2.0 * math.sqrt(max(-target - _LOG_2_SQRT_PI + math.log(2.0 / abs(x)), 1.0))
+        x = -2.0 * math.sqrt(max(-log_p - _LOG_2_SQRT_PI + math.log(2.0 / abs(x)), 1.0))
     for _ in range(80):
         # ln(heat_step(x)), accurate arbitrarily far into the left tail, and
         # its derivative
         log_h, r = heat_step_arc(-_INF, x, 1.0)[:2]
-        g = log_h - target
-        if abs(g) <= 1e-13:
+        g = log_h - log_p
+        if abs(g) <= tol:
             break
-        step = g / r
-        if step > 5.0:
-            step = 5.0
-        elif step < -5.0:
-            step = -5.0
-        x -= step
+        x -= g / r
     return x
 
 
@@ -326,27 +338,23 @@ def _erfinv_start(p: float) -> float:
 def heat_step_inverse(p: float) -> float:
     """x such that heat_step(x) = p for 0 < p < 1 (|heat_step(x) - p| <= 1e-12).
 
-    Safeguarded Newton from Giles' erfinv start on the left half; p > 1/2
-    is solved as -heat_step_inverse(1 - p), where 1 - p is exact, and
-    quantiles below ``_LOG_TAIL_BELOW`` switch to a log-space Newton, so the
-    whole open interval works.
+    Newton from Giles' erfinv start on the left half; p > 1/2 is solved as
+    -heat_step_inverse(1 - p), where 1 - p is exact, and quantiles below
+    ``_LOG_TAIL_BELOW`` go to ``log_heat_step_inverse``, so the whole open
+    interval works.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"heat_step_inverse requires 0 < p < 1, got {p!r}")
     if p > 0.5:
         return -heat_step_inverse(1.0 - p)
     if p < _LOG_TAIL_BELOW:
-        return _inverse_log_tail(p)
+        return log_heat_step_inverse(math.log(p))
     x = 2.0 * _erfinv_start(p)
     for _ in range(6):
         f = heat_step(x) - p
         if f == 0.0:
             break
         step = f / heat_step_deriv(x)
-        if step > 1.0:  # the start is close; clamp paranoid steps
-            step = 1.0
-        elif step < -1.0:
-            step = -1.0
         x -= step
         if abs(step) <= 1e-16 * max(1.0, abs(x)):
             break

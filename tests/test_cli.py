@@ -240,6 +240,24 @@ def test_continuum_rejects_malformed_table(tmp_path, capsys):
     assert "bad.csv:2" in err and "expected 'u, a'" in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.5, x", "bad.csv:2: expected 'u, a' with two numbers"),
+        ("0.5, -1", "bad.csv: diffusion values must be nonnegative"),
+    ],
+)
+def test_continuum_rejects_a_bad_table_value(tmp_path, capsys, row, message):
+    table = tmp_path / "bad.csv"
+    table.write_text(f"0.0, 1.0\n{row}\n1.0, 2.0\n", encoding="utf-8")
+    config_path = tmp_path / "cont.cfg"
+    config_path.write_text(f"diffusion = {table}\n", encoding="utf-8")
+    code = main(["continuum", "--config", str(config_path), "--out", str(tmp_path / "c_")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("c_*")) == []
+
+
 def test_continuum_exit_2_on_missing_table(tmp_path, capsys):
     config_path = tmp_path / "cont.cfg"
     config_path.write_text(f"diffusion = {tmp_path / 'absent.csv'}\n", encoding="utf-8")

@@ -158,3 +158,20 @@ def test_cli_refuses_a_coefficient_whose_quotients_overflow(tmp_path, capsys):
     )
     assert main(["solve", "--config", str(config), "--out", str(tmp_path / "t_")]) == 1
     assert "a_0 = 1e-310" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a phase behind a state band of 1e-12 is too narrow to balance in double "
+    "precision, yet 3.3e5 ulps wide, so the solve is not refused",
+)
+def test_thin_state_band_balances_or_is_refused():
+    # ends converged on the decrement with residuals +-5.0e-8 against a
+    # tolerance of 2e-9; a band of 1e-15 leaves +-5.3e-4
+    partition = PhasePartition((0.0, 0.5, 0.5 + 1e-12, 1.0), (1.0, 2.0, 0.5))
+    try:
+        sol = solve_riemann(0.0, 1.0, partition)
+    except InvalidPartitionError:
+        return
+    assert sol.converged
+    assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * max(partition.coefficients)

@@ -20,7 +20,7 @@ from selfsim.continuum import (
     minimize_variational_cost,
     variational_cost,
 )
-from selfsim.problem import validate
+from selfsim.problem import require_valid
 from selfsim.special import heat_step_inverse, log_heat_step_deriv
 
 from conftest import fd_hessian
@@ -133,7 +133,7 @@ def test_discretize_midpoint_rule():
 
 def test_discretize_jitters_equal_neighbors():
     part = discretize(UNIT, 4)
-    assert validate(part) is None
+    require_valid(part)
     assert all(abs(c - 1.0) <= 1e-11 for c in part.coefficients)
     # and the jittered partition still solves to the plain heat profile
     sol = solve_riemann(0.0, 1.0, part)
@@ -147,7 +147,7 @@ def test_discretize_merges_zero_cells():
     part = discretize(f, 4)
     assert part.breakpoints == (0.0, 0.5, 0.75, 1.0)
     assert part.coefficients == (0.0, 0.125, 0.375)
-    assert validate(part) is None
+    require_valid(part)
 
 
 def test_discretize_merges_interior_zero_band():
@@ -155,7 +155,7 @@ def test_discretize_merges_interior_zero_band():
         states=(0.0, 0.4, 0.45, 0.55, 0.6, 1.0), values=(1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
     )
     part = discretize(f, 10)
-    assert validate(part) is None
+    require_valid(part)
     zeros = [k for k, c in enumerate(part.coefficients) if c == 0.0]
     assert len(zeros) == 1
     k = zeros[0]
@@ -450,6 +450,8 @@ def test_study_requires_increasing_counts():
         convergence_study(UNIT, [8, 4])
     with pytest.raises(ValueError):
         convergence_study(UNIT, [])
+    with pytest.raises(ValueError, match="^1 cells leave no free boundary after merging$"):
+        convergence_study(LINEAR, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -464,5 +466,7 @@ def test_inverse_profile_validation():
         InverseProfile(states=(0.0, 0.5, 1.0), positions=(0.0, -0.1, 1.0))
     with pytest.raises(ValueError, match="finite"):
         InverseProfile(states=(0.0, 1.0), positions=(0.0, math.nan))
+    with pytest.raises(ValueError, match="matching state/position nodes"):
+        InverseProfile(states=(0.0, 0.5, 1.0), positions=(0.0, 1.0))
     prof = InverseProfile(states=(0.0, 0.5, 1.0), positions=(-1.0, -1.0, 1.0))
     assert prof.cells() == 2

@@ -87,6 +87,16 @@ def test_rejects_infeasible_points():
         entropy_value(prob, (1.0, -1.0))
 
 
+def test_value_rejects_a_wrong_count_and_a_problem_without_boundaries():
+    with pytest.raises(ValueError, match="expected 1 free boundaries, got 2"):
+        entropy_value(problem_of(TWO_PHASE), (0.0, 1.0))
+    single_arc = problem_of(PhasePartition((0.0, 1.0), (1.0,)))
+    with pytest.raises(ValueError, match=r"no free boundaries \(n = 0\)"):
+        entropy_value(single_arc, ())
+    with pytest.raises(ValueError, match="at least one free boundary"):
+        sublevel_bounds(single_arc, 1.0)
+
+
 def test_value_where_scaled_ends_round_together_is_the_true_arcs():
     # two adjacent floats whose quotients by a = 1.9 round to one float: the
     # kernel reads the arc between them from its ends, one ulp wide, so the
@@ -346,6 +356,18 @@ def test_sublevel_box_contains_sublevel_points(rng):
                 assert np.max(np.abs(v)) <= box.radius + 1e-12
                 if v.size > 1:
                     assert np.min(np.diff(v)) >= box.gap - 1e-12
+
+
+def test_sublevel_box_holds_where_its_log_bound_underflows():
+    # c / m = 1e9 here, so delta = exp(-c / m) underflows to 0; a box taken
+    # from a clamped delta had radius 108, yet xi = -1000 lies in {E <= 1}
+    prob = problem_of(PhasePartition((0.0, 1e-9, 1.0), (1.0, 2.0)))
+    assert entropy_value(prob, (-1000.0,)) <= 1.0
+    assert sublevel_bounds(prob, 1.0).radius >= 1000.0
+    # c / m = 2e310 overflows: the bound comes from sqrt(c / m), not from ln delta
+    prob = problem_of(PhasePartition((0.0, 1e-310, 0.5, 1.0), (1.0, 2.0, 1.0)))
+    assert entropy_value(prob, (-1e100, 0.0)) <= 2.0
+    assert 1e100 <= sublevel_bounds(prob, 2.0).radius < math.inf
 
 
 def test_sublevel_radius_monotone_in_level():

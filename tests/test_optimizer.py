@@ -49,6 +49,21 @@ def test_initial_guess_always_feasible(rng):
         assert len(guess) == prob.m
 
 
+def test_initial_guess_keeps_a_minimum_gap():
+    # both boundaries start at the same quantile, 0.5: the second is moved
+    # 1e-6 a_max past the first, and the solve converges from there
+    partition = PhasePartition((0.0, 0.5, 0.5 + 1e-7, 1.0), (1.0, 2.0, 0.5))
+    assert initial_guess(problem_of(partition)) == (0.0, 2e-06)
+    sol = solve_riemann(0.0, 1.0, partition)
+    assert sol.converged
+    assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-12
+
+
+def test_initial_guess_needs_a_free_boundary():
+    with pytest.raises(ValueError, match=r"no free boundaries \(n = 0\)"):
+        initial_guess(problem_of(PhasePartition((0.0, 1.0), (1.0,))))
+
+
 def test_two_phase_minimizer_regression():
     prob = problem_of(TWO_PHASE)
     res = minimize(prob)
@@ -290,15 +305,16 @@ def test_extreme_state_fraction_converges(breakpoints, coefficients):
 
 
 def test_value_evaluations_bounded_by_iterations():
-    # the start and every trial point cost one pass, and the accepted trial's
-    # pass is the next iterate's: calls = 1 + iterations + backtracks.  Near
-    # the minimum the steps should average at most one backtrack, not a
-    # search down to the step floor
+    # one backtracking loop: every trial point costs one feasibility call,
+    # and a feasible one costs one pass, which is the next iterate's when
+    # accepted.  Each halving follows a trial that was infeasible or that
+    # the Armijo or floor test rejected.  Near the minimum the steps should
+    # average at most one backtrack, not a search down to the step floor
     over = []
     for n in range(1, 9):
         for seed in range(32):
             prob = part(n, seed, 0.5, 2.0)
-            counts = {"objective": 0, "feasible": 0}
+            counts = {"objective": 0, "feasible": 0, "infeasible": 0}
 
             def objective(x):
                 counts["objective"] += 1
@@ -306,16 +322,17 @@ def test_value_evaluations_bounded_by_iterations():
 
             def feasible(x):
                 counts["feasible"] += 1
-                return feasible_values(x)
+                ok = feasible_values(x)
+                counts["infeasible"] += not ok
+                return ok
 
             out = damped_newton(initial_guess(prob), objective, feasible, SolveOptions())
             assert out.converged, (n, seed, out.stop_reason)
-            # each accepted step is 2^-k, one halving per backtrack of either
-            # search; a feasibility backtrack costs one more feasibility call
+            # each accepted step is 2^-k after k halvings
             halvings = sum(-math.log2(rec.step_length) for rec in out.records[1:])
-            feasibility_backtracks = counts["feasible"] - 1 - out.iterations
-            backtracks = halvings - feasibility_backtracks
-            assert counts["objective"] == 1 + out.iterations + backtracks, (n, seed)
+            assert counts["feasible"] == 1 + out.iterations + halvings, (n, seed)
+            rejected = halvings - counts["infeasible"]
+            assert counts["objective"] == 1 + out.iterations + rejected, (n, seed)
             if counts["objective"] > 2 * out.iterations + 1:
                 over.append((n, seed, out.iterations, counts["objective"]))
     assert not over

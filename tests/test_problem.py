@@ -20,7 +20,6 @@ from selfsim.problem import (
     diffusion_antiderivative,
     normalize_orientation,
     require_valid,
-    validate,
 )
 
 from conftest import make_problem
@@ -39,36 +38,54 @@ def _problem(partition: PhasePartition):
 
 
 def test_well_formed_partition_passes():
-    assert validate(PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))) is None
+    assert require_valid(PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))) is None
 
 
 def test_adjacent_equal_coefficients_rejected():
-    v = validate(PhasePartition((0.0, 1.0, 2.0), (0.0, 0.0)))
-    assert v is not None
-    assert v.message == "adjacent equal at k=0"
+    with pytest.raises(InvalidPartitionError, match="^adjacent equal at k=0$"):
+        require_valid(PhasePartition((0.0, 1.0, 2.0), (0.0, 0.0)))
 
 
 def test_non_monotone_breakpoints_rejected():
-    v = validate(PhasePartition((0.0, 2.0, 1.0), (1.0, 2.0)))
-    assert v is not None
-    assert v.message == "breakpoints not increasing at index 2"
+    with pytest.raises(InvalidPartitionError, match="^breakpoints not increasing at index 2$"):
+        require_valid(PhasePartition((0.0, 2.0, 1.0), (1.0, 2.0)))
 
 
 def test_negative_coefficient_rejected():
-    v = validate(PhasePartition((0.0, 1.0, 2.0), (1.0, -2.0)))
-    assert v is not None
-    assert v.message == "negative coefficient at k=1"
+    with pytest.raises(InvalidPartitionError, match="^negative coefficient at k=1$"):
+        require_valid(PhasePartition((0.0, 1.0, 2.0), (1.0, -2.0)))
     # a coefficient that is not a number at all is not called negative
     for bad in (float("nan"), float("inf"), -float("inf")):
-        v = validate(PhasePartition((0.0, 1.0, 2.0), (1.0, bad)))
-        assert v is not None
-        assert v.message == "coefficient not finite at k=1"
-        assert v.index == 1
+        with pytest.raises(InvalidPartitionError, match="^coefficient not finite at k=1$"):
+            require_valid(PhasePartition((0.0, 1.0, 2.0), (1.0, bad)))
 
 
 def test_arity_mismatch_rejected():
-    v = validate(PhasePartition((0.0, 1.0, 2.0), (1.0,)))
-    assert v is not None
+    with pytest.raises(InvalidPartitionError, match="^expected 2 coefficients for 3 breakpoints, got 1$"):
+        require_valid(PhasePartition((0.0, 1.0, 2.0), (1.0,)))
+
+
+def test_too_few_or_non_finite_breakpoints_rejected():
+    with pytest.raises(InvalidPartitionError, match="^need at least two breakpoints$"):
+        require_valid(PhasePartition((0.0,), ()))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidPartitionError, match="^breakpoint not finite at index 1$"):
+            require_valid(PhasePartition((0.0, bad, 2.0), (1.0, 2.0)))
+
+
+def test_normalize_rejects_non_finite_or_unspanned_states():
+    part = PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0))
+    for u_minus, u_plus in ((float("nan"), 2.0), (0.0, float("inf"))):
+        with pytest.raises(InvalidPartitionError, match="^states must be finite$"):
+            normalize_orientation(u_minus, u_plus, part)
+    with pytest.raises(InvalidPartitionError, match=r"must span \[0.0, 3.0\], spans \[0.0, 2.0\]"):
+        normalize_orientation(0.0, 3.0, part)
+
+
+def test_expand_rejects_a_wrong_count():
+    prob = _problem(PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0)))
+    with pytest.raises(ValueError, match="^expected 1 free values, got 2$"):
+        prob.expand((0.0, 1.0))
 
 
 def test_require_valid_raises():
@@ -128,9 +145,9 @@ def test_solve_validates_the_partition_once(monkeypatch):
 
     def counting(partition):
         seen.append(partition)
-        return validate(partition)
+        return require_valid(partition)
 
-    monkeypatch.setattr(selfsim.problem, "validate", counting)
+    monkeypatch.setattr(selfsim.problem, "require_valid", counting)
     part = PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
     solve_riemann(3.0, 0.0, part)
     assert seen == [part]
@@ -203,7 +220,7 @@ def test_reflection_covariance(rng):
         phases = int(rng.integers(2, 7))
         prob = make_problem(rng, phases)
         rev = reversed_partition(prob.partition)
-        assert validate(rev) is None
+        require_valid(rev)
         prob_rev = _problem(rev)
         assert prob_rev.n == prob.n and prob_rev.m == prob.m
         # merged boundary groups mirror: boundary k of the reversed partition

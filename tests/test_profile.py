@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from selfsim import PhasePartition, eval_selfsimilar, eval_solution, solve_riemann
 from selfsim.api import KIND_FROZEN_STEP, KIND_GENERAL, KIND_SINGLE_ARC
 from selfsim.cli import main
-from selfsim.problem import diffusion_antiderivative, validate
+from selfsim.problem import diffusion_antiderivative, require_valid
 from selfsim.profile import JumpPoint, SelfSimilarProfile, build_profile, flux, jump_residuals
 from selfsim.special import TAIL_FROM, heat_step, heat_step_deriv
 
@@ -471,7 +471,7 @@ def _solve_drawn(drawn):
     gaps, coefficients, flip = drawn
     breakpoints = tuple(np.concatenate([[0.0], np.cumsum(gaps)]).tolist())
     partition = PhasePartition(breakpoints, admissible(coefficients))
-    assert validate(partition) is None
+    require_valid(partition)
     ends = (breakpoints[-1], breakpoints[0]) if flip else (breakpoints[0], breakpoints[-1])
     return solve_riemann(*ends, partition)
 

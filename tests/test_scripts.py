@@ -20,6 +20,7 @@ SRC = str(Path(selfsim.__file__).resolve().parents[1])  # the child imports this
         ("fd_crosscheck.py", ["--dx", "0.04,0.02", "--t-final", "0.5"]),
         ("continuum_refinement.py", []),
         ("ratio_sweep.py", ["--seed", "7", "--lo", "-8", "--draws", "30"]),
+        ("solve_digest.py", ["--draws", "30"]),
     ],
 )
 def test_script_runs(script, args):

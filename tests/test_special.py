@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import selfsim.special
 from selfsim._erfcx_table import FIRST
 from selfsim.special import (
     _erfcx_rows,
@@ -23,6 +24,7 @@ from selfsim.special import (
     heat_step_arc,
     heat_step_deriv,
     heat_step_inverse,
+    log_heat_step_inverse,
 )
 
 
@@ -340,6 +342,44 @@ def test_inverse_residual(p):
 def test_inverse_rejects_outside_unit_interval(p):
     with pytest.raises(ValueError):
         heat_step_inverse(p)
+
+
+def test_tail_inverse_stops_at_the_rounding_of_ln_p(monkeypatch):
+    # below p ~ 1e-220 a fixed 1e-13 on |ln H(x) - ln p| lies under the
+    # rounding of ln p, and the Newton loop ran to its cap of 80 steps
+    calls = [0]
+
+    def counting(lo, hi, a):
+        calls[0] += 1
+        return heat_step_arc(lo, hi, a)
+
+    monkeypatch.setattr(selfsim.special, "heat_step_arc", counting)
+    worst = 0
+    for p in np.geomspace(5e-324, 1e-10, 2000).tolist():
+        calls[0] = 0
+        x = heat_step_inverse(p)
+        worst = max(worst, calls[0])
+        log_h = heat_step_arc(-math.inf, x, 1.0)[0]
+        assert abs(log_h - math.log(p)) <= max(1e-13, 4.0 * EPS * -math.log(p)), p
+    assert worst <= 5
+
+
+@pytest.mark.parametrize("log_p", [-30.0, -1e3, -1e6, -1e20, -1e300, -sys.float_info.max])
+def test_log_inverse_reaches_quantiles_below_the_smallest_float(log_p):
+    x = log_heat_step_inverse(log_p)
+    assert math.isfinite(x)
+    assert heat_step_arc(-math.inf, x, 1.0)[0] == pytest.approx(log_p, rel=4.0 * EPS, abs=1e-13)
+
+
+def test_log_inverse_above_the_tail_is_the_plain_inverse():
+    for p in (2e-10, 1e-6, 0.25, 0.5, 0.9):
+        assert log_heat_step_inverse(math.log(p)) == heat_step_inverse(math.exp(math.log(p)))
+
+
+@pytest.mark.parametrize("log_p", [0.0, 1.0, -math.inf, math.nan])
+def test_log_inverse_rejects_outside_its_domain(log_p):
+    with pytest.raises(ValueError):
+        log_heat_step_inverse(log_p)
 
 
 # ---------------------------------------------------------------------------
