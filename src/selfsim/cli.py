@@ -280,6 +280,8 @@ def _read_diffusion_table(path: str) -> DiffusionFunction:
             u = None
         if u is None:
             raise ConfigError(f"{path}:{line_no}: expected 'u, a' with two numbers")
+        if a < 0.0:
+            raise ConfigError(f"{path}:{line_no}: diffusion values must be nonnegative")
         states.append(u)
         values.append(a)
     try:

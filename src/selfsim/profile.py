@@ -11,25 +11,22 @@ A live phase (a_k > 0) is the error-function arc
 
 and a dead phase (a_k = 0) is a jump from u_k to u_{k+1}: at xi_1 on the
 left edge, at xi_n on the right edge, at its fused position inside, and at 0
-when it is the only phase.  Values, one-sided limits, fluxes, jumps and the
-mirror image are all derived from those three tuples through one cached
-table with a row per phase, whose ln D_k and end ratios come from one
-``special.heat_step_arc`` call per live phase; ``jump_residuals`` reads its
-balance from the one-sided ``limits`` and ``flux_limits``.
+when it is the only phase.  Fluxes, jumps and the mirror image are derived
+from those three tuples through one cached table with a row per phase,
+whose ln D_k and end ratios come from one ``special.heat_step_arc`` call per
+live phase; ``jump_residuals`` reads its balance from the one-sided
+``limits`` and ``flux_limits``.
 
-``sample`` takes every arc value in one pass, in complement form, from the
-tail ratio R_k(s) = (1 - H(s)) / D_k = erfcx(s/2) exp(-s^2/4 - ln D_k) / 2
-(s >= 0): a point at t = xi/a_k >= 0 is anchored at the arc's right end,
-v = u_{k+1} - du (R_k(t) - R_k(xi_{k+1}/a_k)), and a point at t < 0 at its
-left end by the mirror image, v = u_k + du (R_k(-t) - R_k(-xi_k/a_k)), so
-no arc underflows; ln D_k and the anchors R_k(|end|/a_k) are the table's.
-The exponent -s^2/4 - ln D_k keeps only eps s^2/4 of absolute accuracy, so
-an arc whose nearer scaled end is past ``special.TAIL_FROM`` (52), flagged
-``deep`` in the table, takes ``special.heat_step_tail_fraction`` from that
-end instead, point by point.  The one-point ``limits`` does the same on
-arcs with both scaled ends on one side of 0, and takes plain heat_step
-differences, which cannot cancel there, on the one arc that may straddle 0.
-Each arc is clipped to its own state interval.  numpy is loaded by
+Values come from a second table of pieces, each read from its near end by
+``special.heat_step_delta``, delta(n, w) = D / H'(n) on [n, n + w]: at
+tau = |xi - near| / a_k, a difference before the division, v = u_near +-
+du delta(n, tau) / delta(n, w), so a narrow arc keeps its jump to rounding.
+A one-signed arc is one piece, read from its end nearer 0; an arc across 0
+is two, meeting at v(0).  An edge whose far state is below its jump is read
+in complement form, u_far -+ du ``special.heat_step_rest`` / delta(n, inf),
+to the far field's relative accuracy.  At n = 0 ``limits`` takes erf and
+erfc from ``math``, as ``heat_step`` does; ``sample`` is the array form, on
+``special.heat_step_delta_vec``.  numpy is loaded by
 ``sample`` alone; the CLI writes its profile grids point by point through
 ``limits``, on ``_linspace``, numpy's ``linspace`` in Python floats bit for
 bit, so a solve runs without it.  ``continuum`` takes its grids from
@@ -40,19 +37,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .problem import RiemannProblem, diffusion_antiderivative
-from .special import (
-    TAIL_FROM,
-    erfcx,
-    erfcx_vec,
-    heat_step,
-    heat_step_arc,
-    heat_step_deriv,
-    heat_step_tail_fraction,
-)
+from .special import heat_step_arc, heat_step_delta, heat_step_delta_by_rule, heat_step_delta_vec
+from .special import heat_step_deriv, heat_step_rest
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -60,24 +51,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _INF = math.inf
-
-
-# t * t / 4 stays finite up to here; the ratio is 0 long before, so the
-# array form squares no larger t (numpy would warn of the overflow, which
-# Python floats take silently to inf)
-_SQUARE_CAP = 2.0**511
-
-
-def _tail_ratio(t: float, log_norm: float) -> float:
-    # (1 - H(t)) / D for t >= 0, with D = exp(log_norm)
-    return 0.5 * erfcx(0.5 * t) * math.exp(-0.25 * t * t - log_norm)
-
-
-def _tail_ratio_vec(t: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    t_sq = np.minimum(t, _SQUARE_CAP)
-    return 0.5 * erfcx_vec(0.5 * t) * np.exp(-0.25 * t_sq * t_sq - log_norm)
 
 
 def _linspace(lo: float, hi: float, num: int) -> list[float]:
@@ -96,18 +69,41 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
 
 class _Arc(NamedTuple):
     # one phase of a profile; a dead phase has scale 1, slope 0 and zero
-    # ratios, and pivots at its jump
+    # ratios, and jumps at pivot
     lo: float  # xi_k
     hi: float  # xi_{k+1}
     scale: float  # a_k
     log_norm: float  # ln D_k
     r_lo: float  # H'/D_k at lo / a_k
     r_hi: float  # and at hi / a_k
-    anchor_lo: float  # R_k(|lo| / a_k), 0 on a deep arc
-    anchor_hi: float  # R_k(|hi| / a_k)
-    pivot: float  # points left of it are anchored at lo, the others at hi
     slope: float  # u_{k+1} - u_k
-    deep: bool  # both scaled ends past TAIL_FROM on one side of 0
+    pivot: float  # xi_1 on the left edge, else xi_k; 0 on a live phase
+
+
+# a stretch read from its near end, tau = (xi - near) / scale >= 0 into it, scale = +-a_k and n = |near| / a_k
+# (+-1 and 0 on a dead phase): v = base + du (full - heat_step_rest(n, tau)) / norm in [lo, hi], du = u_far -
+# u_near, norm = delta(n, width), and base, full = u_near, delta(n, inf), or u_far, 0 in complement form
+_Piece = namedtuple("_Piece", "start near scale n base full du norm lo hi width by_rule")
+
+
+def _piece(start, near, scale, n, width, u_near, u_far) -> _Piece:
+    du = u_far - u_near
+    full = heat_step_rest(n, 0.0)
+    norm = full if width == _INF else heat_step_delta(n, width)
+    lo, hi = (u_near, u_far) if du >= 0.0 else (u_far, u_near)
+    # an edge is read in complement form where eps du would swamp the values near u_far
+    base, full = (u_far, 0.0) if width == _INF and abs(u_far) < abs(du) else (u_near, full)
+    return _Piece(start, near, scale, n, base, full, du, norm, lo, hi, width, heat_step_delta_by_rule(n, width))
+
+
+def _read(p: _Piece, xi: float) -> float:
+    # v at one point of a piece; delta(0, t) = sqrt(pi) erf(t/2), rest sqrt(pi) erfc(t/2)
+    tau = (xi - p.near) / p.scale
+    if p.n == 0.0:
+        f = math.erf(0.5 * tau) / math.erf(0.5 * p.width) if p.full else -math.erfc(0.5 * tau)
+    else:
+        f = (heat_step_delta(p.n, tau) if p.full else -heat_step_rest(p.n, tau)) / p.norm
+    return min(max(p.base + p.du * f, p.lo), p.hi)
 
 
 class JumpPoint(NamedTuple):
@@ -138,17 +134,31 @@ class SelfSimilarProfile(_ProfileFields):
             lo, hi = edges[k], edges[k + 1]
             if a > 0.0:
                 log_norm, r_hi, r_lo = heat_step_arc(lo, hi, a)[:3]
-                x, y = hi / a, lo / a
-                deep = y >= TAIL_FROM or x <= -TAIL_FROM
-                if deep:  # no anchors: the values take the tail fraction
-                    at_lo = at_hi = 0.0
-                else:  # at |end|: erfcx overflows at a negative argument
-                    at_lo, at_hi = _tail_ratio(abs(y), log_norm), _tail_ratio(abs(x), log_norm)
-                rows.append(_Arc(lo, hi, a, log_norm, r_lo, r_hi, at_lo, at_hi, 0.0, u[k + 1] - u[k], deep))
-            else:  # the jump sits at xi_1 on the left edge, else at xi_k
-                pivot = b[max(k - 1, 0)] if b else 0.0
-                rows.append(_Arc(lo, hi, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, pivot, 0.0, False))
+                rows.append(_Arc(lo, hi, a, log_norm, r_lo, r_hi, u[k + 1] - u[k], 0.0))
+            else:
+                rows.append(_Arc(lo, hi, 1.0, 0.0, 0.0, 0.0, 0.0, b[max(k - 1, 0)] if b else 0.0))
         return tuple(rows)
+
+    @cached_property
+    def _pieces(self) -> tuple[tuple[float, ...], tuple[_Piece, ...]]:
+        # the pieces from left to right, and the cuts between them
+        u = self.states
+        pieces = []
+        for k, (a, arc) in enumerate(zip(self.coefficients, self._table)):
+            lo, hi, x, y = arc.lo, arc.hi, arc.hi / arc.scale, arc.lo / arc.scale
+            if a == 0.0:  # u_k up to the jump at the pivot, u_{k+1} from it on; either may be empty
+                pieces.append(_piece(lo, arc.pivot, -1.0, 0.0, _INF, u[k], u[k]))
+                pieces.append(_piece(arc.pivot, arc.pivot, 1.0, 0.0, _INF, u[k + 1], u[k + 1]))
+            elif y >= 0.0:
+                pieces.append(_piece(lo, lo, a, y, (hi - lo) / a, u[k], u[k + 1]))
+            elif x <= 0.0:
+                pieces.append(_piece(lo, hi, -a, -x, (hi - lo) / a, u[k + 1], u[k]))
+            else:  # two halves meeting at v(0), delta(0, w) = sqrt(pi) erf(w/2)
+                e_lo, e_hi = math.erf(-0.5 * y), math.erf(0.5 * x)
+                mid = u[k] + arc.slope * (e_lo / (e_lo + e_hi))
+                pieces.append(_piece(lo, 0.0, -a, 0.0, -y, mid, u[k]))
+                pieces.append(_piece(0.0, 0.0, a, 0.0, x, mid, u[k + 1]))
+        return tuple(p.start for p in pieces[1:]), tuple(pieces)
 
     def _sides(self, i: int, j: int) -> tuple[float, float]:
         # the states on either side of a line where phase i ends and phase j begins
@@ -200,37 +210,11 @@ class SelfSimilarProfile(_ProfileFields):
         i, j = self._phases_at(xi)
         if i < j:
             return self._sides(i, j)
+        cuts, pieces = self._pieces
+        v = _read(pieces[bisect_right(cuts, xi)], xi)
         if self.coefficients[i] == 0.0:  # a constant tail, or the frozen step
-            u, loc = self.states, self._table[i].pivot
-            return (u[i] if xi <= loc else u[i + 1]), (u[i] if xi < loc else u[i + 1])
-        v = self._value(i, xi)
+            return _read(pieces[bisect_left(cuts, xi)], xi), v
         return v, v
-
-    def _value(self, k: int, xi: float) -> float:
-        """v at one point of live phase k; ``sample`` is the array form.
-
-        An arc that straddles 0 takes plain heat_step differences, which
-        cannot cancel there, so a single arc over the whole line is exactly
-        u_0 + (u_1 - u_0) H(xi/a).
-        """
-        u0, u1 = self.states[k], self.states[k + 1]
-        arc = self._table[k]
-        a = arc.scale
-        x, y, t = arc.hi / a, arc.lo / a, xi / a
-        du = arc.slope
-        if arc.deep:  # from the end nearer 0
-            if y > 0.0:
-                v = u0 + du * heat_step_tail_fraction(arc.lo, arc.hi, xi, a)
-            else:
-                v = u1 - du * heat_step_tail_fraction(arc.hi, arc.lo, xi, a)
-        elif y < 0.0 < x:
-            f_lo = heat_step(y)
-            v = u0 + du / (heat_step(x) - f_lo) * (heat_step(t) - f_lo)
-        elif y >= 0.0:  # right tail: anchored at hi
-            v = u1 - du * (_tail_ratio(t, arc.log_norm) - arc.anchor_hi)
-        else:  # left tail: the mirror image, anchored at lo
-            v = u0 + du * (_tail_ratio(-t, arc.log_norm) - arc.anchor_lo)
-        return min(max(v, min(u0, u1)), max(u0, u1))
 
     def flux_limits(self, xi: float) -> tuple[float, float]:
         """One-sided values of a^2(v) v'(xi)."""
@@ -239,34 +223,17 @@ class SelfSimilarProfile(_ProfileFields):
         return (self._flux(i, xi) if i < j else right), right
 
     def sample(self, xs) -> np.ndarray:
-        """Values on a grid in one pass; exact junction points take the right limit.
-
-        A point in phase k is u_k + slope (R_k(|xi| / scale) - anchor_lo)
-        left of the pivot and u_{k+1} - slope (R_k(|xi| / scale) - anchor_hi)
-        from it on, clipped to the phase's state interval: a live phase
-        pivots at 0, so each side is anchored at its own end, and a dead one
-        at its jump with slope 0.
-        """
+        """Values on a grid in one pass, as ``limits`` reads them; a junction point takes the right limit."""
         import numpy as np
 
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise ValueError("xi must not be NaN")
-        arcs = _Arc(*np.array(self._table).T)  # the table's columns
+        cuts, pieces = self._pieces
         flat = xs.ravel()
-        k = np.searchsorted(self.boundaries, flat, side="right")
-        u = np.array(self.states)
-        u_lo, u_hi, slope = u[k], u[k + 1], arcs.slope[k]
-        r = _tail_ratio_vec(np.abs(flat / arcs.scale[k]), arcs.log_norm[k])
-        v = np.where(
-            flat < arcs.pivot[k],
-            u_lo + slope * (r - arcs.anchor_lo[k]),
-            u_hi - slope * (r - arcs.anchor_hi[k]),
-        )
-        v = np.clip(v, np.minimum(u_lo, u_hi), np.maximum(u_lo, u_hi))
-        for i in np.flatnonzero(arcs.deep[k]):  # the scalar tail fraction
-            v[i] = self._value(int(k[i]), float(flat[i]))
-        return v.reshape(xs.shape)
+        p = _Piece(*np.array(pieces).take(np.searchsorted(cuts, flat, side="right"), axis=0).T)
+        v = p.base + p.du * (heat_step_delta_vec(p.n, (flat - p.near) / p.scale, p.full, p.by_rule) / p.norm)
+        return np.minimum(np.maximum(v, p.lo, out=v), p.hi, out=v).reshape(xs.shape)
 
     @property
     def left_state(self) -> float:

@@ -42,8 +42,11 @@ about -t^2/4 and their difference keeps only eps t^2/4 of absolute
 accuracy, so the tail branch takes R and the curvatures from 1 / (w M), or
 from the continued fraction's q(s) = 1 / (sqrt(pi) erfcx(s)) - s and
 rho = erfc(f) / erfc(s), with no subtraction of nearly equal numbers.
-``heat_step_tail_fraction`` gives the profile's values on such an arc from
-the same q and rho.
+
+The profile reads ``heat_step_delta(n, w)`` = D / H'(n): w M from a 10-point
+rule while z <= 1.5, past it the difference of the tails beyond n and n + w,
+``heat_step_rest`` = sqrt(pi) erfcx(f) exp(-z), which are e^-z apart (at
+the 7-point rule's z = 0.3 that difference is up to 10 eps off).
 
 The inverse ``heat_step_inverse(p)`` starts from M. Giles' closed-form
 erfinv (single-precision version, "Approximating the erfinv function",
@@ -70,17 +73,17 @@ if TYPE_CHECKING:
 
 _LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
 _LN2 = math.log(2.0)
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+_INV_SQRT_PI = 1.0 / _SQRT_PI
 _CF_FROM = 26.0  # erfcx kernels switch to the continued fraction here
 _CF_TERMS = 6  # within about one ulp from 26 on
-TAIL_FROM = 2.0 * _CF_FROM  # tail branch of heat_step_arc and heat_step_tail_fraction
+TAIL_FROM = 2.0 * _CF_FROM  # tail branch of heat_step_arc
 _INF = math.inf
 _MIN_NORMAL = sys.float_info.min
 _EXP_ZERO = -1075.0 * _LN2  # math.exp rounds anything below this to 0
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
-# heat_step_arc's 7-point Gauss-Legendre rule on [0, 1] is within about an
-# ulp of M while z <= 0.3
-_RULE_UP_TO = 0.3
+_RULE_UP_TO = 0.3  # heat_step_arc's rule covers z up to here
+_DELTA_RULE_UP_TO = 1.5  # and heat_step_delta's
 # below this quantile the inverse works in log space; above it Giles' start
 # is close enough for a few Newton steps
 _LOG_TAIL_BELOW = 1e-10
@@ -167,9 +170,68 @@ def heat_step_deriv(x: float) -> float:
     return math.exp(-0.25 * x * x - _LOG_2_SQRT_PI)
 
 
-def log_heat_step_deriv(x: float) -> float:
-    """log of heat_step_deriv in closed form; never under- or overflows."""
-    return -0.25 * x * x - _LOG_2_SQRT_PI
+# Gauss-Legendre rules on [0, 1] as (node, weight): heat_step_arc's 7 points, within
+# about an ulp of w M while z <= 0.3, and heat_step_delta's 10, within 2 eps to z = 1.5
+_RULE = ((0.025446043828620736, 0.06474248308443485), (0.12923440720030277, 0.13985269574463832),
+         (0.2970774243113014, 0.19091502525255946), (0.5, 0.2089795918367347),
+         (0.7029225756886985, 0.19091502525255946), (0.8707655927996972, 0.13985269574463832),
+         (0.9745539561713793, 0.06474248308443485))
+_DELTA_RULE = ((0.01304673574141414, 0.03333567215434407), (0.06746831665550775, 0.0747256745752903),
+               (0.1602952158504878, 0.10954318125799102), (0.2833023029353764, 0.13463335965499817),
+               (0.4255628305091844, 0.14776211235737644))
+_DELTA_RULE += tuple((1.0 - t, c) for t, c in reversed(_DELTA_RULE))  # symmetric about 1/2
+
+
+def _rule(n: float, w: float, rule=_RULE) -> float:
+    # w M = D / H'(n) on [n, n + w]
+    b1 = 0.5 * n * w
+    b2 = 0.25 * w * w
+    total = 0.0
+    for t, c in rule:
+        total = total + c * math.exp(-t * (b1 + b2 * t))
+    return w * total
+
+
+def heat_step_rest(n: float, w: float) -> float:
+    """delta(n, inf) - delta(n, w) = sqrt(pi) erfcx((n + w)/2) exp(-z), to its own relative accuracy."""
+    return _SQRT_PI * erfcx(0.5 * (n + w)) * math.exp(-0.25 * w * (2.0 * n + w))
+
+
+def heat_step_delta_by_rule(n: float, w: float) -> bool:
+    """Whether ``heat_step_delta`` takes delta(n, w) by its rule: z <= 1.5."""
+    return 0.25 * w * (2.0 * n + w) <= _DELTA_RULE_UP_TO
+
+
+def heat_step_delta(n: float, w: float) -> float:
+    """delta(n, w) = D / H'(n), D = heat_step(n + w) - heat_step(n), for n >= 0, 0 <= w <= inf; within 4 eps."""
+    if heat_step_delta_by_rule(n, w):
+        return _rule(n, w, _DELTA_RULE)
+    return heat_step_rest(n, 0.0) - heat_step_rest(n, w)
+
+
+@functools.cache
+def _delta_nodes():  # heat_step_delta's rule as (10, 1) columns: weights, -t/2 and -t^2/4
+    import numpy as np
+    t, c = np.array(_DELTA_RULE).T[:, :, None]
+    return c, -0.5 * t, -0.25 * t * t
+
+
+def heat_step_delta_vec(n, w, full, by_rule) -> np.ndarray:
+    """``heat_step_delta`` on 1-d arrays of points 0 <= w <= width on arcs [n, n + width].
+
+    full is delta(n, inf).  Where by_rule = ``heat_step_delta_by_rule(n, width)`` is true or 1, the rule
+    takes delta; elsewhere full - ``heat_step_rest``, within a few eps of full, or -rest where full is 0.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):  # inf only where exp(-z) is 0
+        out = full - _SQRT_PI * erfcx_vec(0.5 * (n + w)) * np.exp(-0.25 * w * (n + n + w))
+    near = (by_rule != 0).nonzero()[0]
+    if near.size:  # all nodes in one exp, and a sum, not BLAS, which may start threads
+        c, a, b = _delta_nodes()  # exp(-t (b1 + b2 t)), b1 = n w / 2, b2 = w^2 / 4
+        n, w = n.take(near), w.take(near)
+        out[near] = w * np.add.reduce(c * np.exp(a * (n * w) + b * (w * w)), axis=0)
+    return out
 
 
 def _log_erfc_ratio(s: float, f: float, d: float, q_s: float) -> float:
@@ -215,18 +277,7 @@ def heat_step_arc(lo: float, hi: float, a: float) -> tuple[float, float, float, 
         z = 0.25 * w * (2.0 * n + w)
         tail = n >= TAIL_FROM
         if z <= _RULE_UP_TO:  # D = w H'(n) M, M = int_0^1 exp(-(nw/2) t - (w^2/4) t^2) dt
-            b1 = 0.5 * n * w
-            b2 = 0.25 * w * w
-            exp = math.exp  # the rule's weights times exp(-t (b1 + b2 t)) at its nodes t
-            wm = w * (
-                0.06474248308443485 * exp(-0.025446043828620736 * (b1 + b2 * 0.025446043828620736))
-                + 0.13985269574463832 * exp(-0.12923440720030277 * (b1 + b2 * 0.12923440720030277))
-                + 0.19091502525255946 * exp(-0.2970774243113014 * (b1 + b2 * 0.2970774243113014))
-                + 0.2089795918367347 * exp(-0.5 * (b1 + b2 * 0.5))
-                + 0.19091502525255946 * exp(-0.7029225756886985 * (b1 + b2 * 0.7029225756886985))
-                + 0.13985269574463832 * exp(-0.8707655927996972 * (b1 + b2 * 0.8707655927996972))
-                + 0.06474248308443485 * exp(-0.9745539561713793 * (b1 + b2 * 0.9745539561713793))
-            )
+            wm = _rule(n, w)
             log_d = -s * s - _LOG_2_SQRT_PI + math.log(wm)
             if tail:  # H'(n) / D = 1 / wm, with no subtraction of logs
                 r_near = 1.0 / wm
@@ -266,27 +317,6 @@ def heat_step_arc(lo: float, hi: float, a: float) -> tuple[float, float, float, 
     c_x = r_x * r_x + 0.5 * x * r_x if r_x else 0.0
     c_y = r_y * r_y - 0.5 * y * r_y if r_y else 0.0
     return log_d, r_x, r_y, c_x, c_y
-
-
-def heat_step_tail_fraction(near: float, far: float, point: float, a: float) -> float:
-    """(H(point/a) - H(near/a)) / (H(far/a) - H(near/a)) on a tail arc.
-
-    The arc runs from ``near`` to ``far`` (``far`` may be infinite) on one
-    side of 0 with |near/a| >= ``TAIL_FROM``, and ``point`` lies on it.  The
-    ratio is (1 - P) / (1 - rho), with P = erfc(point/2a) / erfc(near/2a) and
-    rho the same at ``far``, each taken in log space by the tail branch's
-    continued fraction.  The differences near - point and near - far are
-    taken before dividing by a: in the tail the fraction turns over within
-    a few units of rounding of point/a, so the rounded quotients would not
-    place the point on it.
-    """
-    if near < 0.0:  # the left tail is the mirror image of the right one
-        near, far, point = -near, -far, -point
-    s = 0.5 * (near / a)
-    q = _cf_tail(s)
-    log_p = _log_erfc_ratio(s, 0.5 * (point / a), 0.5 * ((near - point) / a), q)
-    log_rho = _log_erfc_ratio(s, 0.5 * (far / a), 0.5 * ((near - far) / a), q)
-    return math.expm1(log_p) / math.expm1(log_rho)
 
 
 def log_heat_step_inverse(log_p: float) -> float:

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from selfsim.problem import PhasePartition, normalize_orientation
+
+_LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
+
+
+def log_heat_step_deriv(x: float) -> float:
+    """ln H'(x) = -x^2/4 - ln(2 sqrt(pi)) in closed form, for the reference loops."""
+    return -0.25 * x * x - _LOG_2_SQRT_PI
 
 
 def make_breakpoints(rng: np.random.Generator, phases: int, lo=-2.0, hi=3.0):

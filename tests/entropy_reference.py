@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 
-from selfsim.special import heat_step_arc, log_heat_step_deriv
+from selfsim.special import heat_step_arc
+
+from conftest import log_heat_step_deriv
 
 
 def _full(problem, values):

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 
 from selfsim.profile import JumpRecord
-from selfsim.special import heat_step_arc, log_heat_step_deriv
+from selfsim.special import heat_step_arc
+
+from conftest import log_heat_step_deriv
 
 
 def reference_jump_residuals(problem, profile) -> tuple[JumpRecord, ...]:

@@ -244,7 +244,7 @@ def test_continuum_rejects_malformed_table(tmp_path, capsys):
     "row, message",
     [
         ("0.5, x", "bad.csv:2: expected 'u, a' with two numbers"),
-        ("0.5, -1", "bad.csv: diffusion values must be nonnegative"),
+        ("0.5, -1", "bad.csv:2: diffusion values must be nonnegative"),
     ],
 )
 def test_continuum_rejects_a_bad_table_value(tmp_path, capsys, row, message):

@@ -2,11 +2,12 @@
 
 A live phase whose coefficient is many orders below its neighbour's puts the
 scaled ends xi/a of its arc far into a Gaussian tail.  There the objective's
-ratios H'/D come from the tail branch of ``special.heat_step_arc`` and the
-profile's values from ``special.heat_step_tail_fraction``.  Past what double
-precision can hold, an InvalidPartitionError names the coefficient: from
-validation where xi/a would overflow, and from the solve where an interior
-phase is left a few ulps wide.
+ratios H'/D come from the tail branch of ``special.heat_step_arc``, and the
+profile reads its values from the arc's end nearer 0 by
+``special.heat_step_delta``, the far field of an edge arc in complement
+form.  Past what double precision can hold, an InvalidPartitionError names
+the coefficient: from validation where xi/a would overflow, and from the
+solve where an interior phase is left a few ulps wide.
 """
 
 import math

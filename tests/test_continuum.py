@@ -21,9 +21,9 @@ from selfsim.continuum import (
     variational_cost,
 )
 from selfsim.problem import require_valid
-from selfsim.special import heat_step_inverse, log_heat_step_deriv
+from selfsim.special import heat_step_inverse
 
-from conftest import fd_hessian
+from conftest import fd_hessian, log_heat_step_deriv
 
 UNIT = DiffusionFunction.from_callable(lambda u: 1.0, 0.0, 1.0)
 LINEAR = DiffusionFunction.from_callable(lambda u: 1.0 + u, 0.0, 1.0)

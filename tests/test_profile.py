@@ -2,6 +2,7 @@
 
 import math
 import sys
+from bisect import bisect_right
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from selfsim import PhasePartition, eval_selfsimilar, eval_solution, solve_riemann
 from selfsim.api import KIND_FROZEN_STEP, KIND_GENERAL, KIND_SINGLE_ARC
 from selfsim.cli import main
-from selfsim.problem import diffusion_antiderivative, require_valid
+from selfsim.problem import diffusion_antiderivative, normalize_orientation, require_valid
 from selfsim.profile import JumpPoint, SelfSimilarProfile, build_profile, flux, jump_residuals
 from selfsim.special import TAIL_FROM, heat_step, heat_step_deriv
 
@@ -120,6 +121,42 @@ def test_eval_far_field_limits():
     assert eval_selfsimilar(sol.profile, math.inf) == 2.0
     assert abs(eval_selfsimilar(sol.profile, -40.0) - 0.0) < 1e-80
     assert abs(eval_selfsimilar(sol.profile, 40.0) - 2.0) < 1e-80
+
+
+def _mp_phase_value(profile, xi):
+    """v(xi) inside a live phase to 50 digits, from the arc's exact ends."""
+    k = bisect_right(profile.boundaries, xi)
+    lo, hi = ((-math.inf, *profile.boundaries, math.inf))[k : k + 2]
+    a, u0, u1 = profile.coefficients[k], profile.states[k], profile.states[k + 1]
+    with mpmath.workdps(80):
+
+        def step(t):  # H(t / a) = erfc(-t / 2a) / 2
+            return mpmath.erfc(-mpmath.mpf(t) / (2 * a)) / 2
+
+        return float(u0 + (u1 - u0) * (step(xi) - step(lo)) / (step(hi) - step(lo)))
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["increasing", "decreasing"])
+@pytest.mark.parametrize(
+    "x", [(1.0, 1.0 + 1e-9), (-1e-9, 1e-9), (1.0, 2.44)], ids=["one-signed", "straddling", "moderate"]
+)
+def test_narrow_arc_values_match_mpmath(x, mirror):
+    # the middle phase (a = 2) of breakpoints 0..3 left 1e-9 wide; read as a
+    # difference of two end ratios of about 1/w, the one-signed arc was off
+    # by 8.8e-6 of its jump, and as a difference of heat_step values the
+    # straddling one by 1.6e-7.  Across the moderate arc ln H' falls by
+    # 0.31, where a difference of the tails beyond its ends cancels to 1/4
+    problem = normalize_orientation(0.0, 3.0, PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.5)))
+    profile = build_profile(problem, x)
+    if mirror:
+        profile = profile.mirrored()
+    lo, hi = profile.boundaries
+    points = np.linspace(lo, hi, 21)[1:-1]
+    sampled = profile.sample(points)
+    for xi, got in zip(points.tolist(), sampled):
+        want = _mp_phase_value(profile, xi)
+        assert abs(profile.limits(xi)[0] - want) <= 4.0 * sys.float_info.epsilon  # du = 1
+        assert abs(got - want) <= 4.0 * sys.float_info.epsilon
 
 
 def test_eval_solution_identities():

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import selfsim.special
@@ -22,6 +22,9 @@ from selfsim.special import (
     erfcx_vec,
     heat_step,
     heat_step_arc,
+    heat_step_delta,
+    heat_step_delta_by_rule,
+    heat_step_delta_vec,
     heat_step_deriv,
     heat_step_inverse,
     log_heat_step_inverse,
@@ -269,6 +272,77 @@ def test_ratio_and_curvature_are_0_at_an_infinite_end(lo, hi):
             assert r == 0.0 and c == 0.0
         else:
             assert r > 0.0 and c > 0.0
+
+
+def _mp_sqrt_pi_erfcx(x):
+    # sqrt(pi) erfcx(x) at the working precision; past x = 1e7 by its
+    # asymptotic series, whose next term is below 1e-56 there
+    if x > 1e7:
+        t = 1 / (2 * x * x)
+        return (1 - t + 3 * t * t - 15 * t**3) / x
+    return mpmath.sqrt(mpmath.pi) * mpmath.exp(x * x) * mpmath.erfc(x)
+
+
+def _mp_delta(n, w):
+    """delta(n, w) = sqrt(pi) (erfcx(s) - erfcx(f) e^-z), s = n/2, f = s + w/2,
+    z = (f - s)(f + s), to 60 digits: with the digits of s / w, of s^2 and
+    those the difference cancels added, or, once z > 200, sqrt(pi) erfcx(s)
+    alone."""
+    with mpmath.workdps(30):
+        s = mpmath.mpf(n) / 2
+        z = mpmath.mpf(w) / 2 * (2 * s + mpmath.mpf(w) / 2)
+        digits = 60 + int(mpmath.log10((1 + s / w) * (1 + min(s, 1e7) ** 2) / min(z, 1)))
+    with mpmath.workdps(digits):
+        s = mpmath.mpf(n) / 2
+        if z > 200:
+            return _mp_sqrt_pi_erfcx(s)
+        f = s + mpmath.mpf(w) / 2
+        return _mp_sqrt_pi_erfcx(s) - _mp_sqrt_pi_erfcx(f) * mpmath.exp(-(f - s) * (f + s))
+
+
+def _width_at(n, z):
+    # the w >= 0 with w (2n + w) / 4 = z
+    return 4.0 * z / (n + math.hypot(n, 2.0 * math.sqrt(z)))
+
+
+@st.composite
+def _delta_args(draw):
+    """n in {0} and [1e-300, 1e300]; w in [1e-300, 1e300] and inf, or from a
+    fall z = w (2n + w) / 4 in [0.01, 30] around the rules' ends."""
+    n = draw(st.just(0.0) | st.floats(1e-300, 1e300))
+    if draw(st.booleans()):
+        return n, draw(st.floats(1e-300, 1e300) | st.just(math.inf))
+    w = _width_at(n, draw(st.floats(0.01, 30.0)))
+    assume(w > 0.0)
+    return n, w
+
+
+@given(_delta_args())
+@example(arg=(0.0, math.inf))
+@example(arg=(1e8, 1e300))
+@example(arg=(1e-300, 1e-300))
+@example(arg=(1e200, 1e-200))  # z = 0.5, where n * n overflows
+# on both sides of the 7-point rule's end z = 0.3, where the erfcx difference
+# would scale its terms' rounding by 3.9, and of the 10-point rule's z = 1.5
+@example(arg=(0.0, _width_at(0.0, 0.3)))
+@example(arg=(0.0, _width_at(0.0, 0.3000001)))
+@example(arg=(31.18473003745852, _width_at(31.18473003745852, 0.2999999)))
+@example(arg=(31.18473003745852, _width_at(31.18473003745852, 0.3000001)))
+@example(arg=(5.541772301260344, _width_at(5.541772301260344, 0.311)))
+@example(arg=(0.0, _width_at(0.0, 1.5)))
+@example(arg=(2.0, _width_at(2.0, 1.5)))
+@example(arg=(2.0, _width_at(2.0, 1.5000001)))
+@example(arg=(1e8, _width_at(1e8, 1.4999999)))
+@example(arg=(1e8, _width_at(1e8, 1.5000001)))
+@settings(max_examples=200, deadline=None)
+def test_delta_within_4_eps_of_mpmath(arg):
+    n, w = arg
+    want = _mp_delta(n, w)
+    got = heat_step_delta(n, w)
+    assert abs((got - want) / want) <= 4.0 * sys.float_info.epsilon, (n, w, got)
+    full, by_rule = heat_step_delta(n, math.inf), heat_step_delta_by_rule(n, w)
+    (got,) = heat_step_delta_vec(np.array([n]), np.array([w]), np.array([full]), np.array([by_rule]))
+    assert abs((got - want) / want) <= 4.0 * sys.float_info.epsilon, (n, w, got)
 
 
 def test_log_diff_rejects_bad_order():
