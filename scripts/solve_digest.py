@@ -11,7 +11,10 @@ failed solve contributes its exception type instead.  The solves are:
 * ``part(n, s)`` of ROADMAP.md for n in 4, 8, 16, 64, 256 and s in 0..3;
 * ``ratio_sweep.draw`` at (seed, lo) = (7, -8) and (11, -30) for i < N.
 
-Two checkouts that print the same digest solve this set bit for bit alike.
+It prints one digest per group (the ``small`` pool, the ``part`` set and
+each sweep row) and then one over all of them in that order.  Two checkouts
+that print the same digest solve this set bit for bit alike; the group lines
+say which part of it moved.
 
 Usage:
     python scripts/solve_digest.py [--draws N]
@@ -35,17 +38,12 @@ def part(n: int, s: int, lo: float = 0.2, hi: float = 2.0) -> tuple[float, float
     return 0.0, 1.0, PhasePartition(tuple(np.linspace(0.0, 1.0, n + 2).tolist()), tuple(cs.tolist()))
 
 
-def solves(draws: int):
+def groups(draws: int):
     seeds = np.random.default_rng(1).integers(0, 2**31, size=(32, 8))
-    for j in range(32):
-        for n in range(1, 9):
-            yield part(n, int(seeds[j, n - 1]), 0.5, 2.0)
-    for n in (4, 8, 16, 64, 256):
-        for s in range(4):
-            yield part(n, s)
+    yield "small", (part(n, int(seeds[j, n - 1]), 0.5, 2.0) for j in range(32) for n in range(1, 9))
+    yield "part", (part(n, s) for n in (4, 8, 16, 64, 256) for s in range(4))
     for seed, lo in ((7, -8.0), (11, -30.0)):
-        for i in range(draws):
-            yield draw(seed, i, lo)
+        yield f"sweep {seed}, {lo:g}", (draw(seed, i, lo) for i in range(draws))
 
 
 def record(u_minus: float, u_plus: float, partition: PhasePartition) -> str:
@@ -67,9 +65,16 @@ def main() -> None:
 
     digest = hashlib.sha256()
     count = 0
-    for problem in solves(args.draws):
-        digest.update(record(*problem).encode() + b"\n")
-        count += 1
+    for name, problems in groups(args.draws):
+        group = hashlib.sha256()
+        size = 0
+        for problem in problems:
+            line = record(*problem).encode() + b"\n"
+            group.update(line)
+            digest.update(line)
+            size += 1
+        print(f"{group.hexdigest()}  ({size} solves, {name})")
+        count += size
     print(f"{digest.hexdigest()}  ({count} solves)")
 
 

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .api import RiemannSolution, solve_riemann
-from .entropy import sublevel_bounds
 from .optimizer import SolveOptions
 from .problem import PhasePartition
 from .profile import SelfSimilarProfile, _linspace
@@ -181,13 +180,11 @@ def _solve_from_config(config: RunConfig) -> RiemannSolution:
 
 
 def _plot_halfwidth(solution: RiemannSolution) -> float:
-    # the first trace record holds the objective at the solve's start
-    problem = solution.problem
-    if problem.m >= 1:
-        radius = sublevel_bounds(problem, solution.trace[0].value).radius
-    else:
-        radius = max(1.0, 10.0 * max(problem.partition.coefficients))
-    return 1.2 * radius
+    # 10 a_max past the outermost boundary, where the slowest tail has
+    # erfc(5) ~ 1.5e-12 of its jump left; with no boundary, at least 1
+    b = solution.profile.boundaries
+    a_max = max(solution.profile.coefficients)
+    return 1.2 * (10.0 * a_max + max(map(abs, b)) if b else max(1.0, 10.0 * a_max))
 
 
 def _profile_rows(profile: SelfSimilarProfile, halfwidth: float, scale: float):

@@ -99,10 +99,13 @@ def _piece(start, near, scale, n, width, u_near, u_far) -> _Piece:
 def _read(p: _Piece, xi: float) -> float:
     # v at one point of a piece; delta(0, t) = sqrt(pi) erf(t/2), rest sqrt(pi) erfc(t/2)
     tau = (xi - p.near) / p.scale
-    if p.n == 0.0:
-        f = math.erf(0.5 * tau) / math.erf(0.5 * p.width) if p.full else -math.erfc(0.5 * tau)
-    else:
+    if p.n != 0.0:
         f = (heat_step_delta(p.n, tau) if p.full else -heat_step_rest(p.n, tau)) / p.norm
+    elif not p.full:
+        f = -math.erfc(0.5 * tau)
+    else:  # tau / width, the limit, once erf(width / 2) rounds to 0
+        e = math.erf(0.5 * p.width)
+        f = math.erf(0.5 * tau) / e if e else tau / p.width
     return min(max(p.base + p.du * f, p.lo), p.hi)
 
 
@@ -155,7 +158,9 @@ class SelfSimilarProfile(_ProfileFields):
                 pieces.append(_piece(lo, hi, -a, -x, (hi - lo) / a, u[k + 1], u[k]))
             else:  # two halves meeting at v(0), delta(0, w) = sqrt(pi) erf(w/2)
                 e_lo, e_hi = math.erf(-0.5 * y), math.erf(0.5 * x)
-                mid = u[k] + arc.slope * (e_lo / (e_lo + e_hi))
+                # both ends within a subnormal of 0: the width limit, as heat_step_arc's D = w H'(0)
+                share = e_lo / (e_lo + e_hi) if e_lo + e_hi else -y / (x - y)
+                mid = u[k] + arc.slope * share
                 pieces.append(_piece(lo, 0.0, -a, 0.0, -y, mid, u[k]))
                 pieces.append(_piece(0.0, 0.0, a, 0.0, x, mid, u[k + 1]))
         return tuple(p.start for p in pieces[1:]), tuple(pieces)

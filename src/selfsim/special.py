@@ -36,17 +36,22 @@ rule; past it D = (erfc(s) - erfc(f)) / 2, s = n/2, f = s + w/2, whose
 terms are then 26 % apart, with erfc(f) times exp((f - s)(f + s) - z) to
 take the rounding of f out (erfc(s) exp(-z) erfcx(f) / erfcx(s) past
 f = 26).  A straddling arc adds two positive erf values.  The ratios are
-exp(ln H'(t) - ln D).  On a one-signed arc whose nearer scaled end is past
-52 (2 * 26, so that erfcx runs on its continued fraction) both logs are
-about -t^2/4 and their difference keeps only eps t^2/4 of absolute
-accuracy, so the tail branch takes R and the curvatures from 1 / (w M), or
-from the continued fraction's q(s) = 1 / (sqrt(pi) erfcx(s)) - s and
-rho = erfc(f) / erfc(s), with no subtraction of nearly equal numbers.
+exp(ln H'(t) - ln D).
 
-The profile reads ``heat_step_delta(n, w)`` = D / H'(n): w M from a 10-point
-rule while z <= 1.5, past it the difference of the tails beyond n and n + w,
+``heat_step_delta(n, w)`` = D / H'(n) is w M from a 10-point rule while
+z <= 1.5, past it the difference of the tails beyond n and n + w,
 ``heat_step_rest`` = sqrt(pi) erfcx(f) exp(-z), which are e^-z apart (at
-the 7-point rule's z = 0.3 that difference is up to 10 eps off).
+the 7-point rule's z = 0.3 that difference is up to 10 eps off).  The
+profile reads its values from it, and so does ``heat_step_arc`` on a
+one-signed arc whose near end n is past 52 (2 * 26, so that erfcx runs on
+its continued fraction).  There ln H'(t) and ln D are both about -t^2/4,
+and their difference would keep only eps t^2/4 of absolute accuracy, so
+the tail reads ln D = -s^2 - ln(2 sqrt(pi)) + ln delta, R = 1/delta at the
+near end and e^-z/delta at the far one.  Its near curvature is
+R (R - s) = R^2 (1 - s delta); off the rule 1 - s delta is taken as
+q/(s + q) + s rest(n, w), with q(s) = 1/(sqrt(pi) erfcx(s)) - s from the
+continued fraction, a sum of positives because rest(n, 0) = 1/(s + q) past
+52.
 
 The inverse ``heat_step_inverse(p)`` starts from M. Giles' closed-form
 erfinv (single-precision version, "Approximating the erfinv function",
@@ -77,7 +82,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _INV_SQRT_PI = 1.0 / _SQRT_PI
 _CF_FROM = 26.0  # erfcx kernels switch to the continued fraction here
 _CF_TERMS = 6  # within about one ulp from 26 on
-TAIL_FROM = 2.0 * _CF_FROM  # tail branch of heat_step_arc
+TAIL_FROM = 2.0 * _CF_FROM  # heat_step_arc reads arcs from delta past here
 _INF = math.inf
 _MIN_NORMAL = sys.float_info.min
 _EXP_ZERO = -1075.0 * _LN2  # math.exp rounds anything below this to 0
@@ -194,7 +199,7 @@ def _rule(n: float, w: float, rule=_RULE) -> float:
 
 def heat_step_rest(n: float, w: float) -> float:
     """delta(n, inf) - delta(n, w) = sqrt(pi) erfcx((n + w)/2) exp(-z), to its own relative accuracy."""
-    return _SQRT_PI * erfcx(0.5 * (n + w)) * math.exp(-0.25 * w * (2.0 * n + w))
+    return _SQRT_PI * erfcx(0.5 * (n + w)) * math.exp(-0.5 * w * (n + 0.5 * w))  # z = 0 at w = 0, at any n
 
 
 def heat_step_delta_by_rule(n: float, w: float) -> bool:
@@ -234,22 +239,6 @@ def heat_step_delta_vec(n, w, full, by_rule) -> np.ndarray:
     return out
 
 
-def _log_erfc_ratio(s: float, f: float, d: float, q_s: float) -> float:
-    # ln(erfc(f) / erfc(s)) for 26 <= s <= f <= inf, given d = s - f and
-    # q_s = q(s): (s - f)(s + f) from the Gaussian factors, which neither
-    # overflows nor cancels where s^2 - f^2 would, plus ln(erfcx(f) /
-    # erfcx(s)) from the continued fraction, so no step subtracts nearly
-    # equal numbers.  A caller that knows s - f better than the difference
-    # of the rounded s and f passes it as d.  Once the Gaussian factor alone
-    # is below what exp can return, the ratio is 0: the log1p argument, which
-    # is negative, tends to -1 there (log1p(-1) past f ~ 2 s / eps)
-    gauss = d * (s + f)
-    if gauss < _EXP_ZERO:
-        return -_INF
-    q_f = _cf_tail(f)
-    return gauss + math.log1p((d + (q_s - q_f)) / (f + q_f))
-
-
 def heat_step_arc(lo: float, hi: float, a: float) -> tuple[float, float, float, float, float]:
     """ln D and R = H'/D at both ends of an arc, and the curvatures of -ln D.
 
@@ -275,21 +264,22 @@ def heat_step_arc(lo: float, hi: float, a: float) -> tuple[float, float, float, 
         n = y if y >= 0.0 else -x
         s = 0.5 * n
         z = 0.25 * w * (2.0 * n + w)
-        tail = n >= TAIL_FROM
-        if z <= _RULE_UP_TO:  # D = w H'(n) M, M = int_0^1 exp(-(nw/2) t - (w^2/4) t^2) dt
-            wm = _rule(n, w)
-            log_d = -s * s - _LOG_2_SQRT_PI + math.log(wm)
-            if tail:  # H'(n) / D = 1 / wm, with no subtraction of logs
-                r_near = 1.0 / wm
+        if n >= TAIL_FROM:  # D = H'(n) delta, with no subtraction of logs
+            delta = heat_step_delta(n, w)
+            log_d = -s * s - _LOG_2_SQRT_PI + math.log(delta)
+            r_near = 1.0 / delta
+            if heat_step_delta_by_rule(n, w):
                 c_near = r_near * (r_near - s)
-        elif tail:  # from q(s) and rho = erfc(s - d) / erfc(s), d = -w/2
-            d = -0.5 * w
-            q = _cf_tail(s)
-            log_rho = _log_erfc_ratio(s, s - d, d, q)
-            spread = -math.expm1(log_rho)  # 1 - rho
-            r_near = (s + q) / spread
-            c_near = r_near * (q + s * math.exp(log_rho)) / spread
-            log_d = -s * s - _LOG_2_SQRT_PI - math.log(r_near)
+            else:  # R (R (1 - s delta)), 1 - s delta a sum of positives: rest(n, 0) = 1 / (s + q)
+                q = _cf_tail(s)
+                c_near = r_near * (q * r_near / (s + q) + s * (r_near * heat_step_rest(n, w)))
+            r_far = r_near * math.exp(-z)  # H'(n + w) / H'(n)
+            c_far = r_far * (r_far + s + 0.5 * w) if r_far else 0.0
+            if y >= 0.0:
+                return log_d, r_far, r_near, c_far, c_near
+            return log_d, r_near, r_far, c_near, c_far
+        if z <= _RULE_UP_TO:  # D = w H'(n) M, M = int_0^1 exp(-(nw/2) t - (w^2/4) t^2) dt
+            log_d = -s * s - _LOG_2_SQRT_PI + math.log(_rule(n, w))
         else:  # D = (erfc(s) - erfc(f)) / 2, f = s + w/2
             f = s + 0.5 * w
             e_s = math.erfc(s)
@@ -300,12 +290,6 @@ def heat_step_arc(lo: float, hi: float, a: float) -> tuple[float, float, float, 
             else:  # exp(-z) rounds to 0, at an infinite far end too
                 e_f = 0.0
             log_d = math.log(e_s - e_f) - _LN2
-        if tail:
-            r_far = r_near * math.exp(-z)  # H'(n + w) / H'(n)
-            c_far = r_far * (r_far + s + 0.5 * w) if r_far else 0.0
-            if y >= 0.0:
-                return log_d, r_far, r_near, c_far, c_near
-            return log_d, r_near, r_far, c_near, c_far
     else:  # the arc straddles 0: a sum of two positive terms
         p = 0.5 * (math.erf(0.5 * x) + math.erf(-0.5 * y))
         if p <= 0.5:

@@ -164,6 +164,23 @@ def test_evaluate_samples_solution_at_time(tmp_path):
         assert abs(float(u_s) - sol.profile.sample(np.array([x / 2.0]))[0]) <= 1e-15
 
 
+@pytest.mark.parametrize("breakpoints", ["[0.5, 0.5000000000000001]", "[1e-310, 0.5]"])
+def test_profile_window_spans_the_boundaries_and_ten_a_max(tmp_path, breakpoints):
+    # 1.2 (max |xi| + 10 a_max): both ends reach the far states, and the
+    # window is tens of a_max around the boundaries (a certified box at the
+    # start's objective spanned +-9.5e7 and +-3.2e155 here)
+    config_path = tmp_path / "thin.cfg"
+    config_path.write_text(
+        f"u_minus = 0\nu_plus = 1\nbreakpoints = {breakpoints}\ncoefficients = [1, 2, 1]\n", encoding="utf-8"
+    )
+    assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "w_")]) == 0
+    _, rows = _read_rows(tmp_path / "w_profile.csv")
+    _, boundary_rows = _read_rows(tmp_path / "w_boundaries.csv")
+    reach = max(abs(float(row[1])) for row in boundary_rows)
+    assert float(rows[-1][0]) == -float(rows[0][0]) == 1.2 * (10.0 * 2.0 + reach)
+    assert float(rows[0][1]) <= 1e-12 and float(rows[-1][1]) >= 1.0 - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # validate / continuum outputs
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Large coefficient ratios: solved to the 60-digit root, or refused with a typed error.
 
 A live phase whose coefficient is many orders below its neighbour's puts the
-scaled ends xi/a of its arc far into a Gaussian tail.  There the objective's
-ratios H'/D come from the tail branch of ``special.heat_step_arc``, and the
-profile reads its values from the arc's end nearer 0 by
-``special.heat_step_delta``, the far field of an edge arc in complement
-form.  Past what double precision can hold, an InvalidPartitionError names
-the coefficient: from validation where xi/a would overflow, and from the
-solve where an interior phase is left a few ulps wide.
+scaled ends xi/a of its arc far into a Gaussian tail.  Past scaled end 52
+``special.heat_step_arc`` reads such an arc, its ln D, its ratios H'/D and
+its curvatures, from ``special.heat_step_delta`` = D/H'(near end), and the
+profile reads its values from the same core, the far field of an edge arc
+in complement form.  Past what double precision can hold, an
+InvalidPartitionError names the coefficient: from validation where xi/a
+would overflow, and from the solve where an interior phase is left a few
+ulps wide.  ``test_forward_error.py`` holds the solved boundaries of these
+cases to the 50-digit minimiser.
 """
 
 import math

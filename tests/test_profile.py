@@ -159,6 +159,23 @@ def test_narrow_arc_values_match_mpmath(x, mirror):
         assert abs(got - want) <= 4.0 * sys.float_info.epsilon
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("x", [(-5e-324, 5e-324), (-1e-323, 1e-323), (-5e-324, 1e-323)])
+def test_an_arc_within_a_subnormal_of_0_reads_its_width_limit(x, a):
+    # both scaled ends round erf to 0, which divided 0 by 0 at v(0) or on a
+    # piece whose width rounds erf(w/2) to 0; now v is u_k + du tau / w
+    problem = normalize_orientation(0.0, 3.0, PhasePartition((0.0, 1.0, 2.0, 3.0), (3.0, a, 4.0)))
+    profile = build_profile(problem, x)
+    points = [-1.0, -1e-323, -5e-324, 0.0, 5e-324, 1e-323, 1.0]
+    values = [profile.limits(xi)[1] for xi in points]
+    sampled = profile.sample(np.array(points)).tolist()
+    for row in (values, sampled):
+        assert all(1.0 <= v <= 2.0 for v in row[1:-1])
+        assert row == sorted(row)
+    if x[0] == -x[1] and x[1] / a > 0.0:  # across 0 and symmetric about it
+        assert values[3] == 1.5
+
+
 def test_eval_solution_identities():
     sol = _solve((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
     prof = sol.profile

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import selfsim.special
 from selfsim._erfcx_table import FIRST
 from selfsim.special import (
+    TAIL_FROM,
     _erfcx_rows,
     erfcx,
     erfcx_vec,
@@ -205,8 +206,8 @@ def test_log_diff_flat_fallback_within_2_eps():
         (60.0, 60.0 + 1e-9),  # a narrow arc past the erfcx switch
         (0.0, 1e-6),  # a narrow arc at 0
         (-(60.0 + 1e-9), -60.0),
-        (29.0, 29.5),  # ln H' falls by more than the rule's range: the erfc ratio
-        (56.0, 56.02),  # and its continued fraction
+        (29.0, 29.5),  # ln H' falls by more than the rule's range: the erfc difference
+        (56.0, 56.02),  # past TAIL_FROM: delta
     ],
 )
 def test_one_signed_arcs_within_4_eps(lo, hi):
@@ -343,6 +344,67 @@ def test_delta_within_4_eps_of_mpmath(arg):
     full, by_rule = heat_step_delta(n, math.inf), heat_step_delta_by_rule(n, w)
     (got,) = heat_step_delta_vec(np.array([n]), np.array([w]), np.array([full]), np.array([by_rule]))
     assert abs((got - want) / want) <= 4.0 * sys.float_info.epsilon, (n, w, got)
+
+
+def _mp_tail_arc(lo, hi):
+    """(R, c) at the near end lo and at the far end hi of the arc [lo, hi],
+    52 <= lo < hi <= inf at a = 1, and its fall z: R_near = 1 / delta,
+    R_far = e^-z / delta, c_near = R_near^2 (1 - s delta) and c_far = R_far
+    (R_far + hi/2), with delta as in ``_mp_delta`` and the digits that
+    1 - s delta cancels, 2 log10 s, added twice over.  Past z = 2000, where
+    e^-z R_near is below the smallest float, the far end's values are 0 and
+    z is given as 0."""
+    with mpmath.workdps(30):
+        digits = 60 + 4 * int(mpmath.log10(lo))
+        z = (mpmath.mpf(hi) - lo) * (mpmath.mpf(hi) + lo) / 4
+    with mpmath.workdps(digits):
+        s = mpmath.mpf(lo) / 2
+        if z > 2000:
+            delta = _mp_sqrt_pi_erfcx(s)
+            r_near, r_far, c_far, z = 1 / delta, 0, 0, 0
+        else:
+            f = mpmath.mpf(hi) / 2
+            z = (f - s) * (f + s)
+            delta = _mp_sqrt_pi_erfcx(s) - _mp_sqrt_pi_erfcx(f) * mpmath.exp(-z)
+            r_near = 1 / delta
+            r_far = mpmath.exp(-z) * r_near
+            c_far = r_far * (r_far + f)
+        return (r_near, r_far, r_near * r_near * (1 - s * delta), c_far), float(z)
+
+
+# bounds in eps, and past the near ratio in (1 + z) eps: the worst of
+# 13 000 draws, 2.0, 1.8, 3.9 and 4.0, with a margin of about 2
+TAIL_R_NEAR_EPS, TAIL_R_FAR_EPS, TAIL_C_NEAR_EPS, TAIL_C_FAR_EPS = 4.0, 4.0, 8.0, 8.0
+
+
+@st.composite
+def _tail_arcs(draw):
+    """[lo, hi] with lo in [52, 1e300] and hi = inf, or hi from a fall
+    z in [1e-3, 1e2] and at least one ulp past lo."""
+    lo = draw(st.floats(TAIL_FROM, 1e300))
+    if draw(st.booleans()):
+        return lo, math.inf
+    return lo, max(lo + _width_at(lo, draw(st.floats(1e-3, 1e2))), math.nextafter(lo, math.inf))
+
+
+@given(_tail_arcs(), st.booleans())
+@example(arc=(52.0, math.inf), flip=False)
+@example(arc=(1e300, math.inf), flip=True)
+@example(arc=(60.0, 60.0 + _width_at(60.0, 1.5)), flip=False)  # the rule's end
+@example(arc=(60.0, 60.0 + _width_at(60.0, 1.5000001)), flip=True)
+@example(arc=(2e8, 2e8 + _width_at(2e8, 30.0)), flip=True)
+@settings(max_examples=150, deadline=None)
+def test_tail_ratios_and_curvatures_match_mpmath(arc, flip):
+    # past TAIL_FROM; R at the far end and both curvatures take e^-z, which
+    # turns the rounding of z into about z eps, so they are held to (1 + z) units
+    lo, hi = arc
+    want, z = _mp_tail_arc(lo, hi)
+    _, r_x, r_y, c_x, c_y = heat_step_arc(-hi, -lo, 1.0) if flip else heat_step_arc(lo, hi, 1.0)
+    got = (r_x, r_y, c_x, c_y) if flip else (r_y, r_x, c_y, c_x)
+    for name, g, w, units in zip(("r_near", "r_far", "c_near", "c_far"), got, want,
+                                 (TAIL_R_NEAR_EPS, TAIL_R_FAR_EPS, TAIL_C_NEAR_EPS, TAIL_C_FAR_EPS)):
+        error = abs(g - w) / max(w, _TINY)
+        assert error <= (units if name == "r_near" else units * (1.0 + z)) * sys.float_info.epsilon, (name, g)
 
 
 def test_log_diff_rejects_bad_order():
