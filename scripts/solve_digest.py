@@ -16,6 +16,12 @@ each sweep row) and then one over all of them in that order.  Two checkouts
 that print the same digest solve this set bit for bit alike; the group lines
 say which part of it moved.
 
+A last line, ``profile``, digests the profiles of the ``small`` pool: the
+``float.hex`` of ``sample`` on the benchmark's grid, 2 001 points over +-8
+a_max, and of both one-sided fluxes at every 50th point of it.  It is not
+part of the total, so the total stays comparable across changes that only
+touch the profile.
+
 Usage:
     python scripts/solve_digest.py [--draws N]
 """
@@ -26,6 +32,9 @@ import hashlib
 import numpy as np
 from ratio_sweep import draw
 from selfsim import PhasePartition, solve_riemann
+
+GRID_POINTS = 2001  # the benchmark's sample grid, +-8 a_max
+GRID_HALFWIDTH_PER_A = 8.0
 
 
 def part(n: int, s: int, lo: float = 0.2, hi: float = 2.0) -> tuple[float, float, PhasePartition]:
@@ -38,9 +47,13 @@ def part(n: int, s: int, lo: float = 0.2, hi: float = 2.0) -> tuple[float, float
     return 0.0, 1.0, PhasePartition(tuple(np.linspace(0.0, 1.0, n + 2).tolist()), tuple(cs.tolist()))
 
 
-def groups(draws: int):
+def small_pool() -> list[tuple[float, float, PhasePartition]]:
     seeds = np.random.default_rng(1).integers(0, 2**31, size=(32, 8))
-    yield "small", (part(n, int(seeds[j, n - 1]), 0.5, 2.0) for j in range(32) for n in range(1, 9))
+    return [part(n, int(seeds[j, n - 1]), 0.5, 2.0) for j in range(32) for n in range(1, 9)]
+
+
+def groups(draws: int):
+    yield "small", small_pool()
     yield "part", (part(n, s) for n in (4, 8, 16, 64, 256) for s in range(4))
     for seed, lo in ((7, -8.0), (11, -30.0)):
         yield f"sweep {seed}, {lo:g}", (draw(seed, i, lo) for i in range(draws))
@@ -56,6 +69,15 @@ def record(u_minus: float, u_plus: float, partition: PhasePartition) -> str:
         floats += (rec.value, rec.grad_norm, rec.step_length)
     floats += (jump.rh_residual for jump in sol.jumps)
     return " ".join([*map(float.hex, floats), str(sol.iterations), sol.stop_reason])
+
+
+def profile_record(u_minus: float, u_plus: float, partition: PhasePartition) -> str:
+    profile = solve_riemann(u_minus, u_plus, partition).profile
+    grid = GRID_HALFWIDTH_PER_A * max(partition.coefficients) * np.linspace(-1.0, 1.0, GRID_POINTS)
+    floats = profile.sample(grid).tolist()
+    for xi in grid[::50].tolist():
+        floats += profile.flux_limits(xi)
+    return " ".join(map(float.hex, floats))
 
 
 def main() -> None:
@@ -76,6 +98,12 @@ def main() -> None:
         print(f"{group.hexdigest()}  ({size} solves, {name})")
         count += size
     print(f"{digest.hexdigest()}  ({count} solves)")
+
+    profiles = hashlib.sha256()
+    pool = small_pool()
+    for problem in pool:
+        profiles.update(profile_record(*problem).encode() + b"\n")
+    print(f"{profiles.hexdigest()}  ({len(pool)} solves, profile)")
 
 
 if __name__ == "__main__":

@@ -51,15 +51,6 @@ def _full_positions(problem: RiemannProblem, values: Sequence[float]) -> tuple[f
     return (-_INF,) + problem.expand(values) + (_INF,)
 
 
-def _anchor(k: int, n: int) -> int:
-    # the finite boundary whose position enters a degenerate interval's term
-    if k == 0:
-        return 1
-    if k == n:
-        return n
-    return k
-
-
 def entropy_pass(problem: RiemannProblem, values):
     """The objective at ``values`` in one pass over the intervals.
 
@@ -109,8 +100,8 @@ def entropy_pass(problem: RiemannProblem, values):
                 # endpoints live in adjacent distinct slots by construction
                 ho[slots[k - 1]] -= du * rx * ry
         else:
-            # du s^2/4 at the one finite boundary s the interval keeps
-            b = _anchor(k, n)
+            # du s^2/4 at the one finite boundary s = xi_max(k, 1) the interval keeps
+            b = max(k, 1)
             s = full[b]
             total += 0.25 * du * s * s
             g[slots[b - 1]] += 0.5 * du * s

@@ -9,28 +9,28 @@ A live phase (a_k > 0) is the error-function arc
     v(xi) = u_k + (u_{k+1} - u_k) * (H(xi/a_k) - H(xi_k/a_k)) / D_k,
     D_k = H(xi_{k+1}/a_k) - H(xi_k/a_k),    H = heat_step,
 
-and a dead phase (a_k = 0) is a jump from u_k to u_{k+1}: at xi_1 on the
-left edge, at xi_n on the right edge, at its fused position inside, and at 0
-when it is the only phase.  Fluxes, jumps and the mirror image are derived
-from those three tuples through one cached table with a row per phase,
-whose ln D_k and end ratios come from one ``special.heat_step_arc`` call per
-live phase; ``jump_residuals`` reads its balance from the one-sided
-``limits`` and ``flux_limits``.
+and a dead phase (a_k = 0) is a jump from u_k to u_{k+1} at xi_max(k, 1),
+the boundary its term of the objective keeps (at 0 when it is the only
+phase).  Fluxes, jumps and the mirror image are derived from those three
+tuples where they are asked for: a flux takes ln D_k and the end ratios of
+its one phase from ``special.heat_step_arc``, and ``jump_residuals`` reads
+its balance from the one-sided ``limits`` and ``flux_limits``.
 
-Values come from a second table of pieces, each read from its near end by
-``special.heat_step_delta``, delta(n, w) = D / H'(n) on [n, n + w]: at
-tau = |xi - near| / a_k, a difference before the division, v = u_near +-
-du delta(n, tau) / delta(n, w), so a narrow arc keeps its jump to rounding.
+Values come from the one cached table, a piece per one-signed stretch,
+each read from its near end by ``special.heat_step_delta``, delta(n, w) =
+D / H'(n) on [n, n + w]: at tau = |xi - near| / a_k, a difference before
+the division, v = u_near +- du delta(n, tau) / delta(n, w), so a narrow arc
+keeps its jump to rounding.
 A one-signed arc is one piece, read from its end nearer 0; an arc across 0
-is two, meeting at v(0).  An edge whose far state is below its jump is read
+is two, meeting at v(0); an arc whose width over a_k underflows to 0 holds
+u_k up to its far end.  An edge whose far state is below its jump is read
 in complement form, u_far -+ du ``special.heat_step_rest`` / delta(n, inf),
 to the far field's relative accuracy.  At n = 0 ``limits`` takes erf and
 erfc from ``math``, as ``heat_step`` does; ``sample`` is the array form, on
-``special.heat_step_delta_vec``.  numpy is loaded by
-``sample`` alone; the CLI writes its profile grids point by point through
-``limits``, on ``_linspace``, numpy's ``linspace`` in Python floats bit for
-bit, so a solve runs without it.  ``continuum`` takes its grids from
-``_linspace`` too.
+``special.heat_step_delta_vec``.  numpy is loaded by ``sample`` alone; the
+CLI writes its profile grids point by point through ``limits``, on
+``_linspace``, numpy's ``linspace`` in Python floats bit for bit, so a solve
+runs without it.  ``continuum`` takes its grids from ``_linspace`` too.
 """
 
 from __future__ import annotations
@@ -67,19 +67,6 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
     return points
 
 
-class _Arc(NamedTuple):
-    # one phase of a profile; a dead phase has scale 1, slope 0 and zero
-    # ratios, and jumps at pivot
-    lo: float  # xi_k
-    hi: float  # xi_{k+1}
-    scale: float  # a_k
-    log_norm: float  # ln D_k
-    r_lo: float  # H'/D_k at lo / a_k
-    r_hi: float  # and at hi / a_k
-    slope: float  # u_{k+1} - u_k
-    pivot: float  # xi_1 on the left edge, else xi_k; 0 on a live phase
-
-
 # a stretch read from its near end, tau = (xi - near) / scale >= 0 into it, scale = +-a_k and n = |near| / a_k
 # (+-1 and 0 on a dead phase): v = base + du (full - heat_step_rest(n, tau)) / norm in [lo, hi], du = u_far -
 # u_near, norm = delta(n, width), and base, full = u_near, delta(n, inf), or u_far, 0 in complement form
@@ -89,7 +76,7 @@ _Piece = namedtuple("_Piece", "start near scale n base full du norm lo hi width 
 def _piece(start, near, scale, n, width, u_near, u_far) -> _Piece:
     du = u_far - u_near
     full = heat_step_rest(n, 0.0)
-    norm = full if width == _INF else heat_step_delta(n, width)
+    norm = heat_step_delta(n, width)
     lo, hi = (u_near, u_far) if du >= 0.0 else (u_far, u_near)
     # an edge is read in complement form where eps du would swamp the values near u_far
     base, full = (u_far, 0.0) if width == _INF and abs(u_far) < abs(du) else (u_near, full)
@@ -124,43 +111,43 @@ class _ProfileFields(NamedTuple):
 class SelfSimilarProfile(_ProfileFields):
     """v(xi) as boundaries, states and coefficients; phase k is [xi_k, xi_{k+1})."""
 
-    # no __slots__: the instance dict holds the cached table
+    # no __slots__: the instance dict holds the cached pieces, so ==, hash
+    # and repr still see the three fields
 
-    @cached_property
-    def _table(self) -> tuple[_Arc, ...]:
-        # one row per phase; the cache lives in the instance dict, so ==,
-        # hash and repr still see the three fields
-        b, u = self.boundaries, self.states
-        edges = (-_INF, *b, _INF)
-        rows = []
-        for k, a in enumerate(self.coefficients):
-            lo, hi = edges[k], edges[k + 1]
-            if a > 0.0:
-                log_norm, r_hi, r_lo = heat_step_arc(lo, hi, a)[:3]
-                rows.append(_Arc(lo, hi, a, log_norm, r_lo, r_hi, u[k + 1] - u[k], 0.0))
-            else:
-                rows.append(_Arc(lo, hi, 1.0, 0.0, 0.0, 0.0, 0.0, b[max(k - 1, 0)] if b else 0.0))
-        return tuple(rows)
+    def _ends(self, k: int) -> tuple[float, float]:
+        # xi_k and xi_{k+1}, with xi_0 = -inf and xi_{n+1} = +inf
+        b = self.boundaries
+        return (b[k - 1] if k else -_INF), (b[k] if k < len(b) else _INF)
+
+    def _pivot(self, k: int) -> float:
+        # where dead phase k jumps: xi_max(k, 1), the boundary its objective term keeps; 0 with none
+        b = self.boundaries
+        return b[max(k, 1) - 1] if b else 0.0
 
     @cached_property
     def _pieces(self) -> tuple[tuple[float, ...], tuple[_Piece, ...]]:
         # the pieces from left to right, and the cuts between them
         u = self.states
         pieces = []
-        for k, (a, arc) in enumerate(zip(self.coefficients, self._table)):
-            lo, hi, x, y = arc.lo, arc.hi, arc.hi / arc.scale, arc.lo / arc.scale
+        for k, a in enumerate(self.coefficients):
+            lo, hi = self._ends(k)
             if a == 0.0:  # u_k up to the jump at the pivot, u_{k+1} from it on; either may be empty
-                pieces.append(_piece(lo, arc.pivot, -1.0, 0.0, _INF, u[k], u[k]))
-                pieces.append(_piece(arc.pivot, arc.pivot, 1.0, 0.0, _INF, u[k + 1], u[k + 1]))
+                pivot = self._pivot(k)
+                pieces.append(_piece(lo, pivot, -1.0, 0.0, _INF, u[k], u[k]))
+                pieces.append(_piece(pivot, pivot, 1.0, 0.0, _INF, u[k + 1], u[k + 1]))
+                continue
+            x, y, w = hi / a, lo / a, (hi - lo) / a
+            if not w:  # a width below the subnormals: u_k up to the next phase at hi
+                pieces.append(_piece(lo, lo, 1.0, 0.0, _INF, u[k], u[k]))
             elif y >= 0.0:
-                pieces.append(_piece(lo, lo, a, y, (hi - lo) / a, u[k], u[k + 1]))
+                pieces.append(_piece(lo, lo, a, y, w, u[k], u[k + 1]))
             elif x <= 0.0:
-                pieces.append(_piece(lo, hi, -a, -x, (hi - lo) / a, u[k + 1], u[k]))
+                pieces.append(_piece(lo, hi, -a, -x, w, u[k + 1], u[k]))
             else:  # two halves meeting at v(0), delta(0, w) = sqrt(pi) erf(w/2)
                 e_lo, e_hi = math.erf(-0.5 * y), math.erf(0.5 * x)
                 # both ends within a subnormal of 0: the width limit, as heat_step_arc's D = w H'(0)
                 share = e_lo / (e_lo + e_hi) if e_lo + e_hi else -y / (x - y)
-                mid = u[k] + arc.slope * share
+                mid = u[k] + (u[k + 1] - u[k]) * share
                 pieces.append(_piece(lo, 0.0, -a, 0.0, -y, mid, u[k]))
                 pieces.append(_piece(0.0, 0.0, a, 0.0, x, mid, u[k + 1]))
         return tuple(p.start for p in pieces[1:]), tuple(pieces)
@@ -179,26 +166,22 @@ class SelfSimilarProfile(_ProfileFields):
         a = self.coefficients[k]
         if a == 0.0:
             return 0.0
-        arc = self._table[k]
-        lo, hi = arc.lo, arc.hi
+        lo, hi = self._ends(k)
+        log_norm, r_hi, r_lo = heat_step_arc(lo, hi, a)[:3]
         if xi == hi:
-            r = arc.r_hi
+            r = r_hi
         elif xi == lo:
-            r = arc.r_lo
+            r = r_lo
         elif lo < 0.0 < hi:
-            r = heat_step_deriv(xi / a) * math.exp(-arc.log_norm)
+            r = heat_step_deriv(xi / a) * math.exp(-log_norm)
         else:  # (end - t)(end + t) from differences of xi, as in the values
-            end, r_end = (lo, arc.r_lo) if lo >= 0.0 else (hi, arc.r_hi)
+            end, r_end = (lo, r_lo) if lo >= 0.0 else (hi, r_hi)
             r = r_end * math.exp(0.25 * ((end - xi) / a) * ((end + xi) / a))
-        return a * arc.slope * r
+        return a * (self.states[k + 1] - self.states[k]) * r
 
     def jumps(self) -> tuple[JumpPoint, ...]:
-        u = self.states
-        return tuple(
-            JumpPoint(arc.pivot, u[k], u[k + 1])
-            for k, (a, arc) in enumerate(zip(self.coefficients, self._table))
-            if a == 0.0
-        )
+        u, cs = self.states, self.coefficients
+        return tuple(JumpPoint(self._pivot(k), u[k], u[k + 1]) for k, a in enumerate(cs) if a == 0.0)
 
     def _phases_at(self, xi: float) -> tuple[int, int]:
         # the phases left and right of xi: i < j on a boundary line, else i == j

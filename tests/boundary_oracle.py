@@ -10,10 +10,10 @@ y = lo/a and x = hi/a, a live phase adds a du R(y) to the gradient at lo and
 Hessian's diagonal and -du R(x) R(y) off it; a dead phase adds du s / 2 and
 du / 2.  Newton runs on the dense Hessian with ``mpmath.lu_solve``, halving
 a step that would leave the free positions out of order, from the double
-solution until its step is below 1e-40.  The work carries 20 guard digits
-over the 50, because D cancels by up to about 16 digits on an arc a few
-ulps wide, and an arc 2 log10 |t| more, t its larger finite scaled end,
-because its curvature cancels that many where R is about |t|/2.
+solution until a step it did not halve is below 1e-40.  The work carries
+20 guard digits over the 50, because D cancels by up to about 16 digits on
+an arc a few ulps wide, and an arc 2 log10 |t| more, t its larger finite
+scaled end, because its curvature cancels that many where R is about |t|/2.
 """
 
 from __future__ import annotations
@@ -83,11 +83,14 @@ def mp_minimizer(problem, start, dps: int = 50) -> list:
             g, h = _derivatives(problem, xs)
             step = mpmath.lu_solve(h, -mpmath.matrix(g))
             trial = [v + s for v, s in zip(xs, step)]
+            halved = False
             while any(b <= a for a, b in zip(trial, trial[1:])):
                 step /= 2
+                halved = True
                 trial = [v + s for v, s in zip(xs, step)]
             xs = trial
-            if max(abs(s) for s in step) < _STEP_BELOW:
+            # a halved step is small by the cut, not by convergence
+            if not halved and max(abs(s) for s in step) < _STEP_BELOW:
                 return xs
     raise AssertionError(f"the 50-digit Newton did not converge from {start!r}")
 

@@ -6,10 +6,12 @@ than the error of the boundaries.  These tests measure max |xi - xi*| /
 a_max itself, xi* the minimiser of the objective by Newton at 50 digits.
 """
 
+import mpmath
 import pytest
 
 from selfsim import PhasePartition, solve_riemann
 
+import boundary_oracle
 from boundary_oracle import forward_error, mp_minimizer, solver_frame_positions
 from conftest import part
 from test_coefficient_ratios import CASES, _oriented
@@ -52,3 +54,21 @@ def test_oracle_moves_a_perturbed_start_back():
     start = solver_frame_positions(sol)
     exact = mp_minimizer(sol.problem, [v + 1e-3 for v in start])
     assert max(abs(float(w) - v) for v, w in zip(start, exact)) <= 1e-12
+
+
+def test_oracle_does_not_stop_on_a_halved_step(monkeypatch):
+    # ratio-sweep draw (11, 57): every full Newton step would put two
+    # positions out of order, and the halving cuts it below 1e-30 while the
+    # gradient is still 7.4e-6; such a step must not read as convergence
+    breakpoints = (
+        0.0, 0.49099002707550754, 0.6949592759574624, 0.7988092110437713,
+        0.8239322021375902, 0.9987059156205922, 1.0,
+    )
+    coefficients = (
+        1.2784653121147448e-25, 1.8086017577870982e-05, 1.2643682053795904e-10,
+        0.00034540454051713696, 2.687998323772874e-29, 6.680979659773805e-09,
+    )
+    sol = solve_riemann(1.0, 0.0, PhasePartition(breakpoints, coefficients))
+    monkeypatch.setattr(boundary_oracle, "_STEP_BELOW", mpmath.mpf("1e-30"))
+    with pytest.raises(AssertionError, match="did not converge"):
+        mp_minimizer(sol.problem, solver_frame_positions(sol))

@@ -100,7 +100,7 @@ def test_profile_is_its_three_tuples():
     prof.sample(np.linspace(-3.0, 3.0, 7))
     jump_residuals(sol.problem, prof)
     fresh = SelfSimilarProfile(sol.boundaries, (0.0, 1.0, 2.0), (0.0, 1.0))
-    assert "_table" in vars(prof) and "_table" not in vars(fresh)
+    assert "_pieces" in vars(prof) and "_pieces" not in vars(fresh)
     assert prof == fresh and hash(prof) == hash(fresh) and repr(prof) == repr(fresh)
 
 
@@ -174,6 +174,18 @@ def test_an_arc_within_a_subnormal_of_0_reads_its_width_limit(x, a):
         assert row == sorted(row)
     if x[0] == -x[1] and x[1] / a > 0.0:  # across 0 and symmetric about it
         assert values[3] == 1.5
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["as_given", "mirrored"])
+@pytest.mark.parametrize("x", [(5e-324, 1e-323), (-1e-323, -5e-324)])
+def test_a_one_signed_arc_whose_scaled_width_underflows_reads_its_start_state(x, mirror):
+    # (hi - lo) / a rounds to 0, so the piece's tau / width was 0 / 0 and
+    # sample read NaN there; such a piece holds u_k up to the next phase
+    profile = SelfSimilarProfile(x, (0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
+    if mirror:
+        profile = profile.mirrored()
+    points = [-1.0, *profile.boundaries, 1.0]
+    assert profile.sample(np.array(points)).tolist() == [profile.limits(xi)[1] for xi in points]
 
 
 def test_eval_solution_identities():
@@ -305,6 +317,45 @@ def test_flux_continuous_across_weak_boundaries(rng):
                 continue
             fl, fr = sol.profile.flux_limits(rec.location)
             assert abs(fl - fr) <= 1e-9
+
+
+def _mp_flux(profile, k, xi):
+    """a du H'(t) / D in live phase k at t = xi / a, to 50 digits, with D
+    through erfc on the side of 0 the arc lies on and erf across it."""
+    lo, hi = ((-math.inf, *profile.boundaries, math.inf))[k : k + 2]
+    a, du = profile.coefficients[k], profile.states[k + 1] - profile.states[k]
+    with mpmath.workdps(50):
+        x, y, t = mpmath.mpf(hi) / a, mpmath.mpf(lo) / a, mpmath.mpf(xi) / a
+        if y >= 0:
+            d = (mpmath.erfc(y / 2) - mpmath.erfc(x / 2)) / 2
+        elif x <= 0:
+            d = (mpmath.erfc(-x / 2) - mpmath.erfc(-y / 2)) / 2
+        else:
+            d = (mpmath.erf(x / 2) - mpmath.erf(y / 2)) / 2
+        return a * du * mpmath.exp(-t * t / 4) / (2 * mpmath.sqrt(mpmath.pi) * d)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_interior_fluxes_match_mpmath(n):
+    # 7 points inside each live arc, an edge arc cut 12 a past its finite
+    # end; the measured worst is 2.9 (1 + t^2/4) eps, at t = 0.26
+    eps = sys.float_info.epsilon
+    kinds = set()
+    for s in range(8):
+        sol = solve_riemann(0.0, 1.0, part(n, s).partition)
+        for profile in (sol.profile, sol.profile.mirrored()):
+            edges = (-math.inf, *profile.boundaries, math.inf)
+            for k, a in enumerate(profile.coefficients):
+                if a == 0.0:
+                    continue
+                lo, hi = edges[k], edges[k + 1]
+                kinds.add(lo < 0.0 < hi)
+                lo, hi = (hi - 12.0 * a if lo == -math.inf else lo), (lo + 12.0 * a if hi == math.inf else hi)
+                for xi in np.linspace(lo, hi, 9)[1:-1].tolist():
+                    want, t = _mp_flux(profile, k, xi), xi / a
+                    bound = 4.0 * (1.0 + t * t / 4.0) * eps * abs(want)
+                    assert abs(flux(profile, xi) - want) <= bound, (s, k, xi)
+    assert kinds == {False, True}  # one-signed arcs and arcs across 0
 
 
 # ---------------------------------------------------------------------------
