@@ -13,14 +13,18 @@ the failed run are removed.
 Each command loads only the modules it runs.  ``solve`` and ``evaluate``
 load the solve path alone (problem, special, entropy, optimizer, profile,
 api), on Python floats.  ``continuum`` adds ``selfsim.continuum``, still
-without numpy; ``validate`` adds numpy and the FD oracle.  The package's
-records are NamedTuples, which take next to no start-up time to define.
+without numpy; ``validate`` adds numpy and the FD oracle.  A ``validate``
+that loads numpy first sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is set: nothing here makes a threaded BLAS call, and starting OpenBLAS's
+thread pool doubled numpy's import.  The package's records are NamedTuples,
+which take next to no start-up time to define.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -235,6 +239,9 @@ def _cmd_evaluate(config: RunConfig, out: str, written: list[Path]) -> None:
 
 
 def _cmd_validate(config: RunConfig, out: str, written: list[Path]) -> None:
+    if "numpy" not in sys.modules:
+        # nothing here uses a BLAS thread pool, and starting one doubles numpy's import
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .oracle import compare_profiles, fd_solve  # numpy, loaded for this command alone
 
     solution = _solve_from_config(config)

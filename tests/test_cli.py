@@ -22,6 +22,14 @@ breakpoints = [1]
 coefficients = [1, 2]
 """
 
+# the README's three-phase problem, the middle phase degenerate
+README_PROBLEM = """\
+u_minus = 0
+u_plus = 3
+breakpoints = [1, 2]
+coefficients = [1, 0, 2]
+"""
+
 SOLVE_HEAT = """\
 u_minus = 0
 u_plus = 2
@@ -227,6 +235,51 @@ def test_validate_runs_on_a_vanishing_coefficient(tmp_path):
     header, rows = _read_rows(tmp_path / "t_validate.csv")
     assert [int(r[header.index("steps")]) for r in rows] == [1, 1]
     assert all(float(r[header.index("l1_relative")]) <= 0.02 for r in rows)
+
+
+def test_validate_rejects_a_grid_beyond_memory(tmp_path, capsys):
+    # dx = 1e-12 asks for 4e13 cells, beyond any address space, so the
+    # allocation fails at once: an invalid problem, not an internal error
+    config_path = tmp_path / "fine.cfg"
+    config_path.write_text(README_PROBLEM + "dx = [1e-12]\n", encoding="utf-8")
+    code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "b_")])
+    assert code == 1
+    assert "FD grid of 4e+13 cells cannot be allocated" in capsys.readouterr().err
+    assert not (tmp_path / "b_validate.csv").exists()
+
+
+def test_validate_starts_no_blas_thread_pool(tmp_path):
+    # a fresh validate process pins OpenBLAS to one thread before numpy
+    # loads, unless the caller set the variable; the FD bytes do not depend
+    # on it
+    config_path = tmp_path / "problem.cfg"
+    config_path.write_text(README_PROBLEM + "dx = [0.05]\n", encoding="utf-8")
+    src = str(Path(selfsim.__file__).resolve().parents[1])  # the child imports this checkout
+    code = (
+        "import os, sys\n"
+        "from selfsim.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    outputs = []
+    for prefix, threads in (("unset_", None), ("three_", "3")):
+        child_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        argv = ["validate", "--config", str(config_path), "--out", str(tmp_path / prefix)]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=child_env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines()[-1].split())
+    (unset_var, unset_tasks), (three_var, _) = outputs
+    assert (unset_var, three_var) == ("1", "3")
+    if sys.platform == "linux":
+        assert unset_tasks == "1"
+    assert (tmp_path / "unset_validate.csv").read_bytes() == (
+        tmp_path / "three_validate.csv"
+    ).read_bytes()
 
 
 def test_continuum_emits_refinement_table(tmp_path):

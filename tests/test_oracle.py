@@ -19,7 +19,7 @@ from selfsim.oracle import (
 from selfsim.problem import normalize_orientation
 
 from conftest import admissible, part
-from fd_reference import reference_fd_solve
+from fd_reference import full_array_fd_solve, reference_fd_solve
 
 STEFAN_FRONT = -0.7156690933440143  # u=(0,1,2), a=(0,1); frozen from this oracle
 
@@ -269,6 +269,28 @@ def test_fd_matches_the_interp_loop(drawn, t_final, dx):
     ulp = np.spacing(max(abs(bps[0]), abs(bps[-1])))
     assert np.all(np.diff(got.cells) >= -4.0 * ulp)
     assert (got.cells[0], got.cells[-1]) == (bps[0], bps[-1])
+
+
+@given(_fd_partitions(), st.floats(0.05, 0.25), st.floats(0.05, 0.1))
+@example(drawn=(1e4, [1.0], [1.0], False), t_final=0.25, dx=0.0625)
+# the benchmark's validate problem
+@example(drawn=(0.0, [1.0, 1.0, 1.0], [1.0, 0.0, 2.0], False), t_final=1.0, dx=0.025)
+# a small right-edge coefficient keeps nearly half the grid at u_{n+1}; the same
+# coefficient on the left edge, in the flipped orientation
+@example(drawn=(0.0, [1.0, 1.0], [2.0, 0.05], False), t_final=1.0, dx=0.05)
+@example(drawn=(0.0, [1.0, 1.0], [0.05, 2.0], True), t_final=1.0, dx=0.05)
+@settings(max_examples=60, deadline=None)
+def test_fd_skips_the_flat_block_bit_for_bit(drawn, t_final, dx):
+    # integrating only up to two cells into the flat block above the last
+    # node changes no bit of the full-array loop
+    start, gaps, coefficients, flip = drawn
+    bps = tuple((start + np.concatenate([[0.0], np.cumsum(gaps)])).tolist())
+    partition = PhasePartition(bps, admissible(coefficients))
+    ends = (bps[-1], bps[0]) if flip else (bps[0], bps[-1])
+    prob = normalize_orientation(*ends, partition)
+    got = fd_solve(prob, t_final, dx)
+    ref = full_array_fd_solve(prob, t_final, dx)
+    assert (got.cells.tobytes(), got.steps, got.dt) == (ref.cells.tobytes(), ref.steps, ref.dt)
 
 
 @pytest.mark.parametrize(
