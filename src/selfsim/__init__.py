@@ -11,7 +11,6 @@ functions lives in :mod:`selfsim.continuum`.
 """
 
 from .api import RiemannSolution, solve_riemann
-from .optimizer import SolveOptions
 from .problem import ConstantStatesError, InvalidPartitionError, PhasePartition
 from .profile import JumpRecord, eval_selfsimilar, eval_solution
 
@@ -23,7 +22,6 @@ __all__ = [
     "JumpRecord",
     "PhasePartition",
     "RiemannSolution",
-    "SolveOptions",
     "eval_selfsimilar",
     "eval_solution",
     "solve_riemann",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .entropy import shift_constant
-from .optimizer import IterationRecord, NewtonOutcome, SolveOptions, minimize
+from .optimizer import IterationRecord, NewtonOutcome, minimize
 from .problem import PhasePartition, RiemannProblem, normalize_orientation
 from .profile import JumpRecord, SelfSimilarProfile, build_profile, jump_residuals
 
@@ -43,12 +43,7 @@ class RiemannSolution(NamedTuple):
         return f"{type(self).__name__}({shown})"
 
 
-def solve_riemann(
-    u_minus: float,
-    u_plus: float,
-    partition: PhasePartition,
-    options: SolveOptions | None = None,
-) -> RiemannSolution:
+def solve_riemann(u_minus: float, u_plus: float, partition: PhasePartition) -> RiemannSolution:
     problem = normalize_orientation(u_minus, u_plus, partition)
     if problem.m == 0:
         # no free boundaries: a single arc, or a step that never moves; an
@@ -60,7 +55,7 @@ def solve_riemann(
         )
     else:
         kind = KIND_GENERAL
-        outcome = minimize(problem, options)
+        outcome = minimize(problem)
     profile = build_profile(problem, outcome.x)
     if problem.orientation_flipped:
         profile = profile.mirrored()

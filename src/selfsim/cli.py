@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .api import RiemannSolution, solve_riemann
-from .optimizer import SolveOptions
 from .problem import PhasePartition
 from .profile import SelfSimilarProfile, _linspace
 
@@ -51,7 +50,6 @@ class RunConfig(NamedTuple):
     u_plus: float | None = None
     interior_breakpoints: tuple[float, ...] | None = None
     coefficients: tuple[float, ...] | None = None
-    grad_tol: float = SolveOptions._field_defaults["grad_tol"]
     t_final: float = 1.0
     dx_values: tuple[float, ...] = (0.02, 0.01)
     cell_counts: tuple[int, ...] = (2, 4, 8, 16, 32)
@@ -68,9 +66,9 @@ _FIELDS = {
 }
 _PROBLEM_KEYS = ("u_minus", "u_plus", "breakpoints", "coefficients")
 _ALLOWED_KEYS = {
-    "solve": _PROBLEM_KEYS + ("grad_tol",),
-    "evaluate": _PROBLEM_KEYS + ("grad_tol", "t"),
-    "validate": _PROBLEM_KEYS + ("grad_tol", "t", "dx"),
+    "solve": _PROBLEM_KEYS,
+    "evaluate": _PROBLEM_KEYS + ("t",),
+    "validate": _PROBLEM_KEYS + ("t", "dx"),
     "continuum": ("diffusion", "cells"),
 }
 _REQUIRED_KEYS = {
@@ -118,9 +116,9 @@ def parse_config(text: str, command: str, out_prefix: str = "") -> RunConfig:
             raise ConfigError(f"line {line_no}: unknown key '{key}' for command '{command}'")
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key '{key}'")
-        if key in ("u_minus", "u_plus", "grad_tol", "t"):
+        if key in ("u_minus", "u_plus", "t"):
             value: object = _parse_scalar(raw, line_no, key)
-            if key in ("grad_tol", "t") and not 0.0 < value < math.inf:
+            if key == "t" and not 0.0 < value < math.inf:
                 raise ConfigError(f"line {line_no}: key '{key}' must be positive and finite")
         elif key in ("breakpoints", "coefficients", "dx"):
             value = _parse_list(raw, line_no, key, float)
@@ -175,9 +173,7 @@ def _solve_from_config(config: RunConfig) -> RiemannSolution:
         breakpoints=(lo,) + tuple(config.interior_breakpoints) + (hi,),
         coefficients=tuple(config.coefficients),
     )
-    solution = solve_riemann(
-        config.u_minus, config.u_plus, partition, SolveOptions(grad_tol=config.grad_tol)
-    )
+    solution = solve_riemann(config.u_minus, config.u_plus, partition)
     if not solution.converged:
         raise RuntimeError(f"boundary solve did not converge (stopped on {solution.stop_reason})")
     return solution

@@ -33,7 +33,7 @@ from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .entropy import feasible_values, shift_constant
-from .optimizer import SolveOptions, damped_newton, minimize
+from .optimizer import damped_newton, minimize
 from .problem import PhasePartition, normalize_orientation, require_valid
 from .profile import _linspace
 from .special import heat_step_inverse
@@ -241,9 +241,7 @@ class CostMinimum(NamedTuple):
     converged: bool
 
 
-def minimize_variational_cost(
-    f: DiffusionFunction, cells: int, options: SolveOptions | None = None
-) -> CostMinimum:
+def minimize_variational_cost(f: DiffusionFunction, cells: int) -> CostMinimum:
     """Newton minimization of J over the node positions on a uniform grid.
 
     No end is pinned: the functional's quadratic part keeps the positions
@@ -300,7 +298,7 @@ def minimize_variational_cost(
     fracs = (w - f.lo + 0.5 * float(np.min(du))) / (f.hi - f.lo + float(np.min(du)))
     start = a_max * np.array([heat_step_inverse(min(max(p, lo_frac), 1.0 - lo_frac)) for p in fracs])
     start = np.bincount(slots, weights=start) / np.bincount(slots)  # each unknown's mean
-    outcome = damped_newton(start, objective, feasible_values, options or SolveOptions())
+    outcome = damped_newton(start, objective, feasible_values)
     return CostMinimum(
         profile=InverseProfile(
             states=tuple(float(u) for u in w),

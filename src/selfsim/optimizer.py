@@ -14,7 +14,7 @@ the operations (hence the bits) are the same.
 
 Three tests end the iteration as converged or not:
 
-* gradient: |g|_inf <= grad_tol * |g at start|_inf;
+* gradient: |g|_inf <= GRAD_TOL * |g at start|_inf;
 * decrement: the Newton decrement lambda^2 = g^T H^-1 g (Boyd & Vandenberghe,
   Convex Optimization 9.5.1) predicts a decrease lambda^2/2 of the objective
   no larger than its rounding floor, DECREMENT_ULPS * eps * |E|.  Armijo
@@ -26,10 +26,13 @@ Three tests end the iteration as converged or not:
   above is checked first after every step;
 * no progress: the Armijo search fails above that floor (not converged).
 
-Otherwise the solve stops at ``max_iters`` (not converged).  Both converged
-tests are relative, to the start gradient and to |E|, so they hold at every
-scale of the data: scaling the states by s scales E and g by s, and scaling
-the coefficients by c scales E by c^2 and the minimiser by c.
+Otherwise the solve stops after MAX_ITERS steps (not converged).  Both
+converged tests are relative, to the start gradient and to |E|, so they hold
+at every scale of the data: scaling the states by s scales E and g by s, and
+scaling the coefficients by c scales E by c^2 and the minimiser by c.  The
+objective is strictly convex with one minimiser, so where Newton stops is a
+numerical matter, not a modelling one: GRAD_TOL and MAX_ITERS are module
+constants, not options.
 """
 
 from __future__ import annotations
@@ -79,26 +82,6 @@ def solve_spd_tridiagonal(diag, off, rhs) -> list[float]:
     return x
 
 
-class _SolveOptionsFields(NamedTuple):
-    # stop once |grad|_inf <= grad_tol * |grad at start|_inf; the
-    # Newton-decrement stop (module docstring) ends solves whose rounding
-    # floor lies above that threshold
-    grad_tol: float = 1e-12
-    max_iters: int = 200
-
-
-class SolveOptions(_SolveOptionsFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.grad_tol < math.inf:
-            raise ValueError("grad_tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        return self
-
-
 class IterationRecord(NamedTuple):
     value: float
     grad_norm: float
@@ -115,6 +98,10 @@ class NewtonOutcome(NamedTuple):
     records: tuple[IterationRecord, ...]
 
 
+# Stop once |grad|_inf <= GRAD_TOL * |grad at start|_inf; the decrement stop
+# below ends solves whose rounding floor lies above that threshold
+GRAD_TOL = 1e-12
+MAX_ITERS = 200
 # The decrement stop fires once lambda^2/2 <= DECREMENT_ULPS * eps * |E|: a
 # thousand units of rounding of the objective, which sums positive terms, so
 # |E| is its own rounding scale.
@@ -147,7 +134,6 @@ def damped_newton(
     x0: Sequence[float],
     objective: Callable[[list[float]], tuple[float, list[float], list[float], list[float]]],
     feasible: Callable[[list[float]], bool],
-    options: SolveOptions,
 ) -> NewtonOutcome:
     """Minimize from ``x0``, any sequence of floats; see the module docstring
     for the stop tests.
@@ -164,13 +150,13 @@ def damped_newton(
         raise ValueError(f"start point is not feasible: {x!r}")
     value, grad, hd, ho = objective(x)
     gnorm = max(map(abs, grad), default=0.0)
-    tol = options.grad_tol * gnorm
+    tol = GRAD_TOL * gnorm
     records = [IterationRecord(value, gnorm, 0.0)]
     stop_reason = "gradient" if gnorm <= tol else None
     iterations = 0
     prev_floor = False
     while stop_reason is None:
-        if iterations >= options.max_iters:
+        if iterations >= MAX_ITERS:
             stop_reason = "max_iters"
             break
         d, newton = _direction(hd, ho, grad)
@@ -248,16 +234,10 @@ def initial_guess(problem: RiemannProblem) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def minimize(
-    problem: RiemannProblem,
-    options: SolveOptions | None = None,
-    start: Sequence[float] | None = None,
-) -> NewtonOutcome:
+def minimize(problem: RiemannProblem, start: Sequence[float] | None = None) -> NewtonOutcome:
     """Damped Newton on the objective from ``start`` (default ``initial_guess``)."""
     x0 = initial_guess(problem) if start is None else start
-    outcome = damped_newton(
-        x0, lambda x: entropy_pass(problem, x), feasible_values, options or SolveOptions()
-    )
+    outcome = damped_newton(x0, lambda x: entropy_pass(problem, x), feasible_values)
     _require_resolved(problem, outcome.x)
     return outcome
 

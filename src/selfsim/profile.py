@@ -23,7 +23,7 @@ the division, v = u_near +- du delta(n, tau) / delta(n, w), so a narrow arc
 keeps its jump to rounding.
 A one-signed arc is one piece, read from its end nearer 0; an arc across 0
 is two, meeting at v(0); an arc whose width over a_k underflows to 0 holds
-u_k up to its far end.  An edge whose far state is below its jump is read
+u_k up to its far end, and its flux is 0.  An edge whose far state is below its jump is read
 in complement form, u_far -+ du ``special.heat_step_rest`` / delta(n, inf),
 to the far field's relative accuracy.  At n = 0 ``limits`` takes erf and
 erfc from ``math``, as ``heat_step`` does; ``sample`` is the array form, on
@@ -158,15 +158,16 @@ class SelfSimilarProfile(_ProfileFields):
         return (u[i + 1] if cs[i] > 0.0 else u[i]), (u[j] if cs[j] > 0.0 else u[j + 1])
 
     def _flux(self, k: int, xi: float) -> float:
-        # a^2 v' = a du R(xi/a) in phase k, R = H'/D; zero where a vanishes.
-        # At an arc end R is the kernel's.  Inside an arc that straddles 0,
-        # D is not small and R = H'(t)/D; inside a one-signed arc R is
-        # carried from the end nearer 0 by H'(t)/H'(end), so that no two
-        # logs of about -t^2/4 are subtracted
+        # a^2 v' = a du R(xi/a) in phase k, R = H'/D; zero where a vanishes,
+        # and on an arc whose width over a underflows to 0, which the values
+        # read as a constant piece.  At an arc end R is the kernel's.  Inside
+        # an arc that straddles 0, D is not small and R = H'(t)/D; inside a
+        # one-signed arc R is carried from the end nearer 0 by H'(t)/H'(end),
+        # so that no two logs of about -t^2/4 are subtracted
         a = self.coefficients[k]
-        if a == 0.0:
-            return 0.0
         lo, hi = self._ends(k)
+        if a == 0.0 or not (hi - lo) / a:
+            return 0.0
         log_norm, r_hi, r_lo = heat_step_arc(lo, hi, a)[:3]
         if xi == hi:
             r = r_hi

@@ -55,7 +55,6 @@ def test_parse_minimal_solve_config():
     assert config.u_minus == 0.0 and config.u_plus == 2.0
     assert config.interior_breakpoints == (1.0,)
     assert config.coefficients == (1.0, 2.0)
-    assert config.grad_tol == 1e-12 and type(config.grad_tol) is float  # default
 
 
 def test_parse_reports_arity_mismatch():
@@ -89,8 +88,6 @@ def test_parse_rejects_malformed_lines():
 
 
 def test_parse_rejects_bad_numeric_options():
-    with pytest.raises(ConfigError, match=r"'grad_tol' must be positive"):
-        parse_config(SOLVE_TWO_PHASE + "grad_tol = 0\n", "solve")
     with pytest.raises(ConfigError, match=r"'t' must be positive"):
         parse_config(SOLVE_TWO_PHASE + "t = -1\n", "evaluate")
     with pytest.raises(ConfigError, match=r"'dx' needs positive entries"):
@@ -352,6 +349,17 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
     assert "missing required key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "evaluate", "validate"])
+def test_exit_2_on_a_solver_tolerance_key(tmp_path, capsys, command):
+    # the Newton stop is a constant of the solver, not a config key
+    config_path = tmp_path / "cfg"
+    config_path.write_text(SOLVE_TWO_PHASE + "grad_tol = 1e-12\n", encoding="utf-8")
+    code = main([command, "--config", str(config_path), "--out", str(tmp_path / "g_")])
+    assert code == 2
+    assert f"unknown key 'grad_tol' for command '{command}'" in capsys.readouterr().err
+    assert list(tmp_path.glob("g_*")) == []
+
+
 @pytest.mark.parametrize(
     "command, key, raw",
     [
@@ -360,7 +368,6 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
         ("validate", "t", "inf"),
         ("evaluate", "t", "inf"),
         ("evaluate", "t", "nan"),
-        ("solve", "grad_tol", "inf"),
     ],
 )
 def test_exit_2_on_non_finite_run_parameters(tmp_path, capsys, command, key, raw):

@@ -21,7 +21,7 @@ import pytest
 from selfsim import PhasePartition, solve_riemann
 from selfsim.cli import main
 from selfsim.entropy import entropy_pass, feasible_values
-from selfsim.optimizer import SolveOptions, damped_newton, initial_guess
+from selfsim.optimizer import damped_newton, initial_guess
 from selfsim.problem import InvalidPartitionError, normalize_orientation
 
 
@@ -93,7 +93,7 @@ def test_floor_steps_keep_the_value_finite(flip):
     u_minus, u_plus, partition = _oriented(breakpoints, coefficients, flip)
     problem = normalize_orientation(u_minus, u_plus, partition)
     outcome = damped_newton(
-        initial_guess(problem), lambda x: entropy_pass(problem, x), feasible_values, SolveOptions()
+        initial_guess(problem), lambda x: entropy_pass(problem, x), feasible_values
     )
     assert outcome.converged
     assert all(math.isfinite(record.value) for record in outcome.records)

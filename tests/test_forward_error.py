@@ -72,3 +72,47 @@ def test_oracle_does_not_stop_on_a_halved_step(monkeypatch):
     monkeypatch.setattr(boundary_oracle, "_STEP_BELOW", mpmath.mpf("1e-30"))
     with pytest.raises(AssertionError, match="did not converge"):
         mp_minimizer(sol.problem, solver_frame_positions(sol))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: the decrement stop ends these solves while the Newton step "
+    "is still far above rounding in the directions the thin phases leave soft",
+)
+@pytest.mark.parametrize(
+    "u_minus, u_plus, breakpoints, coefficients",
+    [
+        pytest.param(
+            0.0, 1.0,
+            (0.0, 0.140779066258237, 0.20291105997199965, 0.3514339537889807,
+             0.4509026830114301, 0.7172116735621521, 0.884545947920807, 1.0),
+            (0.0, 0.005435374726982284, 2.104000589903395e-06, 0.0, 0.9844350138520859,
+             2.1292601858259925e-08, 0.32352936772963536),
+            id="sweep_7_158",
+        ),
+        pytest.param(
+            1.0, 0.0,
+            (0.0, 0.4658623163055011, 0.513327049548568, 0.5488135047983153, 1.0),
+            (1.7479327151307496e-08, 1.0017736206639943e-15, 0.0, 1.462779719593039e-21),
+            id="sweep_11_261",
+        ),
+        pytest.param(
+            0.0, 1.0,
+            (0.0, 0.14048607513715028, 0.20743135629251852, 0.4423421706825399,
+             0.4436714783222949, 0.4795252278046295, 0.8888666225513819, 1.0),
+            (8.26269433723925e-11, 9.836971019561089e-05, 0.0, 9.224344809316965e-07,
+             1.4826773056423021e-12, 1.3116213486046073e-05, 1.468468880066507e-23),
+            id="sweep_11_538",
+        ),
+    ],
+)
+def test_converged_sweep_draws_within_bound_of_the_50_digit_minimiser(
+    u_minus, u_plus, breakpoints, coefficients
+):
+    # ratio-sweep draws (scripts/ratio_sweep.py's draw(seed, i, lo)) that stop
+    # converged on the decrement test with forward errors of 7.2e-10, 1.9e-10
+    # and 1.7e-8 a_max; four more full Newton steps bring the first two to
+    # about 1.5e-15 a_max
+    sol = solve_riemann(u_minus, u_plus, PhasePartition(breakpoints, coefficients))
+    assert sol.converged
+    assert forward_error(sol) <= PART_BOUND

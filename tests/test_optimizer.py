@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from selfsim import PhasePartition, solve_riemann
 from selfsim.entropy import entropy_pass, entropy_value, feasible_values
+from selfsim import optimizer
 from selfsim.optimizer import (
-    SolveOptions,
     TridiagonalFactorizationError,
     damped_newton,
     initial_guess,
@@ -141,18 +141,20 @@ def test_degenerate_edge_matches_scalar_bisection():
     assert newton == pytest.approx(stefan_bisection(prob), abs=1e-10)
 
 
-def test_non_convergence_reported():
+def test_non_convergence_reported(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
     prob = problem_of(TWO_PHASE)
-    res = minimize(prob, options=SolveOptions(max_iters=1))
+    res = minimize(prob)
     assert not res.converged
     assert res.stop_reason == "max_iters"
     assert res.iterations == 1
     assert len(res.records) == 2
 
 
-def test_stop_reason_gradient():
+def test_stop_reason_gradient(monkeypatch):
+    monkeypatch.setattr(optimizer, "GRAD_TOL", 1e-3)
     prob = problem_of(TWO_PHASE)
-    res = minimize(prob, options=SolveOptions(grad_tol=1e-3))
+    res = minimize(prob)
     assert res.converged
     assert res.stop_reason == "gradient"
     assert res.grad_norm <= 1e-3 * max(1.0, res.records[0].grad_norm)
@@ -202,7 +204,7 @@ def test_stop_reason_decrement():
     sol = solve_riemann(1.0, 0.0, partition)
     assert sol.converged
     assert sol.stop_reason == "decrement"
-    assert sol.grad_norm > SolveOptions().grad_tol * max(1.0, sol.trace[0].grad_norm)
+    assert sol.grad_norm > optimizer.GRAD_TOL * max(1.0, sol.trace[0].grad_norm)
     assert [rec.step_length for rec in sol.trace[-2:]] == [1.0, 1.0]
     scale = max(partition.coefficients)
     assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * scale
@@ -238,7 +240,7 @@ def test_zero_pivot_takes_the_ridge_direction():
     _, grad, hd, ho = objective(start)
     with pytest.raises(TridiagonalFactorizationError):
         solve_spd_tridiagonal(hd, ho, grad)
-    out = damped_newton(start, objective, _finite, SolveOptions())
+    out = damped_newton(start, objective, _finite)
     assert out.converged and out.stop_reason == "gradient"
     assert all(rec.value <= out.records[0].value for rec in out.records)
     assert np.allclose(out.x, [1.0, 0.0], atol=1e-12)
@@ -253,7 +255,7 @@ def test_negative_pivot_takes_steepest_descent():
         return value, grad, np.array([3.0 * x[0] ** 2 - 1.0, 1.0]), np.zeros(1)
 
     start = np.array([0.1, 1.0])
-    out = damped_newton(start, objective, _finite, SolveOptions())
+    out = damped_newton(start, objective, _finite)
     assert out.converged and out.stop_reason == "gradient"
     assert all(rec.value <= out.records[0].value for rec in out.records)
     assert np.allclose(out.x, [1.0, 0.0], atol=1e-12)
@@ -267,7 +269,7 @@ def test_stop_reason_no_progress():
         x = np.asarray(x)
         return 0.0, 2.0 * x, np.full(x.size, 2.0), np.zeros(x.size - 1)
 
-    out = damped_newton(np.array([1.0, 2.0]), objective, feasible_values, SolveOptions())
+    out = damped_newton(np.array([1.0, 2.0]), objective, feasible_values)
     assert not out.converged
     assert out.stop_reason == "no_progress"
     assert out.iterations == 0
@@ -326,7 +328,7 @@ def test_value_evaluations_bounded_by_iterations():
                 counts["infeasible"] += not ok
                 return ok
 
-            out = damped_newton(initial_guess(prob), objective, feasible, SolveOptions())
+            out = damped_newton(initial_guess(prob), objective, feasible)
             assert out.converged, (n, seed, out.stop_reason)
             # each accepted step is 2^-k after k halvings
             halvings = sum(-math.log2(rec.step_length) for rec in out.records[1:])
@@ -336,14 +338,6 @@ def test_value_evaluations_bounded_by_iterations():
             if counts["objective"] > 2 * out.iterations + 1:
                 over.append((n, seed, out.iterations, counts["objective"]))
     assert not over
-
-
-def test_options_validated():
-    for grad_tol in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            SolveOptions(grad_tol=grad_tol)
-    with pytest.raises(ValueError):
-        SolveOptions(max_iters=0)
 
 
 def test_explicit_start_is_used():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import selfsim.problem
-from selfsim import SolveOptions, solve_riemann
+from selfsim import solve_riemann
 from selfsim.cli import parse_config
 from selfsim.continuum import DiffusionFunction
 from selfsim.problem import (
@@ -111,7 +111,6 @@ README_CONFIG = "u_minus = 0\nu_plus = 3\nbreakpoints = [1, 2]\ncoefficients = [
 # each public record, built afresh per call
 RECORDS = {
     "PhasePartition": lambda: PhasePartition((0.0, 1.0, 2.0), (1.0, 2.0)),
-    "SolveOptions": lambda: SolveOptions(grad_tol=1e-10),
     "RiemannSolution": lambda: solve_riemann(0.0, 3.0, README_PARTITION),
     "JumpRecord": lambda: solve_riemann(0.0, 3.0, README_PARTITION).jumps[0],
     "SelfSimilarProfile": lambda: solve_riemann(3.0, 0.0, README_PARTITION).profile,

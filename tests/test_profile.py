@@ -188,6 +188,20 @@ def test_a_one_signed_arc_whose_scaled_width_underflows_reads_its_start_state(x,
     assert profile.sample(np.array(points)).tolist() == [profile.limits(xi)[1] for xi in points]
 
 
+@pytest.mark.parametrize("mirror", [False, True], ids=["as_given", "mirrored"])
+@pytest.mark.parametrize("x", [(5e-324, 1e-323), (-1e-323, -5e-324)])
+def test_a_one_signed_arc_whose_scaled_width_underflows_has_finite_fluxes(x, mirror):
+    # the arc's flux is 0, the slope of the constant piece its values read,
+    # not a du R with the kernel's R = H'/D, which is inf at D = 0
+    profile = SelfSimilarProfile(x, (0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
+    if mirror:
+        profile = profile.mirrored()
+    problem = normalize_orientation(0.0, 3.0, PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0)))
+    for xi in profile.boundaries:
+        assert all(map(math.isfinite, profile.flux_limits(xi))), xi
+    assert all(math.isfinite(rec.rh_residual) for rec in jump_residuals(problem, profile))
+
+
 def test_eval_solution_identities():
     sol = _solve((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
     prof = sol.profile

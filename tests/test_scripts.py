@@ -16,9 +16,7 @@ SRC = str(Path(selfsim.__file__).resolve().parents[1])  # the child imports this
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("solve_two_phase.py", ["--breakpoints", "0,1,2,3", "--coefficients", "1,0,2"]),
         ("fd_crosscheck.py", ["--dx", "0.04,0.02", "--t-final", "0.5"]),
-        ("continuum_refinement.py", []),
         ("ratio_sweep.py", ["--seed", "7", "--lo", "-8", "--draws", "30"]),
         ("solve_digest.py", ["--draws", "30"]),
     ],
