@@ -12,17 +12,27 @@ probability 1/2 each.  Each solve lands in one column:
 * refused: an ``InvalidPartitionError``, which names the coefficient;
 * other: any other exception.
 
+``--oracle`` adds a forward-error column: for each column with a solve
+(balanced, above, not converged), how many of its solves have boundaries
+more than 1e-12 a_max from the 50-digit minimiser of
+``tests/boundary_oracle.py`` (needs mpmath), and the worst such distance;
+"no oracle" counts the solves where that minimiser raised.
+
 Usage:
-    python scripts/ratio_sweep.py --seed 7 --lo -8 --draws 3000
+    python scripts/ratio_sweep.py --seed 7 --lo -8 --draws 3000 [--oracle]
 """
 
 import argparse
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from selfsim import PhasePartition, solve_riemann
+from selfsim import PhasePartition, RiemannSolution, solve_riemann
 from selfsim.problem import InvalidPartitionError
+
+FORWARD_BOUND = 1e-12  # forward errors above this many a_max are counted
 
 
 def draw(seed: int, i: int, lo: float) -> tuple[float, float, PhasePartition]:
@@ -40,17 +50,43 @@ def draw(seed: int, i: int, lo: float) -> tuple[float, float, PhasePartition]:
     return (*states, PhasePartition(breakpoints, tuple(cs.tolist())))
 
 
-def outcome(u_minus: float, u_plus: float, partition: PhasePartition) -> str:
+def outcome(u_minus: float, u_plus: float, partition: PhasePartition) -> tuple[str, RiemannSolution | None]:
+    """The draw's column, and its solve where there is one."""
     try:
         sol = solve_riemann(u_minus, u_plus, partition)
     except InvalidPartitionError:
-        return "refused"
+        return "refused", None
     except Exception as exc:  # any other error is a defect: count it by type
-        return f"other {type(exc).__name__}"
+        return f"other {type(exc).__name__}", None
     if not sol.converged:
-        return f"not converged {sol.stop_reason}"
+        return f"not converged {sol.stop_reason}", sol
     worst = max((abs(rec.rh_residual) for rec in sol.jumps), default=0.0)
-    return "balanced" if worst <= 1e-9 * max(partition.coefficients) else "above"
+    return ("balanced" if worst <= 1e-9 * max(partition.coefficients) else "above"), sol
+
+
+def forward_errors(solves: list[tuple[str, RiemannSolution]]) -> str:
+    """The forward-error cell: per column, the count above FORWARD_BOUND and the worst."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from boundary_oracle import forward_error
+
+    worst: dict[str, float] = {}
+    above: Counter[str] = Counter()
+    no_oracle = 0
+    for label, sol in solves:
+        column = "`converged=False`" if label.startswith("not converged") else label
+        try:
+            error = forward_error(sol)
+        except AssertionError:  # the 50-digit Newton did not converge: no reference
+            no_oracle += 1
+            continue
+        worst[column] = max(worst.get(column, 0.0), error)
+        above[column] += error > FORWARD_BOUND
+    cells = [
+        f"{column} {above[column]} (worst {worst[column]:.2g})"
+        for column in ("balanced", "above", "`converged=False`")
+        if column in worst
+    ]
+    return "; ".join([*cells, f"no oracle {no_oracle}"])
 
 
 def main() -> None:
@@ -58,9 +94,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--lo", type=float, default=-8.0, help="log10 of the smallest coefficient drawn")
     parser.add_argument("--draws", type=int, default=3000)
+    parser.add_argument(
+        "--oracle", action="store_true", help="add the forward-error column (50-digit minimiser, needs mpmath)"
+    )
     args = parser.parse_args()
 
-    counts = Counter(outcome(*draw(args.seed, i, args.lo)) for i in range(args.draws))
+    outcomes = [outcome(*draw(args.seed, i, args.lo)) for i in range(args.draws)]
+    counts = Counter(label for label, _ in outcomes)
     stalled = {k.split()[-1]: v for k, v in counts.items() if k.startswith("not converged")}
     others = {k.split()[-1]: v for k, v in counts.items() if k.startswith("other")}
 
@@ -68,13 +108,20 @@ def main() -> None:
         inner = ", ".join(f"{v} `{k}`" for k, v in sorted(parts.items()))
         return f"{total} ({inner})" if parts else str(total)
 
-    print("| seed, lo | balanced | `converged=True` above | `converged=False` | refused | other |")
-    print("| --- | --- | --- | --- | --- | --- |")
-    print(
-        f"| {args.seed}, {args.lo:g} | {counts['balanced']} | {counts['above']} "
-        f"| {column(sum(stalled.values()), stalled)} | {counts['refused']} "
-        f"| {column(sum(others.values()), others)} |"
-    )
+    header = ["seed, lo", "balanced", "`converged=True` above", "`converged=False`", "refused", "other"]
+    row = [
+        f"{args.seed}, {args.lo:g}",
+        str(counts["balanced"]),
+        str(counts["above"]),
+        column(sum(stalled.values()), stalled),
+        str(counts["refused"]),
+        column(sum(others.values()), others),
+    ]
+    if args.oracle:
+        header.append(f"forward error > {FORWARD_BOUND:g}·a_max")
+        row.append(forward_errors([(label, sol) for label, sol in outcomes if sol is not None]))
+    for cells in (header, ["---"] * len(header), row):
+        print(f"| {' | '.join(cells)} |")
 
 
 if __name__ == "__main__":

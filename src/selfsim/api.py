@@ -31,7 +31,7 @@ class RiemannSolution(NamedTuple):
     grad_norm: float
     iterations: int
     converged: bool
-    stop_reason: str  # gradient, decrement, no_progress or max_iters (optimizer)
+    stop_reason: str  # step (converged), no_progress or max_iters (optimizer)
     trace: tuple[IterationRecord, ...]  # left out of the repr
 
     @property
@@ -46,12 +46,12 @@ class RiemannSolution(NamedTuple):
 def solve_riemann(u_minus: float, u_plus: float, partition: PhasePartition) -> RiemannSolution:
     problem = normalize_orientation(u_minus, u_plus, partition)
     if problem.m == 0:
-        # no free boundaries: a single arc, or a step that never moves; an
-        # empty gradient meets any tolerance
+        # no free boundaries: a single arc, or a step that never moves;
+        # there is nothing to correct
         kind = KIND_SINGLE_ARC if partition.coefficients[0] > 0.0 else KIND_FROZEN_STEP
         outcome = NewtonOutcome(
             x=(), value=0.0, grad_norm=0.0, iterations=0,
-            converged=True, stop_reason="gradient", records=(),
+            converged=True, stop_reason="step", records=(),
         )
     else:
         kind = KIND_GENERAL

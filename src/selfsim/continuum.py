@@ -298,7 +298,7 @@ def minimize_variational_cost(f: DiffusionFunction, cells: int) -> CostMinimum:
     fracs = (w - f.lo + 0.5 * float(np.min(du))) / (f.hi - f.lo + float(np.min(du)))
     start = a_max * np.array([heat_step_inverse(min(max(p, lo_frac), 1.0 - lo_frac)) for p in fracs])
     start = np.bincount(slots, weights=start) / np.bincount(slots)  # each unknown's mean
-    outcome = damped_newton(start, objective, feasible_values)
+    outcome = damped_newton(start, objective, feasible_values, a_max)
     return CostMinimum(
         profile=InverseProfile(
             states=tuple(float(u) for u in w),

@@ -93,7 +93,7 @@ def test_floor_steps_keep_the_value_finite(flip):
     u_minus, u_plus, partition = _oriented(breakpoints, coefficients, flip)
     problem = normalize_orientation(u_minus, u_plus, partition)
     outcome = damped_newton(
-        initial_guess(problem), lambda x: entropy_pass(problem, x), feasible_values
+        initial_guess(problem), lambda x: entropy_pass(problem, x), feasible_values, max(coefficients)
     )
     assert outcome.converged
     assert all(math.isfinite(record.value) for record in outcome.records)
@@ -169,8 +169,8 @@ def test_cli_refuses_a_coefficient_whose_quotients_overflow(tmp_path, capsys):
     "precision, yet 3.3e5 ulps wide, so the solve is not refused",
 )
 def test_thin_state_band_balances_or_is_refused():
-    # ends converged on the decrement with residuals +-5.0e-8 against a
-    # tolerance of 2e-9; a band of 1e-15 leaves +-5.3e-4
+    # ends converged with residuals +-5.0e-8 against a tolerance of 2e-9;
+    # a band of 1e-15 leaves +-1.2e-4
     partition = PhasePartition((0.0, 0.5, 0.5 + 1e-12, 1.0), (1.0, 2.0, 0.5))
     try:
         sol = solve_riemann(0.0, 1.0, partition)

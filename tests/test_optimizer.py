@@ -4,6 +4,7 @@ tridiagonal linear algebra under it."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,16 +152,43 @@ def test_non_convergence_reported(monkeypatch):
     assert len(res.records) == 2
 
 
-def test_stop_reason_gradient(monkeypatch):
-    monkeypatch.setattr(optimizer, "GRAD_TOL", 1e-3)
+def correction(problem, x) -> float:
+    """|H^-1 g|_inf at ``x``: the next Newton correction."""
+    _, grad, hd, ho = entropy_pass(problem, list(x))
+    return max(map(abs, solve_spd_tridiagonal(hd, ho, grad)))
+
+
+def stop_bound(problem, x) -> float:
+    a_max = max(problem.partition.coefficients)
+    return optimizer.STEP_ULPS * sys.float_info.epsilon * max(a_max, max(map(abs, x)))
+
+
+def test_stop_reason_step(monkeypatch):
     prob = problem_of(TWO_PHASE)
     res = minimize(prob)
     assert res.converged
-    assert res.stop_reason == "gradient"
-    assert res.grad_norm <= 1e-3 * max(1.0, res.records[0].grad_norm)
-    # no free boundaries: the empty gradient meets the test at once
+    assert res.stop_reason == "step"
+    assert correction(prob, res.x) <= stop_bound(prob, res.x)
+    # a looser stop ends the same solve earlier, as soon as its correction
+    # is within the looser bound
+    monkeypatch.setattr(optimizer, "STEP_ULPS", 1e10)
+    loose = minimize(prob)
+    assert loose.converged and loose.stop_reason == "step"
+    assert loose.iterations < res.iterations
+    assert correction(prob, loose.x) <= stop_bound(prob, loose.x)
+    # no free boundaries: nothing to correct
     single = solve_riemann(0.0, 1.0, PhasePartition((0.0, 1.0), (1.0,)))
-    assert single.converged and single.stop_reason == "gradient"
+    assert single.converged and single.stop_reason == "step"
+
+
+def test_converged_solves_stop_within_the_bound():
+    # the benchmark's small pool (seed 1) and the part set of ROADMAP.md item 2
+    seeds = np.random.default_rng(1).integers(0, 2**31, size=(32, 8))
+    small = [part(n, int(seeds[j, n - 1]), 0.5, 2.0) for j in range(32) for n in range(1, 9)]
+    for prob in [*small, *(part(n, s) for n in (4, 8, 16, 64, 256, 1024) for s in range(6))]:
+        res = minimize(prob)
+        assert res.converged, (prob.partition, res.stop_reason)
+        assert correction(prob, res.x) <= stop_bound(prob, res.x), prob.partition
 
 
 SCALED_BREAKPOINTS = (0.0, 0.3, 0.7, 1.0)
@@ -171,9 +199,10 @@ SCALED_COEFFICIENTS = (1.0, 0.5, 2.0)
 @pytest.mark.parametrize("coefficient_scale", [1e-9, 1e-6, 1e-3, 1e3, 1e6])
 def test_stop_tests_are_scale_free(state_scale, coefficient_scale):
     # the objective scales by state_scale * coefficient_scale^2 and its
-    # minimiser by coefficient_scale, so the stop tests, taken relative to the
-    # start gradient and to |E|, must end every scaled solve where the unit
-    # one ends; absolute floors stopped 1e-12 states after 0 iterations
+    # minimiser by coefficient_scale; the Newton correction and the stop's
+    # unit, eps * max(a_max, max |x|), scale with the coefficients and ignore
+    # the state scale, so every scaled solve must end where the unit one
+    # ends; absolute floors stopped 1e-12 states after 0 iterations
     unit = solve_riemann(0.0, 1.0, PhasePartition(SCALED_BREAKPOINTS, SCALED_COEFFICIENTS))
     bps = tuple(state_scale * u for u in SCALED_BREAKPOINTS)
     cs = tuple(coefficient_scale * a for a in SCALED_COEFFICIENTS)
@@ -185,10 +214,10 @@ def test_stop_tests_are_scale_free(state_scale, coefficient_scale):
     assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * scale
 
 
-def test_stop_reason_decrement():
+def test_stop_on_the_correction_where_rounding_holds_the_gradient():
     # rounding holds |g| of this 16-phase problem (two dead phases, 37 steps)
-    # about a hundred times above the gradient threshold, so two full floor
-    # steps in a row end the solve
+    # at 7.9e-11, 66 times 1e-12 of its start, while full
+    # floor steps still shrink the correction until it is within the bound
     partition = PhasePartition(
         (0.0, 0.011132742866439616, 0.019158789596858017, 0.03833547813697591,
          0.29795081902947007, 0.2982818136633061, 0.37544892137592456,
@@ -203,9 +232,12 @@ def test_stop_reason_decrement():
     )
     sol = solve_riemann(1.0, 0.0, partition)
     assert sol.converged
-    assert sol.stop_reason == "decrement"
-    assert sol.grad_norm > optimizer.GRAD_TOL * max(1.0, sol.trace[0].grad_norm)
+    assert sol.stop_reason == "step"
+    assert sol.grad_norm > 1e-12 * max(1.0, sol.trace[0].grad_norm)
     assert [rec.step_length for rec in sol.trace[-2:]] == [1.0, 1.0]
+    problem = normalize_orientation(1.0, 0.0, partition)
+    x = minimize(problem).x
+    assert correction(problem, x) <= stop_bound(problem, x)
     scale = max(partition.coefficients)
     assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * scale
 
@@ -240,8 +272,8 @@ def test_zero_pivot_takes_the_ridge_direction():
     _, grad, hd, ho = objective(start)
     with pytest.raises(TridiagonalFactorizationError):
         solve_spd_tridiagonal(hd, ho, grad)
-    out = damped_newton(start, objective, _finite)
-    assert out.converged and out.stop_reason == "gradient"
+    out = damped_newton(start, objective, _finite, 1.0)
+    assert out.converged and out.stop_reason == "step"
     assert all(rec.value <= out.records[0].value for rec in out.records)
     assert np.allclose(out.x, [1.0, 0.0], atol=1e-12)
 
@@ -255,8 +287,8 @@ def test_negative_pivot_takes_steepest_descent():
         return value, grad, np.array([3.0 * x[0] ** 2 - 1.0, 1.0]), np.zeros(1)
 
     start = np.array([0.1, 1.0])
-    out = damped_newton(start, objective, _finite)
-    assert out.converged and out.stop_reason == "gradient"
+    out = damped_newton(start, objective, _finite, 1.0)
+    assert out.converged and out.stop_reason == "step"
     assert all(rec.value <= out.records[0].value for rec in out.records)
     assert np.allclose(out.x, [1.0, 0.0], atol=1e-12)
 
@@ -269,17 +301,31 @@ def test_stop_reason_no_progress():
         x = np.asarray(x)
         return 0.0, 2.0 * x, np.full(x.size, 2.0), np.zeros(x.size - 1)
 
-    out = damped_newton(np.array([1.0, 2.0]), objective, feasible_values)
+    out = damped_newton(np.array([1.0, 2.0]), objective, feasible_values, 1.0)
     assert not out.converged
     assert out.stop_reason == "no_progress"
     assert out.iterations == 0
     assert np.array_equal(out.x, [1.0, 2.0])
 
 
+def test_stalled_correction_at_the_floor_is_no_progress():
+    # a value far above its gradient puts every step at the rounding floor,
+    # where full steps are taken without Armijo; a correction that never
+    # shrinks there ends the solve after STALL_STEPS such steps
+    def objective(x):
+        return 1e30, [1.0], [1.0], []
+
+    out = damped_newton([0.0], objective, _finite, 1.0)
+    assert not out.converged
+    assert out.stop_reason == "no_progress"
+    assert out.iterations == optimizer.STALL_STEPS
+    assert out.x == (-float(optimizer.STALL_STEPS),)
+
+
 @pytest.mark.parametrize("n, seed", [(64, 0), (64, 1), (256, 7)])
 def test_converges_at_the_rounding_floor(n, seed):
-    # rounding keeps |g| of these near 1e-11..1e-13, above the default
-    # gradient threshold, so only the decrement stop can certify them
+    # rounding keeps |g| of these near 1e-11..1e-13, above 1e-12 of its
+    # start, so only a stop on the correction, not on |g|, can certify them
     prob = part(n, seed)
     res = minimize(prob)
     assert res.converged, (res.stop_reason, res.grad_norm)
@@ -328,7 +374,7 @@ def test_value_evaluations_bounded_by_iterations():
                 counts["infeasible"] += not ok
                 return ok
 
-            out = damped_newton(initial_guess(prob), objective, feasible)
+            out = damped_newton(initial_guess(prob), objective, feasible, max(prob.partition.coefficients))
             assert out.converged, (n, seed, out.stop_reason)
             # each accepted step is 2^-k after k halvings
             halvings = sum(-math.log2(rec.step_length) for rec in out.records[1:])

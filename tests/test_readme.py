@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SHOWN_VALUES = {
     "sol.kind": "'general'",
     "sol.boundaries": "(-0.4928835942106207, -0.4928835942106207)",
-    "sol.stop_reason": "'gradient'",
+    "sol.stop_reason": "'step'",
     "eval_solution(sol.profile, t=4.0, x=0.0)": "2.1215273678128828",
     "eval_solution(sol.profile, t=4.0, x=2.0 * sol.boundaries[0])": "(1.0, 2.0)",
 }

@@ -18,6 +18,7 @@ SRC = str(Path(selfsim.__file__).resolve().parents[1])  # the child imports this
     [
         ("fd_crosscheck.py", ["--dx", "0.04,0.02", "--t-final", "0.5"]),
         ("ratio_sweep.py", ["--seed", "7", "--lo", "-8", "--draws", "30"]),
+        ("ratio_sweep.py", ["--seed", "7", "--lo", "-8", "--draws", "30", "--oracle"]),
         ("solve_digest.py", ["--draws", "30"]),
     ],
 )
