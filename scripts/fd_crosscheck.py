@@ -17,7 +17,6 @@ import numpy as np
 
 from selfsim import PhasePartition, solve_riemann
 from selfsim.oracle import compare_profiles, fd_solve
-from selfsim.problem import normalize_orientation
 
 
 def front_error(fd, profile, t_final):
@@ -32,7 +31,6 @@ def front_error(fd, profile, t_final):
 
 def run_case(name, breakpoints, coefficients, t_final, dx_values):
     partition = PhasePartition(breakpoints=breakpoints, coefficients=coefficients)
-    problem = normalize_orientation(breakpoints[0], breakpoints[-1], partition)
     sol = solve_riemann(breakpoints[0], breakpoints[-1], partition)
     print(f"\n{name}: u={breakpoints} a={coefficients}, T={t_final}")
     print(f"  boundaries: {[round(b, 6) for b in sol.boundaries]}")
@@ -42,7 +40,7 @@ def run_case(name, breakpoints, coefficients, t_final, dx_values):
     )
     previous = None
     for dx in dx_values:
-        fd = fd_solve(problem, t_final, dx)
+        fd = fd_solve(sol.problem, t_final, dx)
         dist = compare_profiles(fd, sol.profile)
         err = front_error(fd, sol.profile, t_final)
         front = f"{err:10.2e}" if err is not None else f"{'-':>10}"

@@ -58,10 +58,11 @@ def entropy_pass(problem: RiemannProblem, values):
     with the symmetric tridiagonal Hessian as its diagonal and first
     off-diagonal.  ``values`` are the m free positions, a sequence of
     floats, and must already be feasible (``feasible_values``): this kernel
-    does not check them.  Each interval takes one ``heat_step_arc`` call,
-    whose ln D and end ratios all three pieces share.  Where a trial point
-    rounds the two boundaries of a live interval together, or their
-    distance divided by a underflows to 0, the value is +inf, outside the
+    does not check them, and ``heat_step_arc`` raises ``ValueError`` on a
+    live interval whose two boundaries are not increasing.  Each interval
+    takes one ``heat_step_arc`` call, whose ln D and end ratios all three
+    pieces share.  Where the distance between the two boundaries of a live
+    interval divided by a underflows to 0, the value is +inf, outside the
     domain, so a line search backtracks from it; the gradient and Hessian
     are only defined where the value is finite.
     """
@@ -81,8 +82,6 @@ def entropy_pass(problem: RiemannProblem, values):
         if a > 0.0:
             lo = full[k]
             hi = full[k + 1]
-            if not lo < hi:  # the boundaries rounded together: outside the domain
-                return _INF, g, hd, ho
             # In the scaled ends x = hi/a, y = lo/a, with R = H'/dH and the
             # curvatures c of -ln dH from ``heat_step_arc``, the term of
             # interval k adds +a du R(y) and -a du R(x) to the gradient, du c_y

@@ -23,10 +23,11 @@ Newton decrement predicts a decrease lambda^2/2 = g^T H^-1 g / 2 within the
 objective's rounding floor, DECREMENT_ULPS * eps * |E| (Boyd & Vandenberghe,
 Convex Optimization 9.5.1), Armijo cannot certify a step, so the full step
 is taken, backtracked only to stay feasible and keep the value finite.  The
-solve ends not converged on no_progress, when the Armijo search fails above
-that floor or STALL_STEPS floor steps pass without halving the correction,
-and on max_iters after MAX_ITERS steps.  The objective is strictly convex
-with one minimiser, so these are module constants, not options.
+solve ends not converged on no_progress, when the line search finds no
+acceptable step, and on max_iters after MAX_ITERS steps, which is also
+where floor steps that never bring the correction down to the stop end.
+The objective is strictly convex with one minimiser, so these are module
+constants, not options.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class NewtonOutcome(NamedTuple):
 # Full steps at the floor take the correction to at most 72 units of the stop
 # on the solves measured, some after five floor steps that did not halve it
 STEP_ULPS = 128.0
-STALL_STEPS = 16
 MAX_ITERS = 200
 # A step is at the rounding floor once lambda^2/2 <= DECREMENT_ULPS * eps * |E|:
 # a thousand units of rounding of the objective, which sums positive terms,
@@ -147,7 +147,6 @@ def damped_newton(
     value, grad, hd, ho = objective(x)
     gnorm = max(map(abs, grad), default=0.0)
     records = [IterationRecord(value, gnorm, 0.0)]
-    best, stalled = math.inf, 0
     while True:
         d, newton = _direction(hd, ho, grad)
         correction = max(map(abs, d))
@@ -157,29 +156,12 @@ def damped_newton(
         if len(records) > MAX_ITERS:
             stop_reason = "max_iters"
             break
-        # g.d (-lambda^2 for a Newton direction) from g / 2^e, 2^e near
-        # |g|_inf: a subnormal g.d rounds to 0 but keeps its sign here, so
-        # the floor test below still sees a Newton step.  The scaling is
-        # exact wherever g / 2^e and g.d stay normal
-        e = math.frexp(gnorm)[1]
-        scaled = sum(math.ldexp(gi, -e) * di for gi, di in zip(grad, d))
-        slope = math.ldexp(scaled, e)
-        if not scaled < 0.0:
-            d = [-g for g in grad]
-            slope = -sum(g * g for g in grad)
-            newton = False
+        slope = sum(gi * di for gi, di in zip(grad, d))  # -lambda^2 for a Newton direction
         at_floor = newton and -0.5 * slope <= DECREMENT_ULPS * _EPS * abs(value)
-        if correction <= 0.5 * best:
-            best, stalled = correction, 0
-        elif at_floor:
-            stalled += 1
-            if stalled >= STALL_STEPS:
-                stop_reason = "no_progress"
-                break
         # a feasible trial is evaluated and tested: above the floor by Armijo
         # on the value; at it, where the value cannot certify a step, only
-        # for staying in the domain: a step that rounds the two ends of a
-        # live phase together has the value +inf
+        # for staying in the domain: a step that leaves a live phase a width
+        # over a that underflows to 0 has the value +inf
         t = 1.0
         while t >= _MIN_STEP:
             trial = [xi + t * di for xi, di in zip(x, d)]

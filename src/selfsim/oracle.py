@@ -104,13 +104,20 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     window leaves out 14 % of the cell updates.  Only when the cuts move, a
     few percent of the steps, are the window and the blockwise slope, node
     and value rebuilt, by one ``repeat`` of their stacked table.  A grid
-    that cannot be allocated is a ``ValueError`` naming its cell count.
+    that cannot be allocated is a ``ValueError`` naming its cell count, and
+    so are a cell count that overflows a float and a time step bound that
+    underflows to 0.
     """
     if not (0.0 < t_final < _INF and 0.0 < dx < _INF):
         raise ValueError("t_final and dx must be positive and finite")
     nodes, avals = (np.array(v) for v in diffusion_antiderivative(problem.partition))
     a_max = max(problem.partition.coefficients)
-    half_cells = int(math.ceil(HALFWIDTH_FACTOR * max(a_max, 1.0) * math.sqrt(t_final) / dx)) + 1
+    half_span = HALFWIDTH_FACTOR * max(a_max, 1.0) * math.sqrt(t_final) / dx
+    if half_span == _INF:
+        raise ValueError(
+            f"an FD grid at dx = {dx!r} over t_final = {t_final!r} needs more cells than a float can count"
+        )
+    half_cells = int(math.ceil(half_span)) + 1
     try:
         x = (np.arange(2 * half_cells) - half_cells + 0.5) * dx
         u = np.where(x < 0.0, nodes[0], nodes[-1])  # the step from u_0 to u_{n+1}
@@ -121,6 +128,10 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
         return FDGrid(half_width=half_width, dx=dx, dt=0.0, t_final=t_final, cells=u, steps=0)
     denominator = 2.0 * a_max * a_max
     dt_bound = SAFETY * dx * dx / denominator if denominator > 0.0 else _INF
+    if dt_bound == 0.0:
+        raise ValueError(
+            f"the FD time step bound dx^2 / (2 a_max^2) underflows to 0 at dx = {dx!r}, a_max = {a_max!r}"
+        )
     steps = max(int(math.ceil(t_final / dt_bound)), 1)
     dt = t_final / steps
     lam = dt / (dx * dx)

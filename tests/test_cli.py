@@ -245,6 +245,25 @@ def test_validate_rejects_a_grid_beyond_memory(tmp_path, capsys):
     assert not (tmp_path / "b_validate.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # 10 / 1e-320 overflows, so the cell count is not a number to allocate
+        ("t = 1\ndx = [1e-320]\n", "needs more cells than a float can count"),
+        # a grid of 4e4 cells, but dx^2 = 1e-326 underflows, so no time step is stable
+        ("t = 1e-320\ndx = [1e-163]\n", "time step bound dx^2 / (2 a_max^2) underflows to 0"),
+    ],
+    ids=["cell-count-overflows", "time-step-underflows"],
+)
+def test_validate_rejects_a_grid_beyond_floats(tmp_path, capsys, grid, message):
+    config_path = tmp_path / "extreme.cfg"
+    config_path.write_text(README_PROBLEM + grid, encoding="utf-8")
+    code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "b_")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b_validate.csv").exists()
+
+
 def test_validate_starts_no_blas_thread_pool(tmp_path):
     # a fresh validate process pins OpenBLAS to one thread before numpy
     # loads, unless the caller set the variable; the FD bytes do not depend

@@ -82,10 +82,11 @@ def test_large_ratio_solves_to_its_root_or_is_refused(breakpoints, coefficients,
 @pytest.mark.parametrize("flip", [False, True], ids=["increasing", "decreasing"])
 def test_floor_steps_keep_the_value_finite(flip):
     # a phase at a = 2.2e-8 between a = 0.5 and 5.2e-4 narrows to about an
-    # ulp.  A Newton step at the rounding floor skips Armijo, and here one
-    # rounds that phase's two scaled ends together, where the value is +inf
-    # and the tail kernel would divide by zero.  It is shortened instead, so
-    # every iterate keeps a finite value; the solve then refuses the phase
+    # ulp, and Newton steps at the rounding floor skip Armijo.  The bare
+    # Newton solve still stops converged ('step') with a finite value at
+    # every iterate; solve_riemann then refuses the phase.  No trial here
+    # reaches the value +inf; the floor step's backtrack to a finite value
+    # is test_optimizer.py::test_floor_step_backtracks_to_keep_the_value_finite
     breakpoints = (0.0, 0.25542867902960276, 0.5169744052760368, 0.5765469132650466,
                    0.5983084296747999, 0.8856904168143693, 0.8917130129253776, 1.0)
     coefficients = (0.0, 0.062180170946197884, 0.0009604081854727534, 0.0, 0.5,

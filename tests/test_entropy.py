@@ -117,11 +117,14 @@ def test_value_where_scaled_ends_round_together_is_the_true_arcs():
 
 
 def test_value_is_inf_where_a_trial_leaves_the_domain():
-    # a shortened Newton trial that rounds two boundaries together, or a live
-    # phase whose width (hi - lo) / a underflows to 0, is outside the domain:
-    # the unchecked pass returns +inf, and raises nothing
+    # a live phase whose width (hi - lo) / a underflows to 0 is outside the
+    # domain: the unchecked pass returns +inf, and raises nothing.  Two
+    # boundaries rounded together fail ``feasible_values`` before any pass;
+    # handed to the pass anyway, they make ``heat_step_arc`` raise
     prob = problem_of(PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 0.5)))
-    assert entropy_pass(prob, [1.95, 1.95])[0] == math.inf
+    assert not feasible_values([1.95, 1.95])
+    with pytest.raises(ValueError, match="lo < hi"):
+        entropy_pass(prob, [1.95, 1.95])
     assert entropy_pass(prob, [0.0, 5e-324])[0] == math.inf
     assert math.isfinite(entropy_pass(prob, [0.0, 1e-300])[0])
 

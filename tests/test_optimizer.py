@@ -308,18 +308,32 @@ def test_stop_reason_no_progress():
     assert np.array_equal(out.x, [1.0, 2.0])
 
 
-def test_stalled_correction_at_the_floor_is_no_progress():
+def test_stalled_correction_at_the_floor_ends_on_max_iters():
     # a value far above its gradient puts every step at the rounding floor,
     # where full steps are taken without Armijo; a correction that never
-    # shrinks there ends the solve after STALL_STEPS such steps
+    # shrinks there runs the solve to MAX_ITERS such steps
     def objective(x):
         return 1e30, [1.0], [1.0], []
 
     out = damped_newton([0.0], objective, _finite, 1.0)
     assert not out.converged
-    assert out.stop_reason == "no_progress"
-    assert out.iterations == optimizer.STALL_STEPS
-    assert out.x == (-float(optimizer.STALL_STEPS),)
+    assert out.stop_reason == "max_iters"
+    assert out.iterations == optimizer.MAX_ITERS
+    assert out.x == (-float(optimizer.MAX_ITERS),)
+
+
+def test_floor_step_backtracks_to_keep_the_value_finite():
+    # every step is at the rounding floor, and the value is +inf below
+    # x = -0.75: the full step to -1 leaves the domain and the half step to
+    # -0.5 does not, so the floor step is shortened to stay finite, not to
+    # decrease the value
+    def objective(x):
+        return (1e30 if x[0] >= -0.75 else math.inf), [1.0], [1.0], []
+
+    out = damped_newton([0.0], objective, _finite, 1.0)
+    assert out.records[1].step_length == 0.5
+    assert all(math.isfinite(rec.value) for rec in out.records)
+    assert not out.converged and out.x[0] >= -0.75
 
 
 @pytest.mark.parametrize("n, seed", [(64, 0), (64, 1), (256, 7)])

@@ -167,6 +167,18 @@ def test_fd_rejects_bad_parameters():
             fd_solve(prob, t_final, dx)
 
 
+def test_fd_rejects_a_grid_beyond_floats():
+    # a cell count that overflows, and a stability bound whose dx^2
+    # underflows to 0 (the bound of a huge coefficient too), are ValueErrors
+    prob = _oriented((0.0, 1.0), (1.0,))
+    with pytest.raises(ValueError, match="more cells than a float can count"):
+        fd_solve(prob, 1.0, 1e-320)
+    with pytest.raises(ValueError, match="underflows to 0 at dx = 1e-163"):
+        fd_solve(prob, 1e-320, 1e-163)
+    with pytest.raises(ValueError, match="underflows to 0 at dx = 1e\\+100, a_max = 1e\\+200"):
+        fd_solve(_oriented((0.0, 1.0), (1e200,)), 1e-300, 1e100)
+
+
 @pytest.mark.parametrize("a", [1e-160, 1e-200])
 def test_fd_takes_a_step_on_a_vanishing_coefficient(a):
     # at 1e-160 the stability bound overflows to inf, at 1e-200 the square

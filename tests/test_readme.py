@@ -51,6 +51,17 @@ def test_readme_quick_start_runs_as_shown():
     assert steps and sol.converged and sol.iterations == int(steps.group(1))
 
 
+def test_readme_intro_residual_is_the_solves():
+    # the intro's thin-phase example, at the two digits it shows
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    shown = re.search(r"\(1, 1e-7, 2\) on breakpoints \(0, 0\.5, 1, 1\.5\) balances to (\S+)\.", text)
+    assert shown, "README no longer shows the thin-phase residual"
+    partition = selfsim.PhasePartition((0.0, 0.5, 1.0, 1.5), (1.0, 1e-7, 2.0))
+    sol = selfsim.solve_riemann(0.0, 1.5, partition)
+    residual = max(abs(rec.rh_residual) for rec in sol.jumps)
+    assert f"{residual:.1e}" == f"{float(shown.group(1)):.1e}"
+
+
 def test_top_level_names_resolve_and_cover_the_readme_imports():
     for name in selfsim.__all__:
         assert getattr(selfsim, name, None) is not None, name
