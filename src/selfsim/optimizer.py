@@ -24,8 +24,9 @@ objective's rounding floor, DECREMENT_ULPS * eps * |E| (Boyd & Vandenberghe,
 Convex Optimization 9.5.1), Armijo cannot certify a step, so the full step
 is taken, backtracked only to stay feasible and keep the value finite.  The
 solve ends not converged on no_progress, when the line search finds no
-acceptable step, and on max_iters after MAX_ITERS steps, which is also
-where floor steps that never bring the correction down to the stop end.
+acceptable step or a floor step rounds away to the iterate itself, and on
+max_iters after MAX_ITERS steps, which is also where floor steps that
+never bring the correction down to the stop end.
 The objective is strictly convex with one minimiser, so these are module
 constants, not options.
 """
@@ -165,6 +166,10 @@ def damped_newton(
         t = 1.0
         while t >= _MIN_STEP:
             trial = [xi + t * di for xi, di in zip(x, d)]
+            if at_floor and trial == x:
+                # t * d rounds away, and so does every shorter step
+                t = 0.0
+                break
             if feasible(trial):
                 evaluation = objective(trial)
                 if at_floor:

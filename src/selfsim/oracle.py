@@ -30,10 +30,14 @@ from .special import heat_step_arc
 
 _INF = math.inf
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # the smallest normal float
 
 # fd_solve's domain and time step, grid_search_min's lattice (see their docstrings)
 HALFWIDTH_FACTOR = 10.0
 SAFETY = 0.9
+# fd_solve refuses a run of more cell updates (cells x steps) than this: about
+# six minutes at 3.5 ns per update
+MAX_CELL_UPDATES = 1e11
 COARSE_CELLS = 100
 REFINE_ROUNDS = 3
 REFINE_FACTOR = 10
@@ -106,7 +110,10 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     and value rebuilt, by one ``repeat`` of their stacked table.  A grid
     that cannot be allocated is a ``ValueError`` naming its cell count, and
     so are a cell count that overflows a float and a time step bound that
-    underflows to 0.
+    underflows to 0.  So is a run of more than ``MAX_CELL_UPDATES`` cell
+    updates, cells times steps, which names its count, and a dx whose square
+    is below the smallest normal float, where lam = dt/dx^2 loses digits.
+    Both are checked on the allocated grid, before the first step.
     """
     if not (0.0 < t_final < _INF and 0.0 < dx < _INF):
         raise ValueError("t_final and dx must be positive and finite")
@@ -133,6 +140,17 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
             f"the FD time step bound dx^2 / (2 a_max^2) underflows to 0 at dx = {dx!r}, a_max = {a_max!r}"
         )
     steps = max(int(math.ceil(t_final / dt_bound)), 1)
+    updates = u.size * steps
+    if updates > MAX_CELL_UPDATES:
+        raise ValueError(
+            f"an FD run of {u.size} cells over {steps} steps is {updates:.3g} cell updates, "
+            f"more than the {MAX_CELL_UPDATES:.3g} allowed"
+        )
+    if dx * dx < _TINY:
+        raise ValueError(
+            f"dx^2 = {dx * dx!r} at dx = {dx!r} is below the smallest normal float, "
+            "so the FD step ratio dt / dx^2 would carry too few digits"
+        )
     dt = t_final / steps
     lam = dt / (dx * dx)
     # block j (phase j, then the flat block above the last node) holds
@@ -145,8 +163,12 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     edges = np.zeros(upper.size + 2, dtype=np.intp)  # 0, the cuts, the window's end
     seen = b""
     av = np.empty(u.size)
+    # the loop's five callables, bound once rather than looked up on every step
+    searchsorted, subtract, multiply, add, correlate = (
+        u.searchsorted, np.subtract, np.multiply, np.add, np.correlate
+    )
     for _ in range(steps):
-        cuts = u.searchsorted(upper)  # cells below each upper node
+        cuts = searchsorted(upper)  # cells below each upper node
         key = cuts.tobytes()
         if key != seen:
             seen = key
@@ -156,10 +178,10 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
             edges[-1] = end = min(cuts[-1] + 2, u.size)
             slope, base, value = np.repeat(table, np.diff(edges), axis=1)
             window, aw, inner = u[:end], av[:end], u[1 : end - 1]
-        np.subtract(window, base, aw)
-        np.multiply(aw, slope, aw)
-        np.add(aw, value, aw)
-        np.add(inner, np.correlate(aw, stencil), inner)
+        subtract(window, base, aw)
+        multiply(aw, slope, aw)
+        add(aw, value, aw)
+        add(inner, correlate(aw, stencil), inner)
     return FDGrid(half_width=half_width, dx=dx, dt=dt, t_final=t_final, cells=u, steps=steps)
 
 

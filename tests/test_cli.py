@@ -264,6 +264,26 @@ def test_validate_rejects_a_grid_beyond_floats(tmp_path, capsys, grid, message):
     assert not (tmp_path / "b_validate.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # 400 002 cells over 888 888 889 steps: days of work
+        ("t = 1\ndx = [1e-4]\n", "400002 cells over 888888889 steps is 3.56e+14 cell updates"),
+        # 4e6 cells over 8.9e10 steps, at a dx whose square is subnormal
+        ("t = 1e-300\ndx = [1e-155]\n", "4000002 cells over 88888888889 steps is 3.56e+17 cell updates"),
+    ],
+    ids=["fine-grid", "subnormal-dx-squared"],
+)
+def test_validate_refuses_an_fd_run_beyond_its_work_bound(tmp_path, capsys, grid, message):
+    # refused on the allocated grid, before the first step
+    config_path = tmp_path / "long.cfg"
+    config_path.write_text(README_PROBLEM + grid, encoding="utf-8")
+    code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "b_")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b_validate.csv").exists()
+
+
 def test_validate_starts_no_blas_thread_pool(tmp_path):
     # a fresh validate process pins OpenBLAS to one thread before numpy
     # loads, unless the caller set the variable; the FD bytes do not depend
@@ -469,29 +489,105 @@ def test_continuum_rerun_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_console_script_runs(tmp_path):
+# the code the installed ``selfsim`` script runs, and the module entry
+_ENTRIES = {
+    "script": ["-c", "from selfsim.cli import process_main; process_main()"],
+    "module": ["-m", "selfsim.cli"],
+}
+
+
+def _run_entry(entry, *argv, stdout=subprocess.PIPE, shell_prefix=()):
+    # a fresh process on this checkout with stderr on a pipe and its output
+    # block-buffered, so only the entry's flush before os._exit delivers it
+    src = str(Path(selfsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [*shell_prefix, sys.executable, *_ENTRIES[entry], *map(str, argv)],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+def _assert_solve_lists_its_paths(tmp_path, entry):
     config_path = tmp_path / "heat.cfg"
     config_path.write_text(SOLVE_HEAT, encoding="utf-8")
-    src = str(Path(selfsim.__file__).resolve().parents[1])  # the child imports this checkout
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys; from selfsim.cli import main; sys.exit(main(sys.argv[1:]))",
-            "solve",
-            "--config",
-            str(config_path),
-            "--out",
-            str(tmp_path / "s_"),
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
-    )
-    assert proc.returncode == 0
-    listed = [line for line in proc.stdout.splitlines() if line]
-    assert len(listed) == 3
-    assert (tmp_path / "s_profile.csv").exists()
+    prefix = tmp_path / "s_"
+    proc = _run_entry(entry, "solve", "--config", config_path, "--out", prefix)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    names = ("boundaries", "profile", "trace")
+    assert proc.stdout.splitlines() == [f"{prefix}{name}.csv" for name in names]
+    assert all((tmp_path / f"s_{name}.csv").exists() for name in names)
+
+
+def test_console_script_runs(tmp_path):
+    _assert_solve_lists_its_paths(tmp_path, "script")
+
+
+def test_module_entry_runs(tmp_path):
+    _assert_solve_lists_its_paths(tmp_path, "module")
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize(
+    "config, code, message",
+    [
+        (
+            "u_minus = 1\nu_plus = 1\nbreakpoints = []\ncoefficients = [1]\n",
+            1,
+            "error: equal states: the solution is the constant; nothing to solve\n",
+        ),
+        (SOLVE_HEAT + "grad_tol = 1e-9\n", 2, "error: line 5: unknown key 'grad_tol' for command 'solve'\n"),
+        (None, 2, "error: cannot read config: "),
+    ],
+    ids=["invalid-problem", "unknown-key", "missing-config"],
+)
+def test_process_entry_exit_codes(tmp_path, entry, config, code, message):
+    config_path = tmp_path / "problem.cfg"
+    if config is not None:
+        config_path.write_text(config, encoding="utf-8")
+    proc = _run_entry(entry, "solve", "--config", config_path, "--out", tmp_path / "e_")
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+    assert list(tmp_path.glob("e_*")) == []
+
+
+def test_process_entry_keeps_argparse_exits(tmp_path):
+    proc = _run_entry("module", "solve")
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: the following arguments are required: --config\n")
+    proc = _run_entry("module", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: selfsim")
+
+
+def test_process_entry_exits_120_when_stdout_cannot_be_flushed(tmp_path):
+    # the reader of stdout is gone, so the buffered paths fail to flush: the
+    # run succeeded, and the process exits 120 as the interpreter's exit
+    # does, without the interpreter's "Exception ignored" report
+    config_path = tmp_path / "heat.cfg"
+    config_path.write_text(SOLVE_HEAT, encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_entry("module", "solve", "--config", config_path, "--out", tmp_path / "s_", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (120, "")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="closes descriptor 1 through a POSIX shell")
+def test_process_entry_runs_with_stdout_closed(tmp_path):
+    # with descriptor 1 closed at start-up, sys.stdout is None: the paths
+    # are printed nowhere, and the run still exits 0
+    config_path = tmp_path / "heat.cfg"
+    config_path.write_text(SOLVE_HEAT, encoding="utf-8")
+    closed = ("sh", "-c", 'exec "$@" >&-', "sh")
+    proc = _run_entry("module", "solve", "--config", config_path, "--out", tmp_path / "s_", shell_prefix=closed)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "s_trace.csv").exists()
 
 
 def test_cli_imports_and_solves_without_scipy(tmp_path):

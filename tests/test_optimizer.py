@@ -334,6 +334,9 @@ def test_floor_step_backtracks_to_keep_the_value_finite():
     assert out.records[1].step_length == 0.5
     assert all(math.isfinite(rec.value) for rec in out.records)
     assert not out.converged and out.x[0] >= -0.75
+    # at x = -0.75 every step that moves the iterate leaves the domain, and
+    # the first step that does not rounds away: the solve ends there
+    assert out.stop_reason == "no_progress" and out.iterations == 2
 
 
 @pytest.mark.parametrize("n, seed", [(64, 0), (64, 1), (256, 7)])

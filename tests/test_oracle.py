@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfsim import PhasePartition, solve_riemann
+from selfsim import PhasePartition, oracle, solve_riemann
 from selfsim.oracle import (
     SAFETY,
     FDGrid,
@@ -177,6 +177,26 @@ def test_fd_rejects_a_grid_beyond_floats():
         fd_solve(prob, 1e-320, 1e-163)
     with pytest.raises(ValueError, match="underflows to 0 at dx = 1e\\+100, a_max = 1e\\+200"):
         fd_solve(_oriented((0.0, 1.0), (1e200,)), 1e-300, 1e100)
+
+
+def test_fd_refuses_work_beyond_its_bound(monkeypatch):
+    # cells x steps may reach MAX_CELL_UPDATES and not pass it
+    prob = _oriented((0.0, 1.0), (1.0,))
+    fd = fd_solve(prob, 0.01, 0.05)
+    updates = fd.cells.size * fd.steps
+    monkeypatch.setattr(oracle, "MAX_CELL_UPDATES", float(updates))
+    assert fd_solve(prob, 0.01, 0.05).cells.tobytes() == fd.cells.tobytes()
+    monkeypatch.setattr(oracle, "MAX_CELL_UPDATES", float(updates - 1))
+    with pytest.raises(ValueError, match=f"{fd.cells.size} cells over {fd.steps} steps is {updates:.3g} cell updates"):
+        fd_solve(prob, 0.01, 0.05)
+
+
+def test_fd_refuses_a_subnormal_dx_squared():
+    # a 10-cell grid of one step, but lam = dt / dx^2 would divide by a
+    # subnormal: refused, though the run is tiny
+    prob = _oriented((0.0, 1.0), (1.0,))
+    with pytest.raises(ValueError, match="dx\\^2 = 1e-310 at dx = 1e-155 is below the smallest normal float"):
+        fd_solve(prob, 1e-311, 1e-155)
 
 
 @pytest.mark.parametrize("a", [1e-160, 1e-200])
