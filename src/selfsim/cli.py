@@ -7,8 +7,8 @@ produce byte-identical files.
 
 Exit codes: 0 success; 1 invalid problem or non-convergence; 2 unusable
 config, arguments or diffusion table, or unwritable output; 3 unexpected
-internal failure.  Whatever the failure, already-written output files of
-the failed run are removed.
+internal failure.  Whatever the failure, every output file the failed run
+began to write is removed.
 
 Each command loads only the modules it runs.  ``solve`` and ``evaluate``
 load the solve path alone (problem, special, entropy, optimizer, profile,
@@ -50,39 +50,18 @@ class ConfigError(ValueError):
 
 
 class RunConfig(NamedTuple):
+    """A parsed config: each field but ``command`` and ``out_prefix`` is the key of that name."""
+
     command: str
     out_prefix: str = ""
     u_minus: float | None = None
     u_plus: float | None = None
-    interior_breakpoints: tuple[float, ...] | None = None
+    breakpoints: tuple[float, ...] | None = None  # the interior ones
     coefficients: tuple[float, ...] | None = None
-    t_final: float = 1.0
-    dx_values: tuple[float, ...] = (0.02, 0.01)
-    cell_counts: tuple[int, ...] = (2, 4, 8, 16, 32)
-    diffusion_path: str | None = None
-
-
-# the RunConfig field of each config key whose name differs from it
-_FIELDS = {
-    "breakpoints": "interior_breakpoints",
-    "t": "t_final",
-    "dx": "dx_values",
-    "cells": "cell_counts",
-    "diffusion": "diffusion_path",
-}
-_PROBLEM_KEYS = ("u_minus", "u_plus", "breakpoints", "coefficients")
-_ALLOWED_KEYS = {
-    "solve": _PROBLEM_KEYS,
-    "evaluate": _PROBLEM_KEYS + ("t",),
-    "validate": _PROBLEM_KEYS + ("t", "dx"),
-    "continuum": ("diffusion", "cells"),
-}
-_REQUIRED_KEYS = {
-    "solve": _PROBLEM_KEYS,
-    "evaluate": _PROBLEM_KEYS,
-    "validate": _PROBLEM_KEYS,
-    "continuum": ("diffusion",),
-}
+    t: float = 1.0
+    dx: tuple[float, ...] = (0.02, 0.01)
+    cells: tuple[int, ...] = (2, 4, 8, 16, 32)
+    diffusion: str | None = None
 
 
 def _parse_scalar(raw: str, line: int, key: str) -> float:
@@ -107,7 +86,7 @@ def _parse_list(raw: str, line: int, key: str, cast) -> tuple:
 def parse_config(text: str, command: str, out_prefix: str = "") -> RunConfig:
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    allowed = _ALLOWED_KEYS[command]
+    _, _, required, optional = _COMMANDS[command]
     seen: dict[str, object] = {}
     for line_no, full_line in enumerate(text.splitlines(), start=1):
         line = full_line.split("#", 1)[0].strip()
@@ -118,7 +97,7 @@ def parse_config(text: str, command: str, out_prefix: str = "") -> RunConfig:
         raw = raw.strip()
         if not eq or not key:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ConfigError(f"line {line_no}: unknown key '{key}' for command '{command}'")
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key '{key}'")
@@ -141,10 +120,10 @@ def parse_config(text: str, command: str, out_prefix: str = "") -> RunConfig:
         else:  # diffusion: a path, kept verbatim
             value = raw
         seen[key] = value
-    for key in _REQUIRED_KEYS[command]:
+    for key in required:
         if key not in seen:
             raise ConfigError(f"missing required key '{key}' for command '{command}'")
-    if command != "continuum":
+    if "coefficients" in seen:
         bps = seen["breakpoints"]
         cs = seen["coefficients"]
         if len(cs) != len(bps) + 1:
@@ -152,11 +131,7 @@ def parse_config(text: str, command: str, out_prefix: str = "") -> RunConfig:
                 f"coefficients has {len(cs)} entries but breakpoints has {len(bps)}; "
                 f"need len(breakpoints) + 1 = {len(bps) + 1}"
             )
-    return RunConfig(
-        command=command,
-        out_prefix=out_prefix,
-        **{_FIELDS.get(key, key): value for key, value in seen.items()},
-    )
+    return RunConfig(command, out_prefix, **seen)
 
 
 def _fmt(value) -> str:
@@ -165,18 +140,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows, written: list[Path]) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(path)
 
 
 def _solve_from_config(config: RunConfig) -> RiemannSolution:
     lo = min(config.u_minus, config.u_plus)
     hi = max(config.u_minus, config.u_plus)
     partition = PhasePartition(
-        breakpoints=(lo,) + tuple(config.interior_breakpoints) + (hi,),
+        breakpoints=(lo,) + tuple(config.breakpoints) + (hi,),
         coefficients=tuple(config.coefficients),
     )
     solution = solve_riemann(config.u_minus, config.u_plus, partition)
@@ -200,47 +174,29 @@ def _profile_rows(profile: SelfSimilarProfile, halfwidth: float, scale: float):
         yield x, profile.limits(x / scale)[1]
 
 
-def _cmd_solve(config: RunConfig, out: str, written: list[Path]) -> None:
+# each _cmd_* takes the config and yields its tables, (name, header, rows),
+# which ``run`` writes to {out_prefix}{name}.csv
+
+
+def _cmd_solve(config: RunConfig):
     solution = _solve_from_config(config)
-    _write_csv(
-        Path(f"{out}boundaries.csv"),
-        ("slot", "xi", "classification", "residual"),
-        (
-            (rec.slot, rec.location, rec.classification, rec.rh_residual)
-            for rec in solution.jumps
-        ),
-        written,
+    yield "boundaries", ("slot", "xi", "classification", "residual"), (
+        (rec.slot, rec.location, rec.classification, rec.rh_residual) for rec in solution.jumps
     )
-    _write_csv(
-        Path(f"{out}profile.csv"),
-        ("xi", "v"),
-        _profile_rows(solution.profile, _plot_halfwidth(solution), 1.0),
-        written,
-    )
-    _write_csv(
-        Path(f"{out}trace.csv"),
-        ("iteration", "value", "grad_norm", "step_length"),
-        (
-            (i, rec.value, rec.grad_norm, rec.step_length)
-            for i, rec in enumerate(solution.trace)
-        ),
-        written,
+    yield "profile", ("xi", "v"), _profile_rows(solution.profile, _plot_halfwidth(solution), 1.0)
+    yield "trace", ("iteration", "value", "grad_norm", "step_length"), (
+        (i, rec.value, rec.grad_norm, rec.step_length) for i, rec in enumerate(solution.trace)
     )
 
 
-def _cmd_evaluate(config: RunConfig, out: str, written: list[Path]) -> None:
+def _cmd_evaluate(config: RunConfig):
     solution = _solve_from_config(config)
-    scale = math.sqrt(config.t_final)
+    scale = math.sqrt(config.t)
     rows = _profile_rows(solution.profile, _plot_halfwidth(solution) * scale, scale)
-    _write_csv(
-        Path(f"{out}evaluate.csv"),
-        ("t", "x", "u"),
-        ((config.t_final, x, v) for x, v in rows),
-        written,
-    )
+    yield "evaluate", ("t", "x", "u"), ((config.t, x, v) for x, v in rows)
 
 
-def _cmd_validate(config: RunConfig, out: str, written: list[Path]) -> None:
+def _cmd_validate(config: RunConfig):
     if "numpy" not in sys.modules:
         # nothing here uses a BLAS thread pool, and starting one doubles numpy's import
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -254,38 +210,34 @@ def _cmd_validate(config: RunConfig, out: str, written: list[Path]) -> None:
         else solution.profile
     )
     rows = []
-    for dx in config.dx_values:
-        fd = fd_solve(solution.problem, config.t_final, dx)
+    for dx in config.dx:
+        fd = fd_solve(solution.problem, config.t, dx)
         dist = compare_profiles(fd, profile)
         rows.append((dx, fd.steps, dist.l1, dist.l1_relative, dist.linf_away_from_jumps))
-    _write_csv(
-        Path(f"{out}validate.csv"),
-        ("dx", "steps", "l1", "l1_relative", "linf_away_from_jumps"),
-        rows,
-        written,
-    )
+    yield "validate", ("dx", "steps", "l1", "l1_relative", "linf_away_from_jumps"), rows
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
 
 
 def _read_diffusion_table(path: str) -> DiffusionFunction:
     from .continuum import DiffusionFunction  # loaded for the continuum command alone
 
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read diffusion table: {exc}") from None
+    text = _read_text(path, "diffusion table")
     states: list[float] = []
     values: list[float] = []
     for line_no, full_line in enumerate(text.splitlines(), start=1):
         line = full_line.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
         try:
-            u, a = (float(parts[0]), float(parts[1])) if len(parts) == 2 else (None, None)
-        except ValueError:
-            u = None
-        if u is None:
-            raise ConfigError(f"{path}:{line_no}: expected 'u, a' with two numbers")
+            u, a = map(float, line.split(","))
+        except ValueError:  # not two fields, or one not a number
+            raise ConfigError(f"{path}:{line_no}: expected 'u, a' with two numbers") from None
         if a < 0.0:
             raise ConfigError(f"{path}:{line_no}: diffusion values must be nonnegative")
         states.append(u)
@@ -296,37 +248,51 @@ def _read_diffusion_table(path: str) -> DiffusionFunction:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _cmd_continuum(config: RunConfig, out: str, written: list[Path]) -> None:
+def _cmd_continuum(config: RunConfig):
     from .continuum import convergence_study
 
-    f = _read_diffusion_table(config.diffusion_path)
-    rows = convergence_study(f, config.cell_counts)
-    _write_csv(
-        Path(f"{out}continuum.csv"),
-        ("cells", "boundaries", "shifted_entropy", "distance_to_finest"),
-        (
-            (row.cells, len(row.boundaries), row.shifted_entropy, row.distance_to_finest)
-            for row in rows
-        ),
-        written,
+    rows = convergence_study(_read_diffusion_table(config.diffusion), config.cells)
+    yield "continuum", ("cells", "boundaries", "shifted_entropy", "distance_to_finest"), (
+        (row.cells, len(row.boundaries), row.shifted_entropy, row.distance_to_finest)
+        for row in rows
     )
 
 
-# each command: its help line and the function that runs it
+_PROBLEM_KEYS = ("u_minus", "u_plus", "breakpoints", "coefficients")
+# each command: its help line, the function that runs it, its required keys
+# and its optional ones
 _COMMANDS = {
-    "solve": ("minimize the boundary objective and emit the profile", _cmd_solve),
-    "evaluate": ("sample u(t, x) of the solved problem", _cmd_evaluate),
-    "validate": ("cross-check the profile against direct integration", _cmd_validate),
-    "continuum": ("refinement study for a tabulated diffusion function", _cmd_continuum),
+    "solve": (
+        "minimize the boundary objective and emit the profile", _cmd_solve, _PROBLEM_KEYS, ()
+    ),
+    "evaluate": ("sample u(t, x) of the solved problem", _cmd_evaluate, _PROBLEM_KEYS, ("t",)),
+    "validate": (
+        "cross-check the profile against direct integration",
+        _cmd_validate,
+        _PROBLEM_KEYS,
+        ("t", "dx"),
+    ),
+    "continuum": (
+        "refinement study for a tabulated diffusion function",
+        _cmd_continuum,
+        ("diffusion",),
+        ("cells",),
+    ),
 }
 
 
 def run(config: RunConfig) -> tuple[Path, ...]:
-    """Execute one command; returns the written files, or removes them on failure."""
-    out = config.out_prefix
+    """Execute one command; returns the written files, or removes them on failure.
+
+    A path is recorded before its write begins, so a write that fails
+    partway is removed too.
+    """
     written: list[Path] = []
     try:
-        _COMMANDS[config.command][1](config, out, written)
+        for name, header, rows in _COMMANDS[config.command][1](config):
+            path = Path(f"{config.out_prefix}{name}.csv")
+            written.append(path)
+            _write_csv(path, header, rows)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -340,24 +306,14 @@ def main(argv: list[str] | None = None) -> int:
         description="Self-similar step-data solver for piecewise-constant diffusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, _) in _COMMANDS.items():
+    for command, (help_line, *_) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_line)
         sp.add_argument("--config", required=True, help="path to a key = value config file")
         sp.add_argument("--out", default="", help="output path prefix (default: working directory)")
     args = parser.parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(text, args.command, out_prefix=args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        written = run(config)
-    except ConfigError as exc:  # a diffusion table that cannot be read or used
+        written = run(parse_config(_read_text(args.config, "config"), args.command, args.out))
+    except ConfigError as exc:  # a config or diffusion table that cannot be read or used
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -107,13 +107,14 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     the whole grid.  On the README problem at t = 1 and dx = 0.025 the
     window leaves out 14 % of the cell updates.  Only when the cuts move, a
     few percent of the steps, are the window and the blockwise slope, node
-    and value rebuilt, by one ``repeat`` of their stacked table.  A grid
-    that cannot be allocated is a ``ValueError`` naming its cell count, and
-    so are a cell count that overflows a float and a time step bound that
-    underflows to 0.  So is a run of more than ``MAX_CELL_UPDATES`` cell
+    and value rebuilt, by one ``repeat`` of their stacked table.  A cell
+    count that overflows a float and a time step bound that underflows to 0
+    are ``ValueError``s.  So is a run of more than ``MAX_CELL_UPDATES`` cell
     updates, cells times steps, which names its count, and a dx whose square
     is below the smallest normal float, where lam = dt/dx^2 loses digits.
-    Both are checked on the allocated grid, before the first step.
+    All of these are refused before the grid is allocated; a grid that
+    then cannot be allocated (a frozen step, a_max = 0, takes no steps and
+    so meets no work bound) is a ``ValueError`` naming its cell count.
     """
     if not (0.0 < t_final < _INF and 0.0 < dx < _INF):
         raise ValueError("t_final and dx must be positive and finite")
@@ -125,32 +126,36 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
             f"an FD grid at dx = {dx!r} over t_final = {t_final!r} needs more cells than a float can count"
         )
     half_cells = int(math.ceil(half_span)) + 1
-    try:
-        x = (np.arange(2 * half_cells) - half_cells + 0.5) * dx
-        u = np.where(x < 0.0, nodes[0], nodes[-1])  # the step from u_0 to u_{n+1}
-    except (MemoryError, ValueError):  # ValueError: more cells than an index can count
-        raise ValueError(f"an FD grid of {2 * half_cells:.6g} cells cannot be allocated") from None
+    cells = 2 * half_cells
     half_width = (half_cells - 0.5) * dx
-    if a_max == 0.0:
+    steps = 0
+    if a_max > 0.0:
+        denominator = 2.0 * a_max * a_max
+        dt_bound = SAFETY * dx * dx / denominator if denominator > 0.0 else _INF
+        if dt_bound == 0.0:
+            raise ValueError(
+                f"the FD time step bound dx^2 / (2 a_max^2) underflows to 0 at dx = {dx!r}, a_max = {a_max!r}"
+            )
+        steps = max(int(math.ceil(t_final / dt_bound)), 1)
+        updates = cells * steps
+        if updates > MAX_CELL_UPDATES:
+            raise ValueError(
+                f"an FD run of {cells} cells over {steps} steps is {updates:.3g} cell updates, "
+                f"more than the {MAX_CELL_UPDATES:.3g} allowed"
+            )
+        if dx * dx < _TINY:
+            raise ValueError(
+                f"dx^2 = {dx * dx!r} at dx = {dx!r} is below the smallest normal float, "
+                "so the FD step ratio dt / dx^2 would carry too few digits"
+            )
+    try:
+        # the step from u_0 to u_{n+1}: cell i sits at x_i < 0 exactly when i < half_cells
+        u = np.full(cells, nodes[-1])
+    except (MemoryError, ValueError):  # ValueError: more cells than an index can count
+        raise ValueError(f"an FD grid of {cells:.6g} cells cannot be allocated") from None
+    u[:half_cells] = nodes[0]
+    if steps == 0:
         return FDGrid(half_width=half_width, dx=dx, dt=0.0, t_final=t_final, cells=u, steps=0)
-    denominator = 2.0 * a_max * a_max
-    dt_bound = SAFETY * dx * dx / denominator if denominator > 0.0 else _INF
-    if dt_bound == 0.0:
-        raise ValueError(
-            f"the FD time step bound dx^2 / (2 a_max^2) underflows to 0 at dx = {dx!r}, a_max = {a_max!r}"
-        )
-    steps = max(int(math.ceil(t_final / dt_bound)), 1)
-    updates = u.size * steps
-    if updates > MAX_CELL_UPDATES:
-        raise ValueError(
-            f"an FD run of {u.size} cells over {steps} steps is {updates:.3g} cell updates, "
-            f"more than the {MAX_CELL_UPDATES:.3g} allowed"
-        )
-    if dx * dx < _TINY:
-        raise ValueError(
-            f"dx^2 = {dx * dx!r} at dx = {dx!r} is below the smallest normal float, "
-            "so the FD step ratio dt / dx^2 would carry too few digits"
-        )
     dt = t_final / steps
     lam = dt / (dx * dx)
     # block j (phase j, then the flat block above the last node) holds

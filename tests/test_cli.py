@@ -53,7 +53,7 @@ def test_parse_minimal_solve_config():
     config = parse_config(SOLVE_TWO_PHASE, "solve")
     assert config.command == "solve"
     assert config.u_minus == 0.0 and config.u_plus == 2.0
-    assert config.interior_breakpoints == (1.0,)
+    assert config.breakpoints == (1.0,)
     assert config.coefficients == (1.0, 2.0)
 
 
@@ -235,13 +235,14 @@ def test_validate_runs_on_a_vanishing_coefficient(tmp_path):
 
 
 def test_validate_rejects_a_grid_beyond_memory(tmp_path, capsys):
-    # dx = 1e-12 asks for 4e13 cells, beyond any address space, so the
-    # allocation fails at once: an invalid problem, not an internal error
+    # dx = 1e-12 asks for 4e13 cells, beyond any address space; the work
+    # bound refuses the run before the grid is allocated: an invalid
+    # problem, not an internal error
     config_path = tmp_path / "fine.cfg"
     config_path.write_text(README_PROBLEM + "dx = [1e-12]\n", encoding="utf-8")
     code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "b_")])
     assert code == 1
-    assert "FD grid of 4e+13 cells cannot be allocated" in capsys.readouterr().err
+    assert "FD run of 40000000000002 cells over" in capsys.readouterr().err
     assert not (tmp_path / "b_validate.csv").exists()
 
 
@@ -275,7 +276,7 @@ def test_validate_rejects_a_grid_beyond_floats(tmp_path, capsys, grid, message):
     ids=["fine-grid", "subnormal-dx-squared"],
 )
 def test_validate_refuses_an_fd_run_beyond_its_work_bound(tmp_path, capsys, grid, message):
-    # refused on the allocated grid, before the first step
+    # refused before the grid is allocated
     config_path = tmp_path / "long.cfg"
     config_path.write_text(README_PROBLEM + grid, encoding="utf-8")
     code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "b_")])
@@ -351,6 +352,7 @@ def test_continuum_rejects_malformed_table(tmp_path, capsys):
     [
         ("0.5, x", "bad.csv:2: expected 'u, a' with two numbers"),
         ("0.5, -1", "bad.csv:2: diffusion values must be nonnegative"),
+        ("1.5, 0.5", "bad.csv: sample states must be strictly increasing"),
     ],
 )
 def test_continuum_rejects_a_bad_table_value(tmp_path, capsys, row, message):
@@ -429,23 +431,66 @@ def test_exit_1_on_invalid_problem(tmp_path, capsys):
     assert list(tmp_path.glob("f_*")) == []
 
 
+def test_exit_1_when_the_solve_does_not_converge(tmp_path, capsys):
+    # ratio-sweep draw (11, 57) at lo = -30: coefficients spanning 29
+    # decades stop Newton on its iteration cap
+    config_path = tmp_path / "stiff.cfg"
+    config_path.write_text(
+        "u_minus = 1\nu_plus = 0\n"
+        "breakpoints = [0.49099002707550754, 0.6949592759574624, 0.7988092110437713, "
+        "0.8239322021375902, 0.9987059156205922]\n"
+        "coefficients = [1.2784653121147448e-25, 1.8086017577870982e-05, 1.2643682053795904e-10, "
+        "0.00034540454051713696, 2.687998323772874e-29, 6.680979659773805e-09]\n",
+        encoding="utf-8",
+    )
+    code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "s_")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: boundary solve did not converge (stopped on max_iters)\n"
+    )
+    assert list(tmp_path.glob("s_*")) == []
+
+
 def test_failed_run_removes_partial_files(tmp_path, monkeypatch):
     import selfsim.cli as cli_module
 
     real_write = cli_module._write_csv
     calls = {"n": 0}
 
-    def flaky_write(path, header, rows, written):
+    def flaky_write(path, header, rows):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("disk full")
-        real_write(path, header, rows, written)
+        real_write(path, header, rows)
 
     monkeypatch.setattr(cli_module, "_write_csv", flaky_write)
     config = parse_config(SOLVE_TWO_PHASE, "solve", out_prefix=str(tmp_path / "p_"))
     with pytest.raises(RuntimeError, match="disk full"):
         run(config)
     assert list(tmp_path.glob("p_*")) == []
+
+
+def test_a_write_that_fails_partway_is_removed(tmp_path, monkeypatch, capsys):
+    # the second file gets 10 bytes before the disk fills: exit 2, and
+    # neither it nor the first file is left behind
+    real_write_text = Path.write_text
+    calls = {"n": 0}
+
+    def filling_write_text(path, data, *args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] < 2:
+            return real_write_text(path, data, *args, **kwargs)
+        real_write_text(path, data[:10], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    config_path = tmp_path / "two.cfg"
+    config_path.write_text(SOLVE_TWO_PHASE, encoding="utf-8")
+    monkeypatch.setattr(Path, "write_text", filling_write_text)
+    code = main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o_")])
+    assert code == 2
+    assert "error: cannot write output: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert calls["n"] == 2
+    assert list(tmp_path.glob("o_*")) == []
 
 
 def test_exit_2_when_outputs_cannot_be_written(tmp_path, capsys):

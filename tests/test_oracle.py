@@ -1,6 +1,7 @@
 """Cross-validation machinery: lattice search, bisection, direct integration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ def test_bisection_matches_newton():
         xi = stefan_bisection(prob)
         sol = solve_riemann(0.0, 2.0, prob.partition)
         assert abs(xi - sol.boundaries[0]) <= 1e-9
+    # a diffusive phase far wider than the frozen one puts the front at
+    # -+6.7338, outside the first bracket +-2 max(a, 1), so the bracket widens
+    for breakpoints, coeffs in [
+        ((0.0, 1e-6, 1.0), (0.0, 1.0)),
+        ((0.0, 1.0 - 1e-6, 1.0), (1.0, 0.0)),
+    ]:
+        prob = _oriented(breakpoints, coeffs)
+        xi = stefan_bisection(prob)
+        sol = solve_riemann(0.0, 1.0, prob.partition)
+        assert abs(xi) > 2.0 * max(max(coeffs), 1.0)
+        assert abs(xi - sol.boundaries[0]) <= 1e-12
 
 
 def test_bisection_rejects_other_shapes():
@@ -189,6 +201,36 @@ def test_fd_refuses_work_beyond_its_bound(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_CELL_UPDATES", float(updates - 1))
     with pytest.raises(ValueError, match=f"{fd.cells.size} cells over {fd.steps} steps is {updates:.3g} cell updates"):
         fd_solve(prob, 0.01, 0.05)
+
+
+def test_fd_refuses_before_it_allocates():
+    # the work bound runs before the grid exists: a refused run of 2e6
+    # cells (16 MB of float64 each array) allocates next to nothing
+    prob = _oriented((0.0, 1.0), (1.0,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cell updates, more than the 1e\\+11 allowed"):
+            fd_solve(prob, 1.0, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_fd_names_a_grid_that_cannot_be_allocated(monkeypatch):
+    # a frozen step takes no steps, so no work bound refuses its grid: one
+    # of more cells than an index can count, or one the allocator refuses,
+    # is a ValueError naming the count
+    frozen = _oriented((0.0, 1.0), (0.0,))
+    with pytest.raises(ValueError, match="an FD grid of 2e\\+301 cells cannot be allocated"):
+        fd_solve(frozen, 1.0, 1e-300)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle.np, "full", out_of_memory)
+    with pytest.raises(ValueError, match="an FD grid of 402 cells cannot be allocated"):
+        fd_solve(_oriented((0.0, 1.0), (1.0,)), 1.0, 0.05)
 
 
 def test_fd_refuses_a_subnormal_dx_squared():

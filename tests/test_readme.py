@@ -71,3 +71,10 @@ def test_top_level_names_resolve_and_cover_the_readme_imports():
         for group in re.findall(r"^from selfsim import (?:\(([^)]*)\)|(.+))$", block, re.M):
             imported.update(name.strip() for name in "".join(group).split(",") if name.strip())
     assert imported and imported <= set(selfsim.__all__), imported - set(selfsim.__all__)
+
+
+def test_readme_scripts_section_names_every_script():
+    section = README.read_text(encoding="utf-8").split("## Scripts", 1)[1].split("\n## ", 1)[0]
+    scripts = sorted(path.name for path in (README.parent / "scripts").glob("*.py"))
+    missing = [name for name in scripts if f"`{name}`" not in section]
+    assert scripts and not missing, missing
