@@ -63,7 +63,7 @@ def solve_riemann(u_minus: float, u_plus: float, partition: PhasePartition) -> R
         problem=problem,
         kind=kind,
         profile=profile,
-        jumps=jump_residuals(problem, profile),
+        jumps=jump_residuals(profile),
         entropy=outcome.value,
         shifted_entropy=outcome.value + shift_constant(problem),
         grad_norm=outcome.grad_norm,

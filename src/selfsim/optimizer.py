@@ -112,6 +112,12 @@ _MIN_STEP = 1e-18
 # so the width is uncertain by about two units, and the flux a du / (x - y)
 # through the phase by half or more.
 UNRESOLVED_ULPS = 4.0
+# The start's state fractions are held inside (0, 1), where heat_step_inverse
+# is defined: a breakpoint within half an ulp of the top state, relative to
+# the span, rounds its fraction to 1, and one far below the span's scale
+# underflows it to 0.
+_FRACTION_MIN = 5e-324
+_FRACTION_MAX = 1.0 - 2.0**-53
 
 
 def _direction(hd, ho, grad) -> tuple[list[float], bool]:
@@ -140,12 +146,19 @@ def damped_newton(
     off-diagonal, the last three as sequences of floats.  It is called once
     per trial point that ``feasible`` accepts, and at no other, so it need
     not check feasibility itself; the accepted trial's evaluation is the next
-    iterate's.
+    iterate's.  An infeasible start is a ``ValueError``, and a start whose
+    value is not finite an ``InvalidPartitionError``: no step can be
+    measured against it.
     """
     x = [float(v) for v in x0]
     if not feasible(x):
         raise ValueError(f"start point is not feasible: {x!r}")
     value, grad, hd, ho = objective(x)
+    if not math.isfinite(value):
+        raise InvalidPartitionError(
+            f"the objective is {value!r} at the start: the states or coefficients are too large "
+            "for double precision"
+        )
     gnorm = max(map(abs, grad), default=0.0)
     records = [IterationRecord(value, gnorm, 0.0)]
     while True:
@@ -212,7 +225,7 @@ def initial_guess(problem: RiemannProblem) -> tuple[float, ...]:
     min_gap = 1e-6 * abar
     for j in range(problem.m):
         f = fracs[j]
-        guess = abar * heat_step_inverse(sum(f) / len(f))
+        guess = abar * heat_step_inverse(min(max(sum(f) / len(f), _FRACTION_MIN), _FRACTION_MAX))
         if vals and guess < vals[-1] + min_gap:
             guess = vals[-1] + min_gap
         vals.append(guess)

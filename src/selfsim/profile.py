@@ -13,8 +13,9 @@ and a dead phase (a_k = 0) is a jump from u_k to u_{k+1} at xi_max(k, 1),
 the boundary its term of the objective keeps (at 0 when it is the only
 phase).  Fluxes, jumps and the mirror image are derived from those three
 tuples where they are asked for: a flux takes ln D_k and the end ratios of
-its one phase from ``special.heat_step_arc``, and ``jump_residuals`` reads
-its balance from the one-sided ``limits`` and ``flux_limits``.
+its one phase from ``special.heat_step_arc``, and ``jump_residuals`` walks
+the boundary lines once, reading each line's states and fluxes from the
+phase that ends on it and the phase that begins on it.
 
 Values come from the one cached table, a piece per one-signed stretch,
 each read from its near end by ``special.heat_step_delta``, delta(n, w) =
@@ -39,9 +40,10 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
+from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple
 
-from .problem import RiemannProblem, diffusion_antiderivative
+from .problem import PhasePartition, RiemannProblem, diffusion_antiderivative
 from .special import heat_step_arc, heat_step_delta, heat_step_delta_by_rule, heat_step_delta_vec
 from .special import heat_step_deriv, heat_step_rest
 
@@ -284,39 +286,38 @@ class JumpRecord(NamedTuple):
     classification: str  # "weak" | "strong"
 
 
-def jump_residuals(problem: RiemannProblem, profile: SelfSimilarProfile) -> tuple[JumpRecord, ...]:
+def jump_residuals(profile: SelfSimilarProfile) -> tuple[JumpRecord, ...]:
     """Interface diagnostics at every nominal boundary, read from the profile.
 
     The residual is the self-similar form of the moving-interface balance,
-    (right - left) * xi / 2 + (flux_right - flux_left), with the states from
-    ``limits`` and the fluxes from ``flux_limits`` at the boundary, so a
-    fused pair reads the live phases beyond it.  It vanishes at the
-    minimizer and is reported, not thrown, so perturbed profiles can be
-    inspected.  Each flux is a du R(xi/a) with the ratio R = H'/D from
-    ``special.heat_step_arc``, so the residual is finite wherever the
-    objective is.  The one-sided states are nodes of
-    ``diffusion_antiderivative``, so A is read from its table exactly, in
-    either orientation.
+    (right - left) * xi / 2 + (flux_right - flux_left).  One walk over the
+    boundary lines reads each line's states and fluxes once, from the phase
+    that ends on it and the phase that begins on it, so a fused pair reads
+    the live phases beyond it; every boundary on the line gets its record,
+    with its own xi.  The residual vanishes at the minimizer and is
+    reported, not thrown, so perturbed profiles can be inspected.  Each flux
+    is a du R(xi/a) with the ratio R = H'/D from ``special.heat_step_arc``,
+    so the residual is finite wherever the objective is.  The one-sided
+    states are nodes of ``diffusion_antiderivative``, summed from the lower
+    state up in either orientation, so A is read from its table exactly.
     """
-    a_at = dict(zip(*diffusion_antiderivative(problem.partition)))
-    b = profile.boundaries
+    u, cs = profile.states, profile.coefficients
+    if u[0] > u[-1]:
+        u, cs = u[::-1], cs[::-1]
+    a_at = dict(zip(*diffusion_antiderivative(PhasePartition(u, cs))))
     records: list[JumpRecord] = []
-    slot = -1
-    for k, loc in enumerate(b, start=1):
-        if k == 1 or loc != b[k - 2]:
-            slot += 1
-        left, right = profile.limits(loc)
-        flux_left, flux_right = profile.flux_limits(loc)
-        records.append(
-            JumpRecord(
-                boundary=k,
-                slot=slot,
-                location=loc,
-                left=left,
-                right=right,
-                a_jump=a_at[right] - a_at[left],
-                rh_residual=(right - left) * loc / 2.0 + (flux_right - flux_left),
-                classification="strong" if left != right else "weak",
-            )
-        )
+    i = 0  # the phase that ends on the line; the one that begins on it is j
+    for slot, (line, run) in enumerate(groupby(profile.boundaries)):
+        if math.isnan(line):
+            raise ValueError("xi must not be NaN")
+        run = tuple(run)
+        j = i + len(run)
+        left, right = profile._sides(i, j)
+        a_jump = a_at[right] - a_at[left]
+        flux_jump = profile._flux(j, line) - profile._flux(i, line)
+        classification = "strong" if left != right else "weak"
+        for k, loc in enumerate(run, start=i + 1):
+            rh_residual = (right - left) * loc / 2.0 + flux_jump
+            records.append(JumpRecord(k, slot, loc, left, right, a_jump, rh_residual, classification))
+        i = j
     return tuple(records)

@@ -119,7 +119,7 @@ def test_criterion_04_stationarity_equals_jump_conditions(record_property):
             bumped = list(values)
             bumped[slot] += 1e-2
             profile = build_profile(sol.problem, bumped)
-            records = jump_residuals(sol.problem, profile)
+            records = jump_residuals(profile)
             hit = [rec for rec in records if rec.slot == slot]
             assert hit and all(abs(rec.rh_residual) > 1e-4 for rec in hit)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsim import solve_riemann
+from selfsim import continuum, optimizer, solve_riemann
 from selfsim.continuum import (
     DiffusionFunction,
     InverseProfile,
@@ -118,6 +118,7 @@ def test_interp_is_numpy_bit_for_bit(nodes, seed, values, extra):
         xp,  # every node, the two ends among them
         xp[:-1] + rng.random(nodes - 1) * np.diff(xp),  # inside each interval
         [xp[0] - 1.0, xp[-1] + 1.0, -math.inf, math.inf],  # out of range
+        [math.nan],  # read through as NaN
         extra,
     ))
     xp_t, fp_t = tuple(xp.tolist()), tuple(fp.tolist())
@@ -452,6 +453,15 @@ def test_study_requires_increasing_counts():
         convergence_study(UNIT, [])
     with pytest.raises(ValueError, match="^1 cells leave no free boundary after merging$"):
         convergence_study(LINEAR, [1])
+
+
+def test_study_refuses_a_resolution_whose_solve_does_not_converge(monkeypatch):
+    def stalled(problem):
+        return optimizer.minimize(problem)._replace(converged=False, stop_reason="max_iters")
+
+    monkeypatch.setattr(continuum, "minimize", stalled)
+    with pytest.raises(RuntimeError, match=r"^boundary solve did not converge at 4 cells \(stopped on max_iters\)$"):
+        convergence_study(UNIT, [4, 8])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from selfsim.optimizer import (
     solve_spd_tridiagonal,
 )
 from selfsim.oracle import stefan_bisection
-from selfsim.problem import normalize_orientation
+from selfsim.problem import InvalidPartitionError, normalize_orientation
 
 from conftest import dense_hessian, feasible_point, make_problem, part
 
@@ -350,23 +350,62 @@ def test_converges_at_the_rounding_floor(n, seed):
     assert np.max(np.abs(g)) <= 1e-9
 
 
+@pytest.mark.parametrize("flip", [False, True], ids=["increasing", "decreasing"])
 @pytest.mark.parametrize(
     "breakpoints, coefficients",
     [
         ((0.0, 1e-12, 1.0), (0.0, 1.0)),
         ((0.0, 1.0 - 1e-16, 1.0), (1.0, 2.0)),
         ((0.0, 1e-300, 1.0), (1.0, 2.0)),
+        ((-1.0, 0.9999999999999999, 1.0), (1.0, 2.0)),
+        ((-1.0, 0.9999999999999999, 1.0), (0.0, 2.0)),
+        ((-1.0, 0.9999999999999999, 1.0), (2.0, 0.0)),
     ],
 )
-def test_extreme_state_fraction_converges(breakpoints, coefficients):
+def test_extreme_state_fraction_converges(breakpoints, coefficients, flip):
     # one phase holds all but 1e-12 (1e-16) of the state range, so ln D of the
     # straddling arc lies that close to 0: ln of the erf sum rounded it to 0.
     # With 1e-300 the objective and its gradient are subnormal and g.d rounds
-    # to 0, so the Newton step must be told by the sign of g.d at scale
+    # to 0, so the Newton step must be told by the sign of g.d at scale.
+    # Half an ulp below the top state the fraction rounds to 1.0, where
+    # heat_step_inverse is undefined, so the start holds it just below 1
     partition = PhasePartition(breakpoints, coefficients)
-    sol = solve_riemann(breakpoints[0], breakpoints[-1], partition)
+    ends = (breakpoints[-1], breakpoints[0]) if flip else (breakpoints[0], breakpoints[-1])
+    sol = solve_riemann(*ends, partition)
     assert sol.converged, (sol.stop_reason, sol.iterations)
     assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * max(coefficients)
+
+
+def test_an_objective_that_overflows_at_the_start_is_refused():
+    # each ended on no_progress after 0 iterations, with entropy inf
+    for breakpoints, coefficients in [
+        ((0.0, 0.5, 1.0), (10**153.9, 2.0 * 10**153.9)),
+        ((0.0, 1.0, 1e308), (1.0, 2.0)),
+        ((-1e308, 0.0, 1e308), (1.0, 2.0)),  # the span itself overflows
+    ]:
+        partition = PhasePartition(breakpoints, coefficients)
+        with pytest.raises(InvalidPartitionError, match="^the objective is inf at the start"):
+            solve_riemann(breakpoints[0], breakpoints[-1], partition)
+    # the first problem at coefficients 10^0.4 times smaller still solves
+    coefficients = (10**153.5, 2.0 * 10**153.5)
+    sol = solve_riemann(0.0, 1.0, PhasePartition((0.0, 0.5, 1.0), coefficients))
+    assert sol.converged and math.isfinite(sol.entropy)
+    assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * max(coefficients)
+
+
+def test_a_start_that_is_infeasible_or_not_finite_is_refused_after_one_pass():
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return math.nan, [0.0], [1.0], []
+
+    with pytest.raises(ValueError, match=r"^start point is not feasible: \[1.0, 0.0\]$"):
+        damped_newton([1.0, 0.0], objective, feasible_values, 1.0)
+    assert calls == []
+    with pytest.raises(InvalidPartitionError, match="^the objective is nan at the start"):
+        damped_newton([0.0], objective, _finite, 1.0)
+    assert calls == [[0.0]]
 
 
 def test_value_evaluations_bounded_by_iterations():

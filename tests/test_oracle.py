@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfsim import PhasePartition, oracle, solve_riemann
+from selfsim.entropy import entropy_value, sublevel_bounds
+from selfsim.optimizer import initial_guess
 from selfsim.oracle import (
     SAFETY,
     FDGrid,
@@ -72,6 +74,24 @@ def test_grid_search_merged_boundary():
     got = grid_search_min(prob)
     sol = solve_riemann(0.0, 3.0, prob.partition)
     assert abs(got.minimizer[0] - sol.boundaries[0]) <= 1e-4
+
+
+def test_grid_search_two_boundaries_within_one_lattice_step():
+    # a thin middle phase puts both boundaries within one coarse step, so
+    # each refinement round meets candidates out of order and skips them;
+    # the search still ends within its finest step of the minimiser
+    prob = _oriented((0.0, 0.5, 0.501, 1.0), (1.0, 2.0, 1.0))
+    start = initial_guess(prob)
+    radius = sublevel_bounds(prob, entropy_value(prob, start)).radius
+    coarse = radius / oracle.COARSE_CELLS
+    finest = coarse / oracle.REFINE_FACTOR**oracle.REFINE_ROUNDS
+    sol = solve_riemann(0.0, 1.0, prob.partition)
+    assert sol.boundaries[1] - sol.boundaries[0] < coarse
+    got = grid_search_min(prob)
+    assert got.minimizer[0] < got.minimizer[1]
+    assert all(b <= a for a, b in zip(got.round_values, got.round_values[1:]))
+    for lattice, newton in zip(got.minimizer, sol.boundaries):
+        assert abs(lattice - newton) <= finest
 
 
 def test_grid_search_rejects_wrong_sizes():

@@ -14,7 +14,7 @@ from selfsim import PhasePartition, eval_selfsimilar, eval_solution, solve_riema
 from selfsim.api import KIND_FROZEN_STEP, KIND_GENERAL, KIND_SINGLE_ARC
 from selfsim.cli import main
 from selfsim.problem import diffusion_antiderivative, normalize_orientation, require_valid
-from selfsim.profile import JumpPoint, SelfSimilarProfile, build_profile, flux, jump_residuals
+from selfsim.profile import JumpPoint, JumpRecord, SelfSimilarProfile, build_profile, flux, jump_residuals
 from selfsim.special import TAIL_FROM, heat_step, heat_step_deriv
 
 from conftest import admissible, make_problem, part
@@ -96,9 +96,9 @@ def test_profile_is_its_three_tuples():
     )
     assert prof.left_state == 0.0
     assert prof.right_state == 2.0
-    # the ln D that sample and jump_residuals cache is no part of the value
+    # the pieces that sample caches are no part of the value; jump_residuals caches nothing
     prof.sample(np.linspace(-3.0, 3.0, 7))
-    jump_residuals(sol.problem, prof)
+    jump_residuals(prof)
     fresh = SelfSimilarProfile(sol.boundaries, (0.0, 1.0, 2.0), (0.0, 1.0))
     assert "_pieces" in vars(prof) and "_pieces" not in vars(fresh)
     assert prof == fresh and hash(prof) == hash(fresh) and repr(prof) == repr(fresh)
@@ -196,10 +196,9 @@ def test_a_one_signed_arc_whose_scaled_width_underflows_has_finite_fluxes(x, mir
     profile = SelfSimilarProfile(x, (0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
     if mirror:
         profile = profile.mirrored()
-    problem = normalize_orientation(0.0, 3.0, PhasePartition((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0)))
     for xi in profile.boundaries:
         assert all(map(math.isfinite, profile.flux_limits(xi))), xi
-    assert all(math.isfinite(rec.rh_residual) for rec in jump_residuals(problem, profile))
+    assert all(math.isfinite(rec.rh_residual) for rec in jump_residuals(profile))
 
 
 def test_eval_solution_identities():
@@ -423,7 +422,7 @@ def test_perturbed_boundary_localizes_residual():
     vals = np.array(sol.profile.boundaries)
     vals[0] += 0.01
     perturbed = build_profile(sol.problem, vals)
-    recs = jump_residuals(sol.problem, perturbed)
+    recs = jump_residuals(perturbed)
     assert abs(recs[0].rh_residual) > 1e-4
     assert abs(recs[1].rh_residual) > 1e-4
     assert abs(recs[2].rh_residual) <= 1e-9
@@ -435,7 +434,7 @@ def test_perturbed_two_phase_touches_both_records():
     vals = np.array(sol.profile.boundaries)
     vals[0] += 0.01
     perturbed = build_profile(sol.problem, vals)
-    recs = jump_residuals(sol.problem, perturbed)
+    recs = jump_residuals(perturbed)
     assert all(abs(r.rh_residual) > 1e-4 for r in recs)
 
 
@@ -696,9 +695,9 @@ def _assert_records_match(problem, profile, records):
 @example(drawn=([1.0] * 16 + [0.0625], [0.0] * 15 + [math.e, math.exp(-2.0)], False), signs=[-1.0] * 17)
 @settings(max_examples=150, deadline=None)
 def test_jump_records_match_the_end_flux_loop(drawn, signs):
-    # the records read from limits/flux_limits are the per-phase end-flux
-    # loop's bit for bit, at the minimizer and with its slots moved by 1e-2;
-    # on an arc deep in one tail, their residuals are the 50-digit ones
+    # the records of the walk over the boundary lines are the per-phase
+    # end-flux loop's bit for bit, at the minimizer and with its slots moved
+    # by 1e-2; on an arc deep in one tail, their residuals are the 50-digit ones
     sol = _solve_drawn(drawn)
     problem = sol.problem
     _assert_records_match(problem, sol.profile, sol.jumps)
@@ -712,4 +711,62 @@ def test_jump_records_match_the_end_flux_loop(drawn, signs):
     profile = build_profile(problem, bumped)
     if problem.orientation_flipped:
         profile = profile.mirrored()
-    _assert_records_match(problem, profile, jump_residuals(problem, profile))
+    _assert_records_match(problem, profile, jump_residuals(profile))
+
+
+def _per_boundary_records(problem, profile):
+    """The records as ``limits`` and ``flux_limits`` give them, one boundary
+    at a time, with A summed over the solver-frame partition."""
+    a_at = dict(zip(*diffusion_antiderivative(problem.partition)))
+    b = profile.boundaries
+    records = []
+    slot = -1
+    for k, loc in enumerate(b, start=1):
+        slot += k == 1 or loc != b[k - 2]
+        left, right = profile.limits(loc)
+        flux_left, flux_right = profile.flux_limits(loc)
+        residual = (right - left) * loc / 2.0 + (flux_right - flux_left)
+        kind = "strong" if left != right else "weak"
+        records.append(JumpRecord(k, slot, loc, left, right, a_at[right] - a_at[left], residual, kind))
+    return records
+
+
+def _jump_cases():
+    # (problem, profile): solved in either orientation, mirrored, with a slot
+    # moved by 1e-2, and collapsed lines: two equal, unfused boundaries around
+    # a live phase, across which A jumps, with a line at 0 as -0.0 and 0.0
+    for bps, cs in [
+        ((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.5, 2.0, 0.8)),
+        ((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0)),
+        ((0.0, 1.0, 2.0, 3.0, 4.0), (0.0, 1.0, 0.0, 2.0)),
+        ((0.0, 1.0, 2.0), (1.0, 0.0)),
+        ((0.0, 2.0), (1.5,)),
+    ]:
+        for ends in ((bps[0], bps[-1]), (bps[-1], bps[0])):
+            sol = solve_riemann(*ends, PhasePartition(bps, cs))
+            problem = sol.problem
+            yield problem, sol.profile
+            yield problem, sol.profile.mirrored()
+            if problem.m:
+                solved = sol.profile.mirrored() if problem.orientation_flipped else sol.profile
+                x = [solved.boundaries[problem.slots.index(j)] for j in range(problem.m)]
+                x[-1] += 1e-2
+                yield problem, build_profile(problem, x)
+    # on these states the sums of A from either end round apart
+    problem = normalize_orientation(0.0, 1.0, PhasePartition((0.0, 0.1, 0.3, 1.0), (1.0, 2.0, 1.0)))
+    for line in ((0.5, 0.5), (-0.0, 0.0), (0.0, -0.0)):
+        profile = build_profile(problem, line)
+        yield problem, profile
+        yield problem, profile.mirrored()
+
+
+def test_the_walk_gives_the_per_boundary_records_bit_for_bit():
+    collapsed = 0
+    for problem, profile in _jump_cases():
+        records = jump_residuals(profile)
+        assert _record_bits(records) == _record_bits(_per_boundary_records(problem, profile)), profile
+        collapsed += any(r.a_jump != 0.0 for r in records)
+    assert collapsed == 6
+    profile = SelfSimilarProfile((math.nan, 0.5), (0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
+    with pytest.raises(ValueError, match="^xi must not be NaN$"):
+        jump_residuals(profile)
