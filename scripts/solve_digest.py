@@ -22,19 +22,36 @@ a_max, and of both one-sided fluxes at every 50th point of it.  It is not
 part of the total, so the total stays comparable across changes that only
 touch the profile.
 
+A last line after it, ``continuum``, also left out of the total, digests
+``selfsim.continuum`` on three tables over [0, 1]: a(u) = u^2, 1/(u + 1/2)
+and 0.6 + 0.4 sin(2 pi u) with a dead band |u - 1/2| <= 0.1.  For each it
+takes the ``float.hex`` of every ``StudyRow`` field of
+``convergence_study`` at 4, 8, 16, 32 and 64 cells, of
+``minimize_variational_cost`` at 64 cells, and of ``variational_cost`` and
+``euler_lagrange_residual`` at that minimiser.
+
 Usage:
     python scripts/solve_digest.py [--draws N]
 """
 
 import argparse
 import hashlib
+import math
 
 import numpy as np
 from ratio_sweep import draw
 from selfsim import PhasePartition, solve_riemann
+from selfsim.continuum import (
+    DiffusionFunction,
+    convergence_study,
+    euler_lagrange_residual,
+    minimize_variational_cost,
+    variational_cost,
+)
 
 GRID_POINTS = 2001  # the benchmark's sample grid, +-8 a_max
 GRID_HALFWIDTH_PER_A = 8.0
+STUDY_CELLS = (4, 8, 16, 32, 64)
 
 
 def part(n: int, s: int, lo: float = 0.2, hi: float = 2.0) -> tuple[float, float, PhasePartition]:
@@ -80,6 +97,26 @@ def profile_record(u_minus: float, u_plus: float, partition: PhasePartition) -> 
     return " ".join(map(float.hex, floats))
 
 
+def continuum_tables() -> list[DiffusionFunction]:
+    def banded_sine(u: float) -> float:
+        return 0.0 if abs(u - 0.5) <= 0.1 else 0.6 + 0.4 * math.sin(2.0 * math.pi * u)
+
+    fns = (lambda u: u * u, lambda u: 1.0 / (u + 0.5), banded_sine)
+    return [DiffusionFunction.from_callable(fn, 0.0, 1.0) for fn in fns]
+
+
+def continuum_record(f: DiffusionFunction) -> str:
+    floats: list[float] = []
+    for row in convergence_study(f, STUDY_CELLS):
+        floats += (row.cells, *row.partition.breakpoints, *row.partition.coefficients, *row.boundaries)
+        floats += (*row.inverse.states, *row.inverse.positions, row.shifted_entropy, row.distance_to_finest)
+    m = minimize_variational_cost(f, STUDY_CELLS[-1])
+    floats += (*m.profile.states, *m.profile.positions, m.cost, m.grad_norm, m.iterations, m.converged)
+    floats.append(variational_cost(f, m.profile))
+    floats += euler_lagrange_residual(f, m.profile).tolist()
+    return " ".join(map(float.hex, map(float, floats)))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=1500, help="ratio-sweep draws per (seed, lo)")
@@ -104,6 +141,12 @@ def main() -> None:
     for problem in pool:
         profiles.update(profile_record(*problem).encode() + b"\n")
     print(f"{profiles.hexdigest()}  ({len(pool)} solves, profile)")
+
+    studies = hashlib.sha256()
+    tables = continuum_tables()
+    for f in tables:
+        studies.update(continuum_record(f).encode() + b"\n")
+    print(f"{studies.hexdigest()}  ({len(tables)} tables, continuum)")
 
 
 if __name__ == "__main__":

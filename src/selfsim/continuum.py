@@ -10,7 +10,11 @@ function into admissible partitions, evaluates J and its Euler-Lagrange
 residual with convexity-preserving quadrature (composite midpoint values,
 forward-difference slopes), minimizes J directly, and runs refinement
 studies showing the discrete boundary solves converge to the continuum
-minimizer.
+minimizer.  Each evaluation forms J's cell terms once: the widths du and
+midpoint values a of a state grid (``_cells``), the position gaps and
+midpoints, and the slope term a^2 du / gap (``_slope_terms``), which J's
+gradient and the Euler-Lagrange residual share.  A study builds each row
+in its one pass over the cell counts.
 
 Degenerate convention: where a vanishes the slope term is taken as zero
 (0 * ln = 0) and the quadratic term survives; a flat run of xi across such a
@@ -180,26 +184,34 @@ def discretize(f: DiffusionFunction, cells: int) -> PhasePartition:
     return partition
 
 
+def _cells(f: DiffusionFunction, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Widths du of the cells between the states w, and a at their midpoints."""
+    return w[1:] - w[:-1], f(0.5 * (w[:-1] + w[1:]))
+
+
 def _cell_data(f: DiffusionFunction, profile: InverseProfile):
     import numpy as np
 
-    w = np.asarray(profile.states, dtype=float)
     xi = np.asarray(profile.positions, dtype=float)
-    du = np.diff(w)
+    du, a = _cells(f, np.asarray(profile.states, dtype=float))
     gap = np.diff(xi)
-    a = np.asarray(f(0.5 * (w[:-1] + w[1:])), dtype=float)
-    if np.any((a > 0.0) & (gap <= 0.0)):
-        j = int(np.argmax((a > 0.0) & (gap <= 0.0)))
-        raise ValueError(f"profile is flat on a nondegenerate cell (cell {j})")
-    return w, xi, du, gap, a
+    flat = (a > 0.0) & (gap <= 0.0)
+    if np.any(flat):
+        raise ValueError(f"profile is flat on a nondegenerate cell (cell {int(np.argmax(flat))})")
+    return xi, du, gap, a
 
 
-def _cost(xi: np.ndarray, du: np.ndarray, a: np.ndarray) -> float:
-    # J at node positions xi: composite midpoint rule, forward-difference slopes
+def _slope_terms(gap: np.ndarray, du: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # a^2 du / gap, a^2 over the cell's slope gap / du; 0 on a degenerate cell
     import numpy as np
 
-    gap = np.diff(xi)
-    mid = 0.5 * (xi[:-1] + xi[1:])
+    return np.divide(a**2 * du, gap, out=np.zeros(du.size), where=a > 0.0)
+
+
+def _cost(gap: np.ndarray, mid: np.ndarray, du: np.ndarray, a: np.ndarray) -> float:
+    # J from its cells' gaps and midpoints: composite midpoint rule, forward-difference slopes
+    import numpy as np
+
     pos = a > 0.0
     total = float(np.sum(0.25 * mid * mid * du))
     total -= float(np.sum(a[pos] ** 2 * np.log(gap[pos] / du[pos]) * du[pos]))
@@ -208,8 +220,8 @@ def _cost(xi: np.ndarray, du: np.ndarray, a: np.ndarray) -> float:
 
 def variational_cost(f: DiffusionFunction, profile: InverseProfile) -> float:
     """J by composite midpoint rule, slopes by forward differences."""
-    _, xi, du, _, a = _cell_data(f, profile)
-    return _cost(xi, du, a)
+    xi, du, gap, a = _cell_data(f, profile)
+    return _cost(gap, 0.5 * (xi[:-1] + xi[1:]), du, a)
 
 
 def euler_lagrange_residual(f: DiffusionFunction, profile: InverseProfile) -> np.ndarray:
@@ -221,16 +233,11 @@ def euler_lagrange_residual(f: DiffusionFunction, profile: InverseProfile) -> np
     """
     import numpy as np
 
-    _, xi, du, gap, a = _cell_data(f, profile)
-    n = du.size
-    res = np.full(n + 1, math.nan)
-    s = np.zeros(n)
-    pos = a > 0.0
-    s[pos] = a[pos] ** 2 * du[pos] / gap[pos]
-    for j in range(1, n):
-        if a[j - 1] > 0.0 and a[j] > 0.0:
-            res[j] = 0.5 * xi[j] + (s[j] - s[j - 1]) / (0.5 * (du[j - 1] + du[j]))
-    return res
+    xi, du, gap, a = _cell_data(f, profile)
+    s = _slope_terms(gap, du, a)
+    live = (a[:-1] > 0.0) & (a[1:] > 0.0)
+    inner = 0.5 * xi[1:-1] + (s[1:] - s[:-1]) / (0.5 * (du[:-1] + du[1:]))
+    return np.concatenate(([math.nan], np.where(live, inner, math.nan), [math.nan]))
 
 
 class CostMinimum(NamedTuple):
@@ -261,8 +268,7 @@ def minimize_variational_cost(f: DiffusionFunction, cells: int) -> CostMinimum:
     if cells < 2:
         raise ValueError("need at least two cells: on one the cost is unbounded below")
     w = np.linspace(f.lo, f.hi, cells + 1)
-    du = np.diff(w)
-    a = np.asarray(f(0.5 * (w[:-1] + w[1:])), dtype=float)
+    du, a = _cells(f, w)
     a_max = float(np.max(a))
     if a_max == 0.0:
         raise ValueError("diffusion vanishes identically")
@@ -274,41 +280,32 @@ def minimize_variational_cost(f: DiffusionFunction, cells: int) -> CostMinimum:
         x = np.asarray(y)[slots]
         gap = np.diff(x)
         mid = 0.5 * (x[:-1] + x[1:])
-        s = np.zeros(du.size)
-        s[pos] = a[pos] ** 2 * du[pos] / gap[pos]
+        s = _slope_terms(gap, du, a)
         quad = 0.25 * mid * du
         g = np.zeros(x.size)
         g[:-1] += s + quad
         g[1:] += -s + quad
-        q = np.zeros(du.size)
-        q[pos] = a[pos] ** 2 * du[pos] / (gap[pos] * gap[pos])
+        q = np.divide(a**2 * du, gap * gap, out=np.zeros(du.size), where=pos)
         r = 0.125 * du
+        qr = q + r
         hd = np.zeros(x.size)
-        hd[:-1] += q + r
-        hd[1:] += q + r
+        hd[:-1] += qr
+        hd[1:] += qr
         ho = -q + r
         # sum over each unknown's nodes; a dead cell's coupling joins its diagonal
         hd = np.bincount(slots, weights=hd) + np.bincount(
             slots[:-1][~pos], weights=2.0 * ho[~pos], minlength=unknowns
         )
         g = np.bincount(slots, weights=g)
-        return _cost(x, du, a), g.tolist(), hd.tolist(), ho[pos].tolist()
+        return _cost(gap, mid, du, a), g.tolist(), hd.tolist(), ho[pos].tolist()
 
-    lo_frac = 0.5 * float(np.min(du)) / (f.hi - f.lo + float(np.min(du)))
-    fracs = (w - f.lo + 0.5 * float(np.min(du))) / (f.hi - f.lo + float(np.min(du)))
-    start = a_max * np.array([heat_step_inverse(min(max(p, lo_frac), 1.0 - lo_frac)) for p in fracs])
+    h = float(np.min(du))
+    fracs = (w - f.lo + 0.5 * h) / (f.hi - f.lo + h)  # nondecreasing, from fracs[0] = h / 2 / (span + h)
+    start = a_max * np.array([heat_step_inverse(min(p, 1.0 - fracs[0])) for p in fracs])
     start = np.bincount(slots, weights=start) / np.bincount(slots)  # each unknown's mean
     outcome = damped_newton(start, objective, feasible_values, a_max)
-    return CostMinimum(
-        profile=InverseProfile(
-            states=tuple(float(u) for u in w),
-            positions=tuple(np.asarray(outcome.x)[slots].tolist()),
-        ),
-        cost=outcome.value,
-        grad_norm=outcome.grad_norm,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-    )
+    profile = InverseProfile(tuple(w.tolist()), tuple(np.asarray(outcome.x)[slots].tolist()))
+    return CostMinimum(profile, outcome.value, outcome.grad_norm, outcome.iterations, outcome.converged)
 
 
 class StudyRow(NamedTuple):
@@ -335,7 +332,7 @@ def convergence_study(f: DiffusionFunction, cell_counts: Sequence[int]) -> tuple
         raise ValueError("cell counts must be increasing and nonempty")
     width = f.hi - f.lo
     grid = _linspace(f.lo + _GRID_TRIM * width, f.hi - _GRID_TRIM * width, _GRID_POINTS)
-    partial: list[tuple[int, PhasePartition, tuple[float, ...], list[float], float]] = []
+    rows = []
     for cells in counts:
         partition = discretize(f, cells)
         if partition.n < 1:
@@ -348,20 +345,11 @@ def convergence_study(f: DiffusionFunction, cell_counts: Sequence[int]) -> tuple
             )
         nominal = problem.expand(result.x)
         inner = partition.breakpoints[1:-1]
-        on_grid = [_interp(u, inner, nominal) for u in grid]
-        shifted = result.value + shift_constant(problem)
-        partial.append((cells, partition, nominal, on_grid, shifted))
-    finest = partial[-1][3]
-    rows = []
-    for cells, partition, nominal, on_grid, shifted in partial:
-        rows.append(
-            StudyRow(
-                cells=cells,
-                partition=partition,
-                boundaries=nominal,
-                inverse=InverseProfile(states=tuple(grid), positions=tuple(on_grid)),
-                shifted_entropy=shifted,
-                distance_to_finest=max(abs(v - w) for v, w in zip(on_grid, finest)),
-            )
-        )
-    return tuple(rows)
+        inverse = InverseProfile(tuple(grid), tuple(_interp(u, inner, nominal) for u in grid))
+        # the distance column is filled in below, once the finest row is known
+        rows.append(StudyRow(cells, partition, nominal, inverse, result.value + shift_constant(problem), math.nan))
+    finest = rows[-1].inverse.positions
+    return tuple(
+        row._replace(distance_to_finest=max(abs(v - w) for v, w in zip(row.inverse.positions, finest)))
+        for row in rows
+    )

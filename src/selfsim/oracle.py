@@ -113,14 +113,15 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     updates, cells times steps, which names its count, and a dx whose square
     is below the smallest normal float, where lam = dt/dx^2 loses digits.
     All of these are refused before the grid is allocated; a grid that
-    then cannot be allocated (a frozen step, a_max = 0, takes no steps and
-    so meets no work bound) is a ``ValueError`` naming its cell count.
+    then cannot be allocated is a ``ValueError`` naming its cell count.  A
+    frozen step (a_max = 0) has half-width 0 and takes no steps: it returns
+    the step on two cells at any dx.
     """
     if not (0.0 < t_final < _INF and 0.0 < dx < _INF):
         raise ValueError("t_final and dx must be positive and finite")
     nodes, avals = (np.array(v) for v in diffusion_antiderivative(problem.partition))
     a_max = max(problem.partition.coefficients)
-    half_span = HALFWIDTH_FACTOR * max(a_max, 1.0) * math.sqrt(t_final) / dx
+    half_span = HALFWIDTH_FACTOR * a_max * math.sqrt(t_final) / dx
     if half_span == _INF:
         raise ValueError(
             f"an FD grid at dx = {dx!r} over t_final = {t_final!r} needs more cells than a float can count"
@@ -151,7 +152,7 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     try:
         # the step from u_0 to u_{n+1}: cell i sits at x_i < 0 exactly when i < half_cells
         u = np.full(cells, nodes[-1])
-    except (MemoryError, ValueError):  # ValueError: more cells than an index can count
+    except MemoryError:
         raise ValueError(f"an FD grid of {cells:.6g} cells cannot be allocated") from None
     u[:half_cells] = nodes[0]
     if steps == 0:

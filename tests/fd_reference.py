@@ -24,7 +24,7 @@ from selfsim.problem import diffusion_antiderivative
 def reference_fd_solve(problem, t_final: float, dx: float) -> FDGrid:
     nodes, avals = diffusion_antiderivative(problem.partition)
     a_max = max(problem.partition.coefficients)
-    half_cells = int(math.ceil(HALFWIDTH_FACTOR * max(a_max, 1.0) * math.sqrt(t_final) / dx)) + 1
+    half_cells = int(math.ceil(HALFWIDTH_FACTOR * a_max * math.sqrt(t_final) / dx)) + 1
     x = (np.arange(2 * half_cells) - half_cells + 0.5) * dx
     u = np.where(x < 0.0, nodes[0], nodes[-1])
     half_width = (half_cells - 0.5) * dx
@@ -49,7 +49,7 @@ def reference_fd_solve(problem, t_final: float, dx: float) -> FDGrid:
 def full_array_fd_solve(problem, t_final: float, dx: float) -> FDGrid:
     nodes, avals = (np.array(v) for v in diffusion_antiderivative(problem.partition))
     a_max = max(problem.partition.coefficients)
-    half_cells = int(math.ceil(HALFWIDTH_FACTOR * max(a_max, 1.0) * math.sqrt(t_final) / dx)) + 1
+    half_cells = int(math.ceil(HALFWIDTH_FACTOR * a_max * math.sqrt(t_final) / dx)) + 1
     x = (np.arange(2 * half_cells) - half_cells + 0.5) * dx
     u = np.where(x < 0.0, nodes[0], nodes[-1])  # the step from u_0 to u_{n+1}
     half_width = (half_cells - 0.5) * dx

@@ -38,7 +38,7 @@ def variational_cost_kernel_form(f: DiffusionFunction, profile: InverseProfile) 
     ``variational_cost`` by exactly ln(2 sqrt(pi)) * sum_{a>0} a^2 du — the
     kernel's normalization prefactor — and nothing else.
     """
-    _, xi, du, gap, a = _cell_data(f, profile)
+    xi, du, gap, a = _cell_data(f, profile)
     mid = 0.5 * (xi[:-1] + xi[1:])
     total = 0.0
     for j in range(du.size):

@@ -376,6 +376,25 @@ def test_extreme_state_fraction_converges(breakpoints, coefficients, flip):
     assert max(abs(rec.rh_residual) for rec in sol.jumps) <= 1e-9 * max(coefficients)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a state fraction that underflows to 0 leaves a start the solve does not recover "
+    "from; ROADMAP items 2 (a coefficient-aware start) and 8 (underflowed start fraction)",
+)
+@pytest.mark.parametrize(
+    "breakpoints, coefficients",
+    [((0.0, 5e-324, 1e300), (1.0, 2.0)), ((0.0, 1e-320, 1e10), (2.0, 1.0))],
+)
+def test_underflowed_state_fraction_converges(breakpoints, coefficients):
+    # the breakpoint's state fraction underflows to 0 and the start holds it
+    # at 5e-324; the first ends on no_progress after one iteration, the
+    # second on max_iters after 200
+    sol = solve_riemann(breakpoints[0], breakpoints[-1], PhasePartition(breakpoints, coefficients))
+    assert sol.converged, (sol.stop_reason, sol.iterations)
+    tol = 1e-9 * max(coefficients) * (breakpoints[-1] - breakpoints[0])
+    assert max(abs(rec.rh_residual) for rec in sol.jumps) <= tol
+
+
 def test_an_objective_that_overflows_at_the_start_is_refused():
     # each ended on no_progress after 0 iterations, with entropy inf
     for breakpoints, coefficients in [

@@ -238,12 +238,12 @@ def test_fd_refuses_before_it_allocates():
 
 
 def test_fd_names_a_grid_that_cannot_be_allocated(monkeypatch):
-    # a frozen step takes no steps, so no work bound refuses its grid: one
-    # of more cells than an index can count, or one the allocator refuses,
-    # is a ValueError naming the count
-    frozen = _oriented((0.0, 1.0), (0.0,))
-    with pytest.raises(ValueError, match="an FD grid of 2e\\+301 cells cannot be allocated"):
-        fd_solve(frozen, 1.0, 1e-300)
+    # a grid the allocator refuses is a ValueError naming its cell count.  A
+    # frozen step meets no work bound, but its half-width a_max sqrt(t) is 0,
+    # so even at dx = 1e-300 it is two cells
+    frozen = fd_solve(_oriented((0.0, 1.0), (0.0,)), 1.0, 1e-300)
+    assert frozen.cells.tolist() == [0.0, 1.0]
+    assert frozen.steps == 0
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError
@@ -251,6 +251,21 @@ def test_fd_names_a_grid_that_cannot_be_allocated(monkeypatch):
     monkeypatch.setattr(oracle.np, "full", out_of_memory)
     with pytest.raises(ValueError, match="an FD grid of 402 cells cannot be allocated"):
         fd_solve(_oriented((0.0, 1.0), (1.0,)), 1.0, 0.05)
+
+
+def test_fd_frozen_step_allocates_two_cells():
+    # the frozen step 1 -> 3 returns unchanged on two cells: at dx = 1e-6 a
+    # grid of 10 sqrt(t) / dx cells a side would take 160 MB
+    prob = _oriented((1.0, 3.0), (0.0,))
+    tracemalloc.start()
+    try:
+        fd = fd_solve(prob, 1.0, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fd.cells.tolist() == [1.0, 3.0]
+    assert fd.steps == 0
+    assert peak < 1e6
 
 
 def test_fd_refuses_a_subnormal_dx_squared():
