@@ -5,7 +5,8 @@ bracketed comma-separated lists.  All numeric CSV output uses the shortest
 round-trip decimal representation of the double value, so identical inputs
 produce byte-identical files.
 
-Exit codes: 0 success; 1 invalid problem or non-convergence; 2 unusable
+Exit codes: 0 success; 1 invalid problem, non-convergence, an FD run too
+large to count or past its work bound, or a run out of memory; 2 unusable
 config, arguments or diffusion table, or unwritable output; 3 unexpected
 internal failure.  Whatever the failure, every output file the failed run
 began to write is removed.
@@ -322,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # reads raise ConfigError, so this is a failed write
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a refusal, like an FD run past its work bound
+        print("error: the run ran out of memory", file=sys.stderr)
+        return 1
     except Exception as exc:  # pragma: no cover - last-resort guard
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -46,11 +46,6 @@ def feasible_values(values) -> bool:
     return prev > -_INF
 
 
-def _full_positions(problem: RiemannProblem, values: Sequence[float]) -> tuple[float, ...]:
-    # xi_0 .. xi_{n+1} with the infinite sentinels attached
-    return (-_INF,) + problem.expand(values) + (_INF,)
-
-
 def entropy_pass(problem: RiemannProblem, values):
     """The objective at ``values`` in one pass over the intervals.
 
@@ -66,7 +61,7 @@ def entropy_pass(problem: RiemannProblem, values):
     domain, so a line search backtracks from it; the gradient and Hessian
     are only defined where the value is finite.
     """
-    full = _full_positions(problem, values)
+    full = (-_INF, *problem.expand(values), _INF)  # xi_0 .. xi_{n+1}
     u = problem.partition.breakpoints
     cs = problem.partition.coefficients
     n = problem.n

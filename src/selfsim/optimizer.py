@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .entropy import entropy_pass, feasible_values
@@ -218,13 +220,11 @@ def initial_guess(problem: RiemannProblem) -> tuple[float, ...]:
     cs = problem.partition.coefficients
     span = u[-1] - u[0]
     abar = max(a for a in cs if a > 0.0)
-    fracs: dict[int, list[float]] = {}
-    for k in range(1, problem.n + 1):
-        fracs.setdefault(problem.slots[k - 1], []).append((u[k] - u[0]) / span)
     vals: list[float] = []
     min_gap = 1e-6 * abar
-    for j in range(problem.m):
-        f = fracs[j]
+    # the boundaries of one slot are one run of the nondecreasing slot map
+    for _, run in groupby(zip(problem.slots, u[1:-1]), key=itemgetter(0)):
+        f = [(uk - u[0]) / span for _, uk in run]
         guess = abar * heat_step_inverse(min(max(sum(f) / len(f), _FRACTION_MIN), _FRACTION_MAX))
         if vals and guess < vals[-1] + min_gap:
             guess = vals[-1] + min_gap

@@ -110,8 +110,9 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
     and value rebuilt, by one ``repeat`` of their stacked table.  A cell
     count that overflows a float and a time step bound that underflows to 0
     are ``ValueError``s.  So is a run of more than ``MAX_CELL_UPDATES`` cell
-    updates, cells times steps, which names its count, and a dx whose square
-    is below the smallest normal float, where lam = dt/dx^2 loses digits.
+    updates, cells times steps, which names its count, or says that a float
+    cannot count it, and a dx whose square is below the smallest normal
+    float, where lam = dt/dx^2 loses digits.
     All of these are refused before the grid is allocated; a grid that
     then cannot be allocated is a ``ValueError`` naming its cell count.  A
     frozen step (a_max = 0) has half-width 0 and takes no steps: it returns
@@ -137,7 +138,15 @@ def fd_solve(problem: RiemannProblem, t_final: float, dx: float) -> FDGrid:
             raise ValueError(
                 f"the FD time step bound dx^2 / (2 a_max^2) underflows to 0 at dx = {dx!r}, a_max = {a_max!r}"
             )
-        steps = max(int(math.ceil(t_final / dt_bound)), 1)
+        ratio = t_final / dt_bound
+        # cells <= 2 half_span + 4 and steps <= ratio + 1: a bound in floats
+        # that overflows refuses a count too large to name, before any int is formed
+        if (2.0 * half_span + 4.0) * (ratio + 1.0) == _INF:
+            raise ValueError(
+                f"an FD run at dx = {dx!r} over t_final = {t_final!r} takes more cell updates "
+                f"than a float can count, more than the {MAX_CELL_UPDATES:.3g} allowed"
+            )
+        steps = max(int(math.ceil(ratio)), 1)
         updates = cells * steps
         if updates > MAX_CELL_UPDATES:
             raise ValueError(

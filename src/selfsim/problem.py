@@ -101,10 +101,11 @@ def diffusion_antiderivative(partition: PhasePartition) -> tuple[tuple[float, ..
 class RiemannProblem(NamedTuple):
     """Step data in the solver frame: states increase from u_0 to u_{n+1}.
 
-    The far-field states are the partition's end breakpoints.  ``slots[k-1]``
-    is the free-variable index (0-based) of nominal boundary k; the map is
-    nondecreasing and onto, and two consecutive boundaries share a slot
-    exactly when the interior interval between them carries zero diffusion.
+    The far-field states are the partition's end breakpoints.  ``slots[k-1]``,
+    the free-variable index (0-based) of nominal boundary k, is the running
+    count of live interior phases among a_1..a_{k-1}: two consecutive
+    boundaries share a slot exactly when the interior interval between them
+    carries zero diffusion.
     ``orientation_flipped`` records that the caller's states arrived in
     decreasing order; the equation is invariant under x -> -x, so downstream
     outputs un-flip by mirroring the profile.
@@ -149,18 +150,11 @@ def normalize_orientation(
             f"partition must span [{lo!r}, {hi!r}], spans "
             f"[{partition.breakpoints[0]!r}, {partition.breakpoints[-1]!r}]"
         )
-    cs = partition.coefficients
-    slots: list[int] = []
-    for k in range(1, partition.n + 1):
-        if k == 1:
-            slots.append(0)
-        elif cs[k - 1] == 0.0:
-            # interior interval k-1 is degenerate: boundaries k-1 and k fuse
-            slots.append(slots[-1])
-        else:
-            slots.append(slots[-1] + 1)
+    n = partition.n
+    # boundary k + 1 takes the slot after boundary k's unless interior phase k is dead
+    live = (c != 0.0 for c in partition.coefficients[1:n])
     return RiemannProblem(
         partition=partition,
-        slots=tuple(slots),
+        slots=tuple(accumulate(live, initial=0))[:n],
         orientation_flipped=u_plus < u_minus,
     )

@@ -253,8 +253,12 @@ def test_validate_rejects_a_grid_beyond_memory(tmp_path, capsys):
         ("t = 1\ndx = [1e-320]\n", "needs more cells than a float can count"),
         # a grid of 4e4 cells, but dx^2 = 1e-326 underflows, so no time step is stable
         ("t = 1e-320\ndx = [1e-163]\n", "time step bound dx^2 / (2 a_max^2) underflows to 0"),
+        # 4e151 cells over 8.9e300 steps: cells x steps passes the float range
+        ("t = 1\ndx = [1e-150]\n", "more cell updates than a float can count"),
+        # t / dt_bound is inf, so the step count is not a number either
+        ("t = 1e300\ndx = [1e-5]\n", "more cell updates than a float can count"),
     ],
-    ids=["cell-count-overflows", "time-step-underflows"],
+    ids=["cell-count-overflows", "time-step-underflows", "update-count-overflows", "step-count-overflows"],
 )
 def test_validate_rejects_a_grid_beyond_floats(tmp_path, capsys, grid, message):
     config_path = tmp_path / "extreme.cfg"
@@ -263,6 +267,21 @@ def test_validate_rejects_a_grid_beyond_floats(tmp_path, capsys, grid, message):
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "b_validate.csv").exists()
+
+
+def test_validate_running_out_of_memory_is_a_refusal(tmp_path, capsys, monkeypatch):
+    # a MemoryError past fd_solve's own allocation guard exits 1, not as an
+    # internal error, and leaves no file
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("selfsim.oracle.compare_profiles", out_of_memory)
+    config_path = tmp_path / "problem.cfg"
+    config_path.write_text(README_PROBLEM + "dx = [0.05]\n", encoding="utf-8")
+    code = main(["validate", "--config", str(config_path), "--out", str(tmp_path / "m_")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the run ran out of memory\n"
+    assert not (tmp_path / "m_validate.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -200,11 +200,17 @@ def test_fd_rejects_bad_parameters():
 
 
 def test_fd_rejects_a_grid_beyond_floats():
-    # a cell count that overflows, and a stability bound whose dx^2
-    # underflows to 0 (the bound of a huge coefficient too), are ValueErrors
+    # a cell count that overflows, a count of cell updates or of steps that
+    # does (cells x steps near 3.6e452; t / dt_bound = inf), and a stability
+    # bound whose dx^2 underflows to 0 (the bound of a huge coefficient too),
+    # are ValueErrors raised before any grid exists
     prob = _oriented((0.0, 1.0), (1.0,))
     with pytest.raises(ValueError, match="more cells than a float can count"):
         fd_solve(prob, 1.0, 1e-320)
+    readme = _oriented((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0))
+    for t_final, dx in ((1.0, 1e-150), (1e300, 1e-5)):
+        with pytest.raises(ValueError, match="more cell updates than a float can count"):
+            fd_solve(readme, t_final, dx)
     with pytest.raises(ValueError, match="underflows to 0 at dx = 1e-163"):
         fd_solve(prob, 1e-320, 1e-163)
     with pytest.raises(ValueError, match="underflows to 0 at dx = 1e\\+100, a_max = 1e\\+200"):

@@ -483,6 +483,21 @@ def test_conservation_between_times(breakpoints, coefficients):
     assert abs(m1 - m4) <= 1e-8
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sample_agrees_with_limits(n):
+    # the array reader and the scalar one, on 201 points over 10 a_max past
+    # the outermost boundary, in both orientations; measured worst 0.5 eps (du = 1)
+    eps = sys.float_info.epsilon
+    for s in range(4):
+        sol = solve_riemann(0.0, 1.0, part(n, s).partition)
+        for profile in (sol.profile, sol.profile.mirrored()):
+            reach = 10.0 * max(profile.coefficients) + max(map(abs, profile.boundaries), default=0.0)
+            xs = np.linspace(-reach, reach, 201)
+            scalar = [profile.limits(x)[1] for x in xs.tolist()]
+            du = abs(profile.right_state - profile.left_state)
+            np.testing.assert_allclose(profile.sample(xs), scalar, rtol=0.0, atol=2.0 * eps * du)
+
+
 def test_mirrored_is_an_involution():
     sol = _solve((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
     twice = sol.profile.mirrored().mirrored()
